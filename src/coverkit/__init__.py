@@ -22,7 +22,7 @@ from .kernel import (
     wedge,
 )
 from .relations import CoverSystem, Relation, structural_flags
-from .composition import cut_compose, literal_cut_compose
+from .composition import cut_compose
 from .axioms import Classification, classify, derive_vdash
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "cut_compose",
     "derive_vdash",
     "diagonal",
-    "literal_cut_compose",
     "selections",
     "structural_flags",
     "supersets",

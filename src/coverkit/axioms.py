@@ -12,11 +12,14 @@ Terminology used throughout the package:
   cover relation      strong idempotent auxiliary to its derived
                       1-reflexive relation
 
-Every predicate is a literal quantifier evaluation; the only algebraic
-shortcut anywhere is the maximal-witness path inside cut-composition,
-which has its own dedicated equivalence tests against the literal
-search.  All predicates can produce a minimal counterexample witness,
-minimised by subset-code order, for debuggability of generated systems.
+Every predicate is a literal quantifier evaluation, except that
+cut-composition evaluates its witness search in closed form (the maximal
+witness pair, see ``composition``), which the tests check against the
+literal enumeration of witness families.  ``classify`` evaluates each
+predicate once and shares the derived relation between the cover and
+antisymmetry checks.  All predicates can produce a minimal counterexample
+witness, minimised by subset-code order, for debuggability of generated
+systems.
 """
 
 from __future__ import annotations
@@ -27,17 +30,15 @@ from .kernel import GroundMismatchError, iter_bits, tables
 from .relations import (
     CoverSystem,
     Relation,
-    is_cut,
+    cut_witness,
     is_lower,
-    is_one_reflexive,
     is_upper,
+    lower_witness,
     one_exists,
+    one_reflexive_witness,
+    upper_witness,
 )
-from .composition import (
-    composition_excess_witness,
-    cut_compose,
-    literal_cut_compose,
-)
+from .composition import composition_excess_witness, cut_compose
 
 
 @dataclass
@@ -165,20 +166,9 @@ def is_cut_transitive(sys: CoverSystem) -> bool:
 
 
 def cut_transitive_witness(sys: CoverSystem):
-    """First (r, t) where self-composition exceeds the relation, else None.
-
-    Uses the production composition when the relation is lower, otherwise
-    falls back to the literal witness search (gated to small grounds).
-    """
+    """First (r, t) where self-composition exceeds the relation, else None."""
     rel = sys.rel
-    if is_lower(rel):
-        return composition_excess_witness(rel, rel, rel)
-    composed = literal_cut_compose(rel, rel)
-    for r, (c, own) in enumerate(zip(composed.rows, rel.rows)):
-        bad = c & ~own
-        if bad:
-            return r, (bad & -bad).bit_length() - 1
-    return None
+    return composition_excess_witness(rel, rel, rel)
 
 
 def is_divisible(sys: CoverSystem) -> bool:
@@ -189,11 +179,7 @@ def divisibility_witness(sys: CoverSystem):
     """First (F, G) entailed but not reachable through an interpolating
     family of singleton-entailed subsets, else None."""
     rel = sys.rel
-    strengthened = one_exists(rel)
-    if is_lower(strengthened):
-        composed = cut_compose(rel, strengthened)
-    else:
-        composed = literal_cut_compose(rel, strengthened)
+    composed = cut_compose(rel, one_exists(rel))
     for r, (own, c) in enumerate(zip(rel.rows, composed.rows)):
         bad = own & ~c
         if bad:
@@ -221,16 +207,15 @@ def cover_witness(sys: CoverSystem):
     """
     if not is_strong_idempotent(sys):
         return ("not strong idempotent",), "strong_idempotent"
-    vdash = derive_vdash(sys)
-    excess = composition_excess_witness(vdash, sys.rel, sys.rel)
+    excess = composition_excess_witness(derive_vdash(sys), sys.rel, sys.rel)
     if excess is not None:
         return excess, "auxiliarity"
     return None, None
 
 
-def vdash_antisymmetry_witness(sys: CoverSystem):
-    """First pair of distinct elements that the derived relation identifies."""
-    vdash = derive_vdash(sys)
+def vdash_antisymmetry_witness(sys: CoverSystem, vdash: Relation):
+    """First pair of distinct elements that the derived relation ``vdash``
+    of ``sys`` identifies, else None."""
     n = sys.ground.size
     for i in range(n):
         for j in range(i + 1, n):
@@ -241,13 +226,21 @@ def vdash_antisymmetry_witness(sys: CoverSystem):
 
 
 def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
-    """Fill every axiom flag; consistent with the individual predicates."""
+    """Fill every axiom flag; consistent with the individual predicates.
+
+    One pass: each witness search and the derived relation are evaluated
+    once, and the cover check reuses the strong-idempotent verdict.
+    """
     rel = sys.rel
-    upper = is_upper(rel)
-    lower = is_lower(rel)
+    up_wit = upper_witness(rel)
+    lo_wit = lower_witness(rel)
+    cut_wit = cut_witness(rel)
+    refl_wit = one_reflexive_witness(rel)
+    upper = up_wit is None
+    lower = lo_wit is None
     monotone = upper and lower
-    cut = is_cut(rel)
-    one_refl = is_one_reflexive(rel)
+    cut = cut_wit is None
+    one_refl = refl_wit is None
     entailment = monotone and cut
     scott = entailment and one_refl
     ct_wit = cut_transitive_witness(sys)
@@ -256,12 +249,11 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
     divisible = div_wit is None
     strong = monotone and divisible and cut_transitive
     semicut_wit = semicut_witness(sys)
-    if strong:
-        cov_wit, _ = cover_witness(sys)
-        cover = cov_wit is None
-    else:
-        cov_wit, cover = ("not strong idempotent",), False
-    anti_wit = vdash_antisymmetry_witness(sys)
+    vdash = derive_vdash(sys)
+    # a cover is a strong idempotent auxiliary to its derived relation
+    cov_wit = composition_excess_witness(vdash, rel, rel) if strong else None
+    cover = strong and cov_wit is None
+    anti_wit = vdash_antisymmetry_witness(sys, vdash)
     cls = Classification(
         is_upper=upper,
         is_lower=lower,
@@ -280,19 +272,13 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
     if with_witnesses:
         wit = {}
         if not upper:
-            wit["upper"] = _named_triple(sys, upper_witness_of(rel))
+            wit["upper"] = _named_triple(sys, up_wit)
         if not lower:
-            from .relations import lower_witness
-
-            wit["lower"] = _named_triple(sys, lower_witness(rel))
+            wit["lower"] = _named_triple(sys, lo_wit)
         if not cut:
-            from .relations import cut_witness
-
-            wit["cut"] = _named_triple(sys, cut_witness(rel))
+            wit["cut"] = _named_triple(sys, cut_wit)
         if not one_refl:
-            from .relations import one_reflexive_witness
-
-            wit["one_reflexive"] = {"s": one_reflexive_witness(rel)}
+            wit["one_reflexive"] = {"s": refl_wit}
         if not cut_transitive:
             wit["cut_transitive"] = _named_pair(sys, ct_wit)
         if not divisible:
@@ -309,12 +295,6 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
             wit["antisymmetric"] = {"s": anti_wit[0], "t": anti_wit[1]}
         cls.witnesses = wit
     return cls
-
-
-def upper_witness_of(rel: Relation):
-    from .relations import upper_witness
-
-    return upper_witness(rel)
 
 
 def _names(sys: CoverSystem, code: int):

@@ -157,8 +157,6 @@ def cover_morphism_failure(m: CoverMorphism):
     rel = m.rel
     if not (is_upper(rel) and is_lower(rel)):
         return "relation is not monotone"
-    if not is_lower(m.target.rel):
-        raise ValueError("target system relation must be lower")
     if cut_compose(rel, m.target.rel) != rel:
         return "composing with the target relation changes the morphism"
     strengthened = one_exists(rel)

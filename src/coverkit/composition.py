@@ -4,135 +4,73 @@ The cut-composition of A (between F(R) and F(S)) and B (between F(S) and
 F(T)) relates r to t when some pair of families over S, diagonal to each
 other, is fully A-above r on one side and fully B-below t on the other.
 
-When B is a lower relation the search collapses to a single canonical
-witness: take the whole family A* = {F : r A F}.  Enlarging a witness
-family keeps the A-side condition and only shrinks its selections, so A*
-is optimal, and B-lowerness makes the superset-closure on the B side
-redundant.  The production path below evaluates exactly that: r relates
-to t iff every selection of A* is B-related to t.
+The witness search has a closed form.  Enlarging the left family keeps
+the A-side condition and only shrinks its selections; enlarging the
+right family only grows its superset-closure.  So the maximal pair
+A*(r) = {F : r A F} and B*(t) = {G : G B t} is optimal, and r relates
+to t iff every selection of A*(r) contains a member of B*(t), that is,
+iff every selection of A*(r) is related to t by the lower closure of B
+(G related to t iff some subset of G is B-related to t).  For a lower B
+the closure is B itself.
 
-``cut_compose`` refuses a non-lower right operand instead of silently
-switching to the general search; callers wanting the general form must
-use the (size-gated) ``literal_cut_compose``, which enumerates witness
-families outright and exists primarily as a test oracle.
+Every right operand takes this one path; the literal enumeration of
+witness families lives in the test oracles.
 """
 
 from __future__ import annotations
 
-from .kernel import (
-    CapExceededError,
-    GroundMismatchError,
-    iter_bits,
-    supersets_mask,
-    tables,
-)
-from .relations import Relation, is_lower
+from .kernel import GroundMismatchError, tables
+from .relations import Relation
 
-LITERAL_MAX_GROUND = 3
+
+def _lower_closure_rows(rel: Relation) -> list[int]:
+    """Rows of the lower closure: rows[F] is the union of rel.rows[G] over
+    G contained in F (one zeta pass over the left subset lattice)."""
+    rows = list(rel.rows)
+    for i in range(rel.left.size):
+        bit = 1 << i
+        for f in range(len(rows)):
+            if f & bit:
+                rows[f] |= rows[f ^ bit]
+    return rows
+
+
+def _composed_rows(rel_a: Relation, rel_b: Relation):
+    """Yield the rows of the cut-composition of rel_a and rel_b in order."""
+    if rel_a.right != rel_b.left:
+        raise GroundMismatchError("inner grounds do not match")
+    rows_b = _lower_closure_rows(rel_b)
+    full = (1 << rel_b.right.num_subsets) - 1
+    t = tables(rel_a.right.size)
+    for row_a in rel_a.rows:
+        sel = t.full
+        m = row_a
+        while m and sel:
+            low = m & -m
+            sel &= t.meets[low.bit_length() - 1]
+            m ^= low
+        out = full
+        while sel and out:
+            low = sel & -sel
+            out &= rows_b[low.bit_length() - 1]
+            sel ^= low
+        yield out
 
 
 def cut_compose(rel_a: Relation, rel_b: Relation) -> Relation:
-    """Cut-composition with a lower right operand (checked, not assumed)."""
-    if rel_a.right != rel_b.left:
-        raise GroundMismatchError("inner grounds do not match")
-    if not is_lower(rel_b):
-        raise ValueError("cut_compose requires a lower right operand")
-    n = rel_a.right.size
-    full = (1 << rel_b.right.num_subsets) - 1
-    t = tables(n)
-    rows = []
-    for row_a in rel_a.rows:
-        sel = t.full
-        m = row_a
-        while m and sel:
-            low = m & -m
-            sel &= t.meets[low.bit_length() - 1]
-            m ^= low
-        out = full
-        while sel and out:
-            low = sel & -sel
-            out &= rel_b.rows[low.bit_length() - 1]
-            sel ^= low
-        rows.append(out)
-    return Relation(rel_a.left, rel_b.right, rows)
-
-
-def cut_compose_subset(rel_a: Relation, rel_b: Relation, target: Relation) -> bool:
-    """Whether the cut-composition of rel_a and rel_b is contained in target.
-
-    Equivalent to ``cut_compose(a, b).issubset(target)`` but avoids
-    materialising the composed matrix.
-    """
-    return composition_excess_witness(rel_a, rel_b, target) is None
+    """Cut-composition of rel_a with any right operand rel_b."""
+    # a list, not the generator: tuple() of a generator grows the tuple by
+    # resizing, which raised peak memory over long runs (CPython 3.11)
+    return Relation(rel_a.left, rel_b.right, list(_composed_rows(rel_a, rel_b)))
 
 
 def composition_excess_witness(rel_a: Relation, rel_b: Relation, target: Relation):
-    """First (r, t) in the composition but not in target, else None."""
-    if rel_a.right != rel_b.left:
-        raise GroundMismatchError("inner grounds do not match")
-    if not is_lower(rel_b):
-        raise ValueError("cut-composition requires a lower right operand")
-    n = rel_a.right.size
-    full = (1 << rel_b.right.num_subsets) - 1
-    t = tables(n)
-    for r, row_a in enumerate(rel_a.rows):
-        sel = t.full
-        m = row_a
-        while m and sel:
-            low = m & -m
-            sel &= t.meets[low.bit_length() - 1]
-            m ^= low
-        out = full
-        while sel and out:
-            low = sel & -sel
-            out &= rel_b.rows[low.bit_length() - 1]
-            sel ^= low
-        bad = out & ~target.rows[r]
+    """First (r, t) in the composition but not in target, else None.
+
+    Stops at the first composed row that exceeds its target row.
+    """
+    for r, (row, own) in enumerate(zip(_composed_rows(rel_a, rel_b), target.rows)):
+        bad = row & ~own
         if bad:
             return r, (bad & -bad).bit_length() - 1
     return None
-
-
-def literal_cut_compose(rel_a: Relation, rel_b: Relation,
-                        max_ground: int = LITERAL_MAX_GROUND) -> Relation:
-    """Cut-composition by enumerating witness families (the general form).
-
-    For each (r, t) this searches every family contained in
-    A* = {F : r A F} against the superset-closure of B* = {G : G B t}.
-    B* itself is an optimal right witness (superset-closure only grows
-    when the family does), so only the left side needs enumeration.
-    Doubly exponential; gated to small grounds.
-    """
-    if rel_a.right != rel_b.left:
-        raise GroundMismatchError("inner grounds do not match")
-    n = rel_a.right.size
-    if n > max_ground:
-        raise CapExceededError(
-            f"literal composition search is gated to |S| <= {max_ground}"
-        )
-    cols_b = rel_b.cols()
-    width = rel_b.right.num_subsets
-    rows = []
-    for row_a in rel_a.rows:
-        fstar = list(iter_bits(row_a))
-        sels = _all_selection_masks(n, fstar)
-        out = 0
-        for tcode in range(width):
-            sup = supersets_mask(n, cols_b[tcode])
-            if any(sel & ~sup == 0 for sel in sels):
-                out |= 1 << tcode
-        rows.append(out)
-    return Relation(rel_a.left, rel_b.right, rows)
-
-
-def _all_selection_masks(n: int, fstar: list[int]) -> list[int]:
-    """Selection masks of every subfamily of fstar, deduplicated."""
-    full = tables(n).full
-    masks = {full}
-    acc = [full]
-    for f in fstar:
-        meets = tables(n).meets[f]
-        acc = acc + [m & meets for m in acc]
-        masks.update(acc)
-        acc = list(set(acc))
-    return sorted(masks)

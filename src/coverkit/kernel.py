@@ -201,14 +201,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def iter_submasks(mask: int):
-    """Yield all submasks of ``mask`` (including 0 and mask), ascending."""
-    subs = [0]
-    for b in iter_bits(mask):
-        subs += [s | 1 << b for s in subs]
-    return sorted(subs)
-
-
 class SubsetTables:
     """Per-arity lookup tables used by the bit-parallel operators.
 

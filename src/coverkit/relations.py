@@ -153,15 +153,6 @@ class Relation:
         self._check_shape(other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 
-    def first_difference(self, other: "Relation"):
-        """Lexicographically first (f, g) where the two relations disagree."""
-        self._check_shape(other)
-        for f, (a, b) in enumerate(zip(self.rows, other.rows)):
-            if a != b:
-                d = a ^ b
-                return f, (d & -d).bit_length() - 1
-        return None
-
     def _check_shape(self, other: "Relation"):
         if self.left != other.left or self.right != other.right:
             raise GroundMismatchError("relations have different coordinate grounds")
@@ -349,16 +340,11 @@ def star(rel: Relation, fam_a: Family, fam_b: Family) -> bool:
 
 # -- cover systems -----------------------------------------------------------
 
-EAGER_CLASSIFY_MAX = 8
-
-
 class CoverSystem:
     """A ground set with an endorelation on its finite subsets.
 
-    The axiom classification is cached; it is computed eagerly at
-    construction for small ground sets (the relation must be monotone or
-    tiny for the composition-based flags to be evaluated cheaply) and
-    lazily on first access otherwise.
+    Construction only checks the shape.  The axiom classification is
+    computed lazily, on first access to ``classification``, and cached.
     """
 
     __slots__ = ("ground", "rel", "name", "_classification")
@@ -370,11 +356,6 @@ class CoverSystem:
         self.rel = rel
         self.name = name
         self._classification = None
-        if ground.size <= EAGER_CLASSIFY_MAX:
-            from . import axioms
-
-            if ground.size <= 3 or (is_upper(rel) and is_lower(rel)):
-                self._classification = axioms.classify(self)
 
     @property
     def classification(self):
@@ -383,13 +364,6 @@ class CoverSystem:
 
             self._classification = axioms.classify(self)
         return self._classification
-
-    @property
-    def flags(self):
-        return self.classification
-
-    def structural(self) -> StructuralFlags:
-        return structural_flags(self.rel)
 
     def holds(self, f, g) -> bool:
         return self.rel.holds(f, g)

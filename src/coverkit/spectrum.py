@@ -749,28 +749,10 @@ def birkhoff_stone_families(sys: CoverSystem, r, fams: Family):
     rows = sys.rel.rows
 
     # The hypothesis fails iff some finite part F of R entails every
-    # selection of some subfamily.  Subfamilies are enumerated literally
-    # while small; selections only shrink as the subfamily grows, so for
-    # large inputs the full family is the optimal witness.
-    member_list = list(iter_bits(fams.mask))
-    hypothesis = True
-    if len(member_list) <= 12:
-        from .kernel import iter_submasks
-
-        sels = sorted({
-            selections_mask(
-                n,
-                sum(1 << member_list[i] for i in iter_bits(sub)),
-            )
-            for sub in iter_submasks((1 << len(member_list)) - 1)
-        })
-    else:
-        sels = [selections_mask(n, fams.mask)]
-    for f in iter_bits(tt.subsets[rcode]):
-        if any(sel & ~rows[f] == 0 for sel in sels):
-            hypothesis = False
-            break
-    if not hypothesis:
+    # selection of some subfamily.  Selections only shrink as the
+    # subfamily grows, so the full family is the optimal witness.
+    sel = selections_mask(n, fams.mask)
+    if any(sel & ~rows[f] == 0 for f in iter_bits(tt.subsets[rcode])):
         return None
     for code in range(sys.ground.num_subsets):
         if code & rcode != rcode:

@@ -5,12 +5,13 @@ is an integer bitmask over right-hand subset codes.  The code is written
 as direct quantifier scans with its own little helpers, deliberately
 sharing nothing with the package internals.
 
-The one permitted simplification mirrors the production composition
-path: for a LOWER right operand, the witness search collapses to the
-single maximal family (``naive_compose`` with assume_lower=True).  Its
-equivalence with the fully literal double search is itself an acceptance
-check, and ``naive_compose_literal`` below implements that literal
-search by outright enumeration of witness subfamilies.
+The one permitted simplification is the maximal witness pair in
+cut-composition: ``naive_compose_lower`` (lower right operand) and
+``naive_compose_maximal`` (any right operand, by plain scans, so it
+reaches |S| = 4 where the family tables do not).  Their equivalence with
+the fully literal search is itself checked by the tests, and
+``naive_compose_literal`` below implements that literal search by
+outright enumeration of witness subfamilies.
 """
 
 from itertools import combinations
@@ -189,6 +190,21 @@ def naive_compose_lower(n, rows_a, rows_b):
         m = 0
         for tcode in subset_codes(n):
             if all(rows_b[g] >> tcode & 1 for g in bits_of(sel)):
+                m |= 1 << tcode
+        out.append(m)
+    return out
+
+
+def naive_compose_maximal(n, rows_a, rows_b):
+    """Composition via the maximal witness pair, for any rows_b: r relates
+    to t iff every selection of A*(r) contains a member of B*(t)."""
+    out = []
+    for r in subset_codes(n):
+        sels = naive_selections(n, bits_of(rows_a[r]))
+        m = 0
+        for tcode in subset_codes(n):
+            bstar = [g for g in subset_codes(n) if rows_b[g] >> tcode & 1]
+            if all(any(h & sel == h for h in bstar) for sel in sels):
                 m |= 1 << tcode
         out.append(m)
     return out

@@ -1,4 +1,5 @@
 import gen
+import oracles
 from oracles import naive_classify, naive_vdash
 from coverkit.relations import (
     CoverSystem,
@@ -9,6 +10,7 @@ from coverkit.relations import (
     is_upper,
     one_exists,
 )
+from coverkit import axioms, composition
 from coverkit.composition import cut_compose
 from coverkit.axioms import (
     classify,
@@ -24,6 +26,7 @@ from coverkit.builders import (
     corpus,
     diagonal_system,
     lattice_cover,
+    meet_system,
     sierpinski_space,
     topology_cover,
 )
@@ -264,6 +267,93 @@ def test_classify_witnesses_name_based():
     assert not cls.is_cut
     wit = cls.witnesses["cut"]
     assert set(wit) == {"F", "G", "s"}
+
+
+def _non_lower_s4(rng, kind):
+    g4 = gen.ground(4)
+    if kind == 0:
+        return gen.random_relation(rng, g4)
+    if kind == 1:
+        return gen.upper_closure(gen.random_relation(rng, g4))
+    # a Scott relation with the row of one non-singleton subset cleared
+    rows = list(gen.random_scott(rng, g4).rel.rows)
+    rows[rng.choice([c for c in range(16) if bin(c).count("1") > 1])] = 0
+    return Relation(g4, g4, rows)
+
+
+def test_classify_non_lower_at_four_elements():
+    # a four-element non-lower system classifies (it used to raise
+    # CapExceededError): flags agree with the naive scans, the
+    # composition-based flags with the maximal-witness oracle, and the
+    # hierarchy implications hold
+    rng = gen.rng_for(404)
+    seen = set()
+    for k in range(24):
+        rel = _non_lower_s4(rng, k % 3)
+        rows = list(rel.rows)
+        assert not oracles.naive_lower(4, rows)
+        f = classify(CoverSystem(rel.left, rel), with_witnesses=True).to_dict()
+        ct = oracles._contained(oracles.naive_compose_maximal(4, rows, rows), rows)
+        div = oracles._contained(
+            rows, oracles.naive_compose_maximal(4, rows, oracles.naive_one_exists(4, rows)))
+        assert f["is_upper"] == oracles.naive_upper(4, rows)
+        assert f["is_lower"] is False
+        assert f["is_cut"] == oracles.naive_cut(4, rows)
+        assert f["is_one_reflexive"] == oracles.naive_one_reflexive(4, rows)
+        assert f["is_semicut"] == oracles.naive_semicut(4, rows)
+        assert f["is_antisymmetric"] == oracles.naive_antisymmetric(4, rows)
+        assert f["is_cut_transitive"] == ct
+        assert f["is_divisible"] == div
+        assert f["is_monotone"] == (f["is_upper"] and f["is_lower"])
+        assert f["is_entailment"] == (f["is_monotone"] and f["is_cut"])
+        assert f["is_scott"] == (f["is_entailment"] and f["is_one_reflexive"])
+        assert f["is_strong_idempotent"] == (
+            f["is_monotone"] and f["is_divisible"] and f["is_cut_transitive"])
+        assert f["is_strong_idempotent"] or not f["is_cover"]
+        seen.add((f["is_cut_transitive"], f["is_divisible"]))
+    assert {(True, True), (False, True), (False, False)} <= seen
+
+
+# -- work done per classification -----------------------------------------------------
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_building_a_system_runs_no_classification(monkeypatch):
+    calls = _counting(monkeypatch, axioms, "classify")
+    rng = gen.rng_for(505)
+    for ground in (G2, G3):
+        for rel in (gen.random_relation(rng, ground), gen.random_monotone(rng, ground)):
+            sys = CoverSystem(ground, rel)
+    assert calls == []
+    first = sys.classification
+    assert sys.classification is first
+    assert len(calls) == 1
+
+
+def test_classify_composes_at_most_three_times(monkeypatch):
+    # every composition, materialised by cut_compose or scanned for an
+    # excess, runs through the one row generator
+    rows_calls = _counting(monkeypatch, composition, "_composed_rows")
+    cut_calls = _counting(monkeypatch, axioms, "cut_compose")
+    vdash_calls = _counting(monkeypatch, axioms, "derive_vdash")
+    systems = (meet_system(3), lattice_cover(boolean4_lattice()),
+               topology_cover(sierpinski_space()), gen.random_scott(gen.rng_for(606), G3))
+    for sys in systems:
+        del rows_calls[:], cut_calls[:], vdash_calls[:]
+        cls = classify(sys, with_witnesses=True)
+        assert cls.is_strong_idempotent
+        assert len(rows_calls) <= 3 and len(cut_calls) <= 3
+        assert len(vdash_calls) == 1
 
 
 def test_sandwich_instances_satisfy_cut_rule():

@@ -92,6 +92,23 @@ def test_cap_exceeded_exit_three(tmp_path, capsys):
     assert main(["classify", path]) == 3
 
 
+def test_classify_four_element_non_lower_exits_zero(tmp_path, capsys):
+    # the empty set entails {a} but {b} does not: not lower, and four
+    # elements used to exceed the gate of the literal composition search
+    explicit = {
+        "format_version": "1",
+        "kind": "explicit",
+        "payload": {"ground": ["a", "b", "c", "d"],
+                    "pairs": [[[], ["a"]], [["a", "b"], ["c"]]]},
+    }
+    path = write(tmp_path, "four.json", explicit)
+    code, rep = run(capsys, "classify", path)
+    assert code == 0
+    assert rep["classification"]["is_lower"] is False
+    assert rep["classification"]["is_divisible"] is False
+    assert set(rep["witnesses"]["lower"]) == {"F", "G", "s"}
+
+
 def test_cap_flag_lowers_the_limit(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("COVERKIT_CAP", raising=False)
     path = write(tmp_path, "b4.json", BOOLEAN4)
@@ -173,6 +190,20 @@ def test_compose_command(tmp_path, capsys):
     assert code == 0
     assert rep["first_is_morphism"] and rep["composite_is_morphism"]
     assert rep["composite"]["pairs"] == morphism_to_payload(m)["pairs"]
+
+
+def test_compose_over_non_lower_systems_reports(tmp_path, capsys):
+    # a non-lower system relation used to make the morphism check raise
+    # ValueError, which surfaced as a traceback
+    system = {"kind": "explicit",
+              "payload": {"ground": ["a", "b"], "pairs": [[[], ["a"]]]}}
+    morphism = {"format_version": "1", "kind": "morphism",
+                "source_system": system, "target_system": system, "pairs": []}
+    mfile = write(tmp_path, "m.json", morphism)
+    code, rep = run(capsys, "compose", mfile, mfile)
+    assert code == 0
+    assert rep["first_is_morphism"] == rep["composite_is_morphism"]
+    assert rep["composite"]["pairs"] == []
 
 
 def test_compose_mismatch_is_parse_error(tmp_path, capsys):

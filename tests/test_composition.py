@@ -1,10 +1,10 @@
-import pytest
+from itertools import product
 
 import gen
-from oracles import bits_of, family_tables, naive_compose_literal
+from oracles import bits_of, family_tables, naive_compose_literal, naive_compose_maximal
 from coverkit.kernel import iter_bits
 from coverkit.relations import Relation, is_lower, one_exists
-from coverkit.composition import cut_compose, literal_cut_compose
+from coverkit.composition import cut_compose
 from coverkit.builders import meet_system
 
 G2 = gen.ground(2)
@@ -28,12 +28,24 @@ def test_empty_row_semantics():
     assert all(r == expect for r in composed.rows)
 
 
-def test_rejects_non_lower_right_operand():
-    rel_a = gen.random_monotone(RNG, G2)
-    rel_b = Relation.from_pairs(G2, G2, [((), ("a",))])  # not lower
-    assert not is_lower(rel_b)
-    with pytest.raises(ValueError):
-        cut_compose(rel_a, rel_b)
+def test_any_right_operand_matches_literal_search():
+    # no lowerness assumed on either side: every pair at |S|=1, random
+    # arbitrary pairs at |S|=2 and 3, against the literal witness search
+    rng = gen.rng_for(2021)
+    g1 = gen.ground(1)
+    all_g1 = [Relation(g1, g1, rows) for rows in product(range(4), repeat=2)]
+    pairs = [(1, a, b) for a in all_g1 for b in all_g1]
+    pairs += [(2, gen.random_relation(rng, G2), gen.random_relation(rng, G2))
+              for _ in range(300)]
+    pairs += [(3, gen.random_relation(rng, G3), gen.random_relation(rng, G3))
+              for _ in range(25)]
+    non_lower = 0
+    for n, a, b in pairs:
+        non_lower += not is_lower(b)
+        lit = naive_compose_literal(n, a.rows, b.rows)
+        assert list(cut_compose(a, b).rows) == lit
+        assert naive_compose_maximal(n, a.rows, b.rows) == lit
+    assert len(pairs) == 581 and non_lower > 400
 
 
 def test_associativity_on_monotone_triples():
@@ -50,9 +62,9 @@ def test_associativity_with_literal_witness_search():
         a = gen.random_monotone(RNG, G2)
         b = gen.random_monotone(RNG, G2)
         c = gen.random_monotone(RNG, G2)
-        lhs = literal_cut_compose(literal_cut_compose(a, b), c)
-        rhs = literal_cut_compose(a, literal_cut_compose(b, c))
-        assert lhs == rhs == cut_compose(cut_compose(a, b), c)
+        lhs = naive_compose_literal(2, naive_compose_literal(2, a.rows, b.rows), c.rows)
+        rhs = naive_compose_literal(2, a.rows, naive_compose_literal(2, b.rows, c.rows))
+        assert lhs == rhs == list(cut_compose(cut_compose(a, b), c).rows)
 
 
 def test_maximal_witness_equals_literal_search():
@@ -60,12 +72,12 @@ def test_maximal_witness_equals_literal_search():
         for _ in range(reps):
             a = gen.random_relation(RNG, ground)
             b = gen.random_monotone(RNG, ground)
-            assert cut_compose(a, b) == literal_cut_compose(a, b)
+            assert list(cut_compose(a, b).rows) == naive_compose_literal(n, a.rows, b.rows)
 
 
 def test_literal_search_matches_full_double_enumeration():
-    # the gated literal search fixes the right witness maximal; spot-check
-    # that this is harmless against enumerating both witness families
+    # the literal search fixes the right witness maximal; spot-check that
+    # this is harmless against enumerating both witness families
     from itertools import combinations
 
     def double_enum(n, rows_a, rows_b):
@@ -106,9 +118,9 @@ def test_literal_search_matches_full_double_enumeration():
     for _ in range(25):
         a = gen.random_relation(RNG, G2)
         b = gen.random_relation(RNG, G2)
-        lit = literal_cut_compose(a, b)
-        assert list(lit.rows) == double_enum(2, a.rows, b.rows)
-        assert list(lit.rows) == naive_compose_literal(2, a.rows, b.rows)
+        lit = naive_compose_literal(2, a.rows, b.rows)
+        assert lit == double_enum(2, a.rows, b.rows)
+        assert lit == list(cut_compose(a, b).rows)
 
 
 def test_forall_right_distributes_for_lower_operand():

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 import gen
-from oracles import naive_prime, naive_round, naive_tight_sets
+from oracles import naive_prime, naive_round, naive_selections, naive_tight_sets
 from coverkit.kernel import Family, iter_bits
 from coverkit.relations import CoverSystem, Relation
 from coverkit.builders import (
@@ -282,6 +284,32 @@ def test_family_separation_reduces_to_single():
         assert (single is None) == (família is None)
         if single is not None:
             assert família.bits & r == r and família.bits & q == 0
+
+
+def test_family_separation_hypothesis_matches_subfamily_search():
+    # the hypothesis quantifies over every subfamily; the full family is
+    # the optimal witness, checked here against the literal enumeration
+    rng = gen.rng_for(515)
+    held = failed = 0
+    for k in range(60):
+        n = 2 + k % 2
+        sys = gen.random_strong_idempotent(rng, gen.ground(n))
+        rows = sys.rel.rows
+        rounds = [c for c in range(1 << n) if is_round(sys, c)]
+        for _ in range(4):
+            r = rng.choice(rounds)
+            members = sorted({rng.randrange(1 << n) for _ in range(rng.randint(1, 4))})
+            literal = not any(
+                all(rows[f] >> g & 1 for g in naive_selections(n, list(sub)))
+                for f in range(1 << n) if f & r == f
+                for size in range(len(members) + 1)
+                for sub in combinations(members, size)
+            )
+            got = birkhoff_stone_families(sys, r, Family(sys.ground, sum(1 << m for m in members)))
+            assert (got is not None) == literal
+            held += literal
+            failed += not literal
+    assert held > 20 and failed > 20
 
 
 def test_family_separation_empty_family():
