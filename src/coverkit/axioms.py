@@ -16,17 +16,19 @@ Every predicate is a literal quantifier evaluation, except that
 cut-composition evaluates its witness search in closed form (the maximal
 witness pair, see ``composition``), which the tests check against the
 literal enumeration of witness families.  ``classify`` evaluates each
-predicate once and shares the derived relation between the cover and
-antisymmetry checks.  All predicates can produce a minimal counterexample
+predicate once, and both the classification and the derived relation are
+computed once per system and cached on it (see ``CoverSystem``), so
+``classify``, the spectrum and frame checks and library callers share
+them.  All predicates can produce a minimal counterexample
 witness, minimised by subset-code order, for debuggability of generated
 systems.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .kernel import GroundMismatchError, iter_bits, tables
+from .kernel import GroundMismatchError, iter_bits
 from .relations import (
     CoverSystem,
     Relation,
@@ -82,8 +84,15 @@ def derive_vdash(sys: CoverSystem) -> Relation:
     singleton of F also entails G.
 
     Always lower and 1-reflexive; upper whenever the base relation is.
-    For Scott relations it coincides with the base relation.
+    For Scott relations it coincides with the base relation.  Computed
+    once per system and cached on it.
     """
+    if sys._vdash is None:
+        sys._vdash = _compute_vdash(sys)
+    return sys._vdash
+
+
+def _compute_vdash(sys: CoverSystem) -> Relation:
     rel = sys.rel
     n = sys.ground.size
     size = sys.ground.num_subsets
@@ -139,25 +148,31 @@ def semicut_witness(sys: CoverSystem):
     """First (F, G, H) violating the semicut condition, else None.
 
     Violation: H entails G, F entails G+{h} for every h in H, but F does
-    not entail G.
+    not entail G.  Tabulated per G: ``cand[H]``, the F entailing G+{h}
+    for every h in H, is built for all H in one pass (each element
+    doubles the table), and H then walks the codes entailing G in
+    ascending order, so the first witness is the one a plain (G, H, F)
+    scan meets first.
     """
-    rel = sys.rel
     n = sys.ground.size
-    size = sys.ground.num_subsets
-    t = tables(n)
-    cols = rel.cols()
-    full = (1 << size) - 1
-    for g in range(size):
-        col_g = cols[g]
-        for h in range(size):
-            if not rel.rows[h] >> g & 1:
-                continue
-            cand = full
-            for i in iter_bits(h):
-                cand &= cols[g | 1 << i]
-            bad = cand & ~col_g
+    cols = sys.rel.cols()
+    full = (1 << sys.ground.num_subsets) - 1
+    for g, col_g in enumerate(cols):
+        # col_g is both the H entailing G and the F entailing G; an empty
+        # or full column admits no violation
+        if col_g == 0 or col_g == full:
+            continue
+        cand = [full]
+        for i in range(n):
+            ext = cols[g | 1 << i]
+            cand += [c & ext for c in cand]
+        hs = col_g
+        while hs:
+            low = hs & -hs
+            bad = cand[low.bit_length() - 1] & ~col_g
             if bad:
-                return (bad & -bad).bit_length() - 1, g, h
+                return (bad & -bad).bit_length() - 1, g, low.bit_length() - 1
+            hs ^= low
     return None
 
 
@@ -228,9 +243,22 @@ def vdash_antisymmetry_witness(sys: CoverSystem, vdash: Relation):
 def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
     """Fill every axiom flag; consistent with the individual predicates.
 
-    One pass: each witness search and the derived relation are evaluated
-    once, and the cover check reuses the strong-idempotent verdict.
+    Computed once per system, witnesses included, and cached on it: the
+    first call (or access to ``sys.classification``) evaluates, later
+    ones return the cached classification.  With ``with_witnesses`` the
+    cached object itself is returned, so it must not be mutated;
+    without, a copy with no witnesses.
     """
+    cls = sys._classification
+    if cls is None:
+        cls = sys._classification = _compute_classification(sys)
+    return cls if with_witnesses else replace(cls, witnesses={})
+
+
+def _compute_classification(sys: CoverSystem) -> Classification:
+    """One pass: each witness search and the derived relation are
+    evaluated once, and the cover check reuses the strong-idempotent
+    verdict."""
     rel = sys.rel
     up_wit = upper_witness(rel)
     lo_wit = lower_witness(rel)
@@ -269,31 +297,29 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
         is_cover=cover,
         is_antisymmetric=anti_wit is None,
     )
-    if with_witnesses:
-        wit = {}
-        if not upper:
-            wit["upper"] = _named_triple(sys, up_wit)
-        if not lower:
-            wit["lower"] = _named_triple(sys, lo_wit)
-        if not cut:
-            wit["cut"] = _named_triple(sys, cut_wit)
-        if not one_refl:
-            wit["one_reflexive"] = {"s": refl_wit}
-        if not cut_transitive:
-            wit["cut_transitive"] = _named_pair(sys, ct_wit)
-        if not divisible:
-            wit["divisible"] = _named_pair(sys, div_wit)
-        if semicut_wit is not None:
-            wit["semicut"] = {
-                "F": _names(sys, semicut_wit[0]),
-                "G": _names(sys, semicut_wit[1]),
-                "H": _names(sys, semicut_wit[2]),
-            }
-        if not cover and strong:
-            wit["cover"] = _named_pair(sys, cov_wit)
-        if anti_wit is not None:
-            wit["antisymmetric"] = {"s": anti_wit[0], "t": anti_wit[1]}
-        cls.witnesses = wit
+    wit = cls.witnesses
+    if not upper:
+        wit["upper"] = _named_triple(sys, up_wit)
+    if not lower:
+        wit["lower"] = _named_triple(sys, lo_wit)
+    if not cut:
+        wit["cut"] = _named_triple(sys, cut_wit)
+    if not one_refl:
+        wit["one_reflexive"] = {"s": refl_wit}
+    if not cut_transitive:
+        wit["cut_transitive"] = _named_pair(sys, ct_wit)
+    if not divisible:
+        wit["divisible"] = _named_pair(sys, div_wit)
+    if semicut_wit is not None:
+        wit["semicut"] = {
+            "F": _names(sys, semicut_wit[0]),
+            "G": _names(sys, semicut_wit[1]),
+            "H": _names(sys, semicut_wit[2]),
+        }
+    if not cover and strong:
+        wit["cover"] = _named_pair(sys, cov_wit)
+    if anti_wit is not None:
+        wit["antisymmetric"] = {"s": anti_wit[0], "t": anti_wit[1]}
     return cls
 
 

@@ -1,10 +1,13 @@
 """Constructors producing cover systems from standard order-theoretic data.
 
-Each builder evaluates its defining formula literally over all pairs of
-finite subsets and returns a CoverSystem; none of them enforce a
-classification.  Negative instances (a non-distributive lattice, a
-non-Kakutani convexity) are first-class outputs whose attached
-classification records the failure.
+Each builder evaluates its defining formula over all pairs of finite
+subsets and returns a CoverSystem; none of them enforce a
+classification.  All but ``lattice_cover`` scan the pairs literally;
+``lattice_cover`` is tabulated (the meet and join of every subset once,
+each row filled from the subsets grouped by their join), and its literal
+pairwise scan is a test oracle.  Negative instances (a non-distributive
+lattice, a non-Kakutani convexity) are first-class outputs whose
+attached classification records the failure.
 """
 
 from __future__ import annotations
@@ -425,22 +428,30 @@ def lattice_cover(lat: FiniteLattice, name: str = "") -> CoverSystem:
 
     The empty meet is the top when one exists; otherwise the empty-set row
     is all false.  The empty join is the bottom.
+
+    The meet and join of each subset are built once, from the subset
+    without its lowest element; the G are grouped by their join, and row
+    F is the union of the groups whose join lies above the meet of F.
     """
     ground = _ground_of(lat.elements)
-    top = lat.top
     size = ground.num_subsets
-    rows = []
-    for f in range(size):
-        meet = lat.meet_of(iter_bits(f), empty=top)
-        if meet is None:
-            rows.append(0)
-            continue
-        m = 0
-        for g in range(size):
-            join = lat.join_of(iter_bits(g), empty=lat.bottom)
-            if lat.le(meet, join):
-                m |= 1 << g
-        rows.append(m)
+    mt, jt = lat.meet_table, lat.join_table
+    meets = [lat.top] * size
+    joins = [lat.bottom] * size
+    for c in range(1, size):
+        low = c & -c
+        i = low.bit_length() - 1
+        meets[c] = mt[i][meets[c ^ low]]
+        joins[c] = jt[i][joins[c ^ low]]
+    by_join = [0] * lat.size
+    for g, j in enumerate(joins):
+        if j is not None:  # only the empty lattice has no bottom
+            by_join[j] |= 1 << g
+    above = [0] * lat.size
+    for m in range(lat.size):
+        for j in iter_bits(lat.leq[m]):
+            above[m] |= by_join[j]
+    rows = [0 if m is None else above[m] for m in meets]
     return CoverSystem(ground, Relation(ground, ground, rows), name or "lattice")
 
 

@@ -66,6 +66,14 @@ def _name_pairs(payload, key):
     return out
 
 
+def _labels(payload, key) -> tuple:
+    """The label list ``payload[key]``, which must be a JSON list of strings."""
+    labels = payload[key]
+    _expect(isinstance(labels, list) and all(isinstance(x, str) for x in labels),
+            f"{key} must be a list of strings")
+    return tuple(labels)
+
+
 def system_from_payload(kind: str, payload: dict) -> CoverSystem:
     from . import builders
     from .spectrum import FiniteSpace
@@ -73,26 +81,26 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
     _expect(isinstance(payload, dict), "payload must be an object")
     try:
         if kind == "explicit":
-            ground = GroundSet(tuple(payload["ground"]))
+            ground = GroundSet(_labels(payload, "ground"))
             rel = Relation.from_pairs(ground, ground, [
                 (tuple(f), tuple(g)) for f, g in _name_pairs(payload, "pairs")
             ])
             return CoverSystem(ground, rel, payload.get("name", "explicit"))
         if kind == "lattice":
             lat = builders.FiniteLattice.from_pairs(
-                payload["elements"], _name_pairs(payload, "leq"))
+                _labels(payload, "elements"), _name_pairs(payload, "leq"))
             return builders.lattice_cover(lat, payload.get("name", ""))
         if kind == "semilattice":
             sl = builders.JoinSemilattice.from_pairs(
-                payload["elements"], _name_pairs(payload, "leq"))
+                _labels(payload, "elements"), _name_pairs(payload, "leq"))
             return builders.semilattice_cover(sl, payload.get("name", ""))
         if kind == "poset":
             tr = builders.TransitiveRelation.from_pairs(
-                payload["elements"], _name_pairs(payload, "lt"),
+                _labels(payload, "elements"), _name_pairs(payload, "lt"),
                 transitive_close=bool(payload.get("transitive_close", False)))
             return builders.perp_cover(tr, payload.get("name", ""))
         if kind == "proximity":
-            elements = tuple(payload["elements"])
+            elements = _labels(payload, "elements")
             idx = {e: i for i, e in enumerate(elements)}
             rows = [0] * len(elements)
             for a, b in _name_pairs(payload, "prox"):
@@ -100,7 +108,7 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
             pl = builders.ProximityLattice(elements, tuple(rows))
             return builders.proximity_cover(pl, payload.get("name", ""))
         if kind == "convexity":
-            elements = tuple(payload["elements"])
+            elements = _labels(payload, "elements")
             idx = {e: i for i, e in enumerate(elements)}
             sets = []
             for names in payload["convex_sets"]:
@@ -112,7 +120,7 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
             return builders.convexity_entailment(cx, payload.get("name", ""))
         if kind == "topology":
             space = FiniteSpace.from_named_sets(
-                payload["points"], payload["opens"], payload["subbasis"])
+                _labels(payload, "points"), payload["opens"], payload["subbasis"])
             return builders.topology_cover(space, name=payload.get("name", ""))
     except SystemFileError:
         raise
@@ -143,7 +151,7 @@ def load_space(path: str):
     payload = data.get("payload", {})
     try:
         return FiniteSpace.from_named_sets(
-            payload["points"], payload["opens"], payload["subbasis"])
+            _labels(payload, "points"), payload["opens"], payload["subbasis"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemFileError(f"malformed topology payload: {exc}")
 

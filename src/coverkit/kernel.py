@@ -15,7 +15,7 @@ All values here are immutable after construction and safe to share.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 DEFAULT_GROUND_CAP = 16
@@ -46,26 +46,24 @@ class GroundSet:
     """An ordered tuple of distinct element labels; indices are stable."""
 
     names: tuple[str, ...]
+    # derived from ``names`` once; left out of equality, hashing and repr
+    size: int = field(init=False, compare=False, repr=False)
+    num_subsets: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+        size = len(self.names)
+        if len(set(self.names)) != size:
             raise ValueError("ground set labels must be distinct")
-        if len(self.names) > ground_cap():
+        if size > ground_cap():
             raise CapExceededError(
-                f"ground set of size {len(self.names)} exceeds cap {ground_cap()}"
+                f"ground set of size {size} exceeds cap {ground_cap()}"
             )
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "num_subsets", 1 << size)
 
     @staticmethod
     def of(*names: str) -> "GroundSet":
         return GroundSet(tuple(names))
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
-    @property
-    def num_subsets(self) -> int:
-        return 1 << self.size
 
     def index(self, name: str) -> int:
         return self.names.index(name)

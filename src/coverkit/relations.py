@@ -6,8 +6,13 @@ right subset codes.  Structural predicates (upper, lower, cut, one-
 reflexive) are evaluated by direct quantification, vectorised over whole
 rows where a row-level formulation is available.
 
-Values are immutable after construction; the classification cache on a
-cover system is filled at most once and is safe under concurrent readers.
+Values are immutable after construction.  A cover system carries two
+caches, each filled on first use and then reused: its axiom
+classification (filled by ``axioms.classify``, whoever calls it first)
+and its derived relation (filled by ``axioms.derive_vdash``).  Neither
+the ground nor the relation of a system is ever reassigned, so the
+caches cannot go stale; threads racing on a first use may each compute
+a cache, and store equal values.
 
 For monotone relations the canonical extension to arbitrary subsets
 (some finite part of one side relating to some finite part of the other)
@@ -343,11 +348,16 @@ def star(rel: Relation, fam_a: Family, fam_b: Family) -> bool:
 class CoverSystem:
     """A ground set with an endorelation on its finite subsets.
 
-    Construction only checks the shape.  The axiom classification is
-    computed lazily, on first access to ``classification``, and cached.
+    Construction only checks the shape.  Two derived artefacts are
+    computed at most once per system and cached here: the axiom
+    classification (``_classification``, with its witnesses), filled by
+    the first ``axioms.classify`` call or the first access to
+    ``classification``; and the derived relation (``_vdash``), filled by
+    the first ``axioms.derive_vdash`` call.  ``classify``, ``Spectrum``,
+    ``verify_representation`` and the frame checks all share them.
     """
 
-    __slots__ = ("ground", "rel", "name", "_classification")
+    __slots__ = ("ground", "rel", "name", "_classification", "_vdash")
 
     def __init__(self, ground: GroundSet, rel: Relation, name: str = ""):
         if rel.left != ground or rel.right != ground:
@@ -356,13 +366,15 @@ class CoverSystem:
         self.rel = rel
         self.name = name
         self._classification = None
+        self._vdash = None
 
     @property
     def classification(self):
+        """The cached classification, witnesses included."""
         if self._classification is None:
             from . import axioms
 
-            self._classification = axioms.classify(self)
+            return axioms.classify(self, with_witnesses=True)
         return self._classification
 
     def holds(self, f, g) -> bool:

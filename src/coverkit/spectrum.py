@@ -166,8 +166,12 @@ class _SpaceCalc:
         self.meet_basis = sorted(basis)
 
     def covermask(self, region: int) -> int:
+        """Bitmask of the subbasis subfamilies covering an open region;
+        computed once per region."""
         got = self._covermask.get(region)
         if got is None:
+            if region not in self.open_set:
+                raise ValueError("compact containment applies to open sets")
             got = 0
             for ci, u in enumerate(self.cover_unions):
                 if region & ~u == 0:
@@ -188,8 +192,6 @@ def _calc(space: FiniteSpace) -> _SpaceCalc:
 def compact_contained(space: FiniteSpace, smaller: int, larger: int) -> bool:
     """Covering-definition compact containment between two open sets."""
     calc = _calc(space)
-    if smaller not in calc.open_set or larger not in calc.open_set:
-        raise ValueError("compact containment applies to open sets")
     return calc.covermask(larger) & ~calc.covermask(smaller) == 0
 
 
@@ -606,11 +608,23 @@ class RepresentationReport:
 
 
 def verify_representation(sys: CoverSystem) -> RepresentationReport:
+    """Check both correspondences of the representation theorem on every
+    pair (F, G) of subsets.
+
+    The basic open of each F and the upper open of each G are built once
+    per subset, and the covering mask of each distinct open once (which
+    also checks that it is open, as ``compact_contained`` does).  Compact
+    containment is decided by the covering definition for a whole row of
+    G at a time, against the G grouped by their upper open; each witness
+    is the first failing (F, G) in code order.
+    """
     from .axioms import derive_vdash
 
     spec = Spectrum(sys)
     cls = sys.classification
-    size = sys.ground.num_subsets
+    ground = sys.ground
+    size = ground.num_subsets
+    rows = sys.rel.rows
     vdash = derive_vdash(sys)
     witnesses: dict = {}
 
@@ -623,47 +637,54 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
     def exempt(f):
         return empty_tight and f == 0
 
+    def note(key, f, bad):
+        g = (bad & -bad).bit_length() - 1
+        witnesses.setdefault(key, {"F": subset_label(ground, f),
+                                   "G": subset_label(ground, g)})
+
     corner_ok = True
     if empty_tight and vdash.rows[0] != 0:
         corner_ok = False
         witnesses["empty_corner"] = {
-            "G": subset_label(sys.ground, (vdash.rows[0] & -vdash.rows[0]).bit_length() - 1)
+            "G": subset_label(ground, (vdash.rows[0] & -vdash.rows[0]).bit_length() - 1)
         }
 
-    derived_ok = True
-    for f in range(size):
-        if exempt(f):
-            continue
-        tf = spec.basic_open(f)
-        for g in range(size):
-            tg = spec.upper_open(g)
-            if (vdash.rows[f] >> g & 1) != (tf & ~tg == 0):
-                derived_ok = False
-                witnesses.setdefault(
-                    "derived_matches_subset",
-                    {"F": subset_label(sys.ground, f), "G": subset_label(sys.ground, g)},
-                )
+    basic = [spec.full_mask] * size
+    upper = [0] * size
+    for c in range(1, size):
+        low = c & -c
+        point_open = spec.point_open[low.bit_length() - 1]
+        basic[c] = basic[c ^ low] & point_open
+        upper[c] = upper[c ^ low] | point_open
+    by_upper: dict = {}
+    for g, u in enumerate(upper):
+        by_upper[u] = by_upper.get(u, 0) | 1 << g
+    calc = _calc(spec.space)
+    cover = {o: calc.covermask(o) for o in (*by_upper, *basic)}
 
-    fwd_ok = True
-    bwd_ok = True
+    # per distinct basic open: the G whose upper open contains it, and
+    # the G whose upper open it is compactly contained in
+    row_of: dict = {}
+    for tf in set(basic):
+        subset = compact = 0
+        for u, gs in by_upper.items():
+            if tf & ~u == 0:
+                subset |= gs
+            if cover[u] & ~cover[tf] == 0:
+                compact |= gs
+        row_of[tf] = subset, compact
+
     for f in range(size):
-        tf = spec.basic_open(f)
-        for g in range(size):
-            tg = spec.upper_open(g)
-            compact = compact_contained(spec.space, tf, tg)
-            entails = bool(sys.rel.rows[f] >> g & 1)
-            if entails and not compact:
-                fwd_ok = False
-                witnesses.setdefault(
-                    "entail_implies_compact",
-                    {"F": subset_label(sys.ground, f), "G": subset_label(sys.ground, g)},
-                )
-            if compact and not entails and not exempt(f):
-                bwd_ok = False
-                witnesses.setdefault(
-                    "compact_implies_entail",
-                    {"F": subset_label(sys.ground, f), "G": subset_label(sys.ground, g)},
-                )
+        bad = vdash.rows[f] ^ row_of[basic[f]][0]
+        if bad and not exempt(f):
+            note("derived_matches_subset", f, bad)
+
+    for f in range(size):
+        compact = row_of[basic[f]][1]
+        if rows[f] & ~compact:
+            note("entail_implies_compact", f, rows[f] & ~compact)
+        if compact & ~rows[f] and not exempt(f):
+            note("compact_implies_entail", f, compact & ~rows[f])
 
     return RepresentationReport(
         strong_idempotent=cls.is_strong_idempotent,
@@ -671,9 +692,9 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
         empty_set_tight=empty_tight,
         empty_corner_consistent=corner_ok,
         stably_locally_compact=props.stably_locally_compact,
-        derived_matches_subset=derived_ok,
-        entail_implies_compact=fwd_ok,
-        compact_implies_entail=bwd_ok,
+        derived_matches_subset="derived_matches_subset" not in witnesses,
+        entail_implies_compact="entail_implies_compact" not in witnesses,
+        compact_implies_entail="compact_implies_entail" not in witnesses,
         witnesses=witnesses,
     )
 

@@ -228,6 +228,24 @@ def all_lattices(k: int):
     return out
 
 
+def random_lattice(rng, max_size: int) -> FiniteLattice:
+    """A random lattice on at most ``max_size`` elements, labelled in a
+    shuffled order: the inclusion order of a random intersection-closed
+    family of subsets of a three-point set, whole set included."""
+    while True:
+        sets = {7} | {rng.randrange(8) for _ in range(rng.randrange(2, 6))}
+        more = {a & b for a in sets for b in sets} - sets
+        while more:
+            sets |= more
+            more = {a & b for a in sets for b in sets} - sets
+        if len(sets) <= max_size:
+            break
+    order = list(sets)
+    rng.shuffle(order)
+    leq = tuple(sum(1 << j for j, b in enumerate(order) if a & b == a) for a in order)
+    return FiniteLattice(tuple(f"e{i}" for i in range(len(order))), leq)
+
+
 def all_t0_spaces(k: int):
     """Every T0 topology on k labelled points (as up-set topologies of
     the partial orders, which finitely is all of them)."""

@@ -114,6 +114,22 @@ def naive_semicut(n, rows):
     return True
 
 
+def naive_semicut_witness(n, rows):
+    """The first (F, G, H) violating the semicut condition in (G, H, F)
+    order, else None: H entails G, F entails G+{s} for every s in H, and
+    F does not entail G."""
+    for g in subset_codes(n):
+        for h in subset_codes(n):
+            if not rows[h] >> g & 1:
+                continue
+            for f in subset_codes(n):
+                if rows[f] >> g & 1:
+                    continue
+                if all(rows[f] >> (g | 1 << s) & 1 for s in bits_of(h)):
+                    return f, g, h
+    return None
+
+
 def naive_one_exists(n, rows):
     out = []
     for f in subset_codes(n):
@@ -300,3 +316,35 @@ def naive_tight_sets(n, rows):
         t for t in subset_codes(n)
         if t and naive_round(n, rows, t) and naive_prime(n, rows, t)
     ]
+
+
+# -- builders ------------------------------------------------------------------
+
+def naive_lattice_cover(k, leq):
+    """Rows of the meet-below-join relation on a lattice of k elements,
+    where leq[i] is the mask of the j with i <= j: F relates to G iff
+    meet(F) <= join(G), by a literal scan over all pairs.  Meets and joins
+    are found by scanning for the greatest lower and least upper bound, so
+    the empty meet is the top and the empty join the bottom."""
+
+    def le(i, j):
+        return leq[i] >> j & 1
+
+    def meet(members):
+        lower = [x for x in range(k) if all(le(x, m) for m in members)]
+        return next((x for x in lower if all(le(y, x) for y in lower)), None)
+
+    def join(members):
+        upper = [x for x in range(k) if all(le(m, x) for m in members)]
+        return next((x for x in upper if all(le(x, y) for y in upper)), None)
+
+    rows = []
+    for f in subset_codes(k):
+        m = meet(bits_of(f))
+        row = 0
+        for g in subset_codes(k):
+            j = join(bits_of(g))
+            if m is not None and j is not None and le(m, j):
+                row |= 1 << g
+        rows.append(row)
+    return rows

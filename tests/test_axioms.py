@@ -20,7 +20,9 @@ from coverkit.axioms import (
     is_cut_transitive,
     is_divisible,
     is_semicut,
+    semicut_witness,
 )
+from coverkit.spectrum import Spectrum, verify_representation
 from coverkit.builders import (
     boolean4_lattice,
     corpus,
@@ -154,6 +156,32 @@ def test_divisible_upper_semicut_iff_cut_transitive():
             assert is_semicut(sys) == is_cut_transitive(sys)
             hit += 1
     assert hit > 20
+
+
+def test_semicut_witness_matches_naive_exhaustive():
+    # every relation at |S| = 2; the witness, not only the flag, must agree
+    for code in range(1 << 16):
+        rows = [(code >> (4 * f)) & 15 for f in range(4)]
+        sys = CoverSystem(G2, Relation(G2, G2, rows))
+        assert semicut_witness(sys) == oracles.naive_semicut_witness(2, rows), rows
+
+
+def test_semicut_witness_matches_naive_random():
+    rng = gen.rng_for(404)
+    makers = (
+        gen.random_relation,
+        gen.random_monotone,
+        lambda r, g: gen.upper_closure(gen.random_monotone(r, g)),
+        lambda r, g: gen.random_scott(r, g).rel,
+    )
+    seen = set()
+    for k in range(320):
+        ground = G3 if k % 2 else gen.ground(4)
+        rel = makers[k // 2 % 4](rng, ground)
+        wit = semicut_witness(CoverSystem(ground, rel))
+        assert wit == oracles.naive_semicut_witness(ground.size, rel.rows)
+        seen.add(None if wit is None else wit[1] > 0)
+    assert seen == {None, False, True}
 
 
 # -- cut-transitivity -----------------------------------------------------------------
@@ -354,6 +382,35 @@ def test_classify_composes_at_most_three_times(monkeypatch):
         assert cls.is_strong_idempotent
         assert len(rows_calls) <= 3 and len(cut_calls) <= 3
         assert len(vdash_calls) == 1
+
+
+def test_lattice_path_classifies_and_derives_once(monkeypatch):
+    classify_calls = _counting(monkeypatch, axioms, "_compute_classification")
+    vdash_calls = _counting(monkeypatch, axioms, "_compute_vdash")
+    sys = lattice_cover(boolean4_lattice())
+    assert sys.ground.size == 4
+    cls = classify(sys, with_witnesses=True)
+    Spectrum(sys)
+    verify_representation(sys)
+    derive_vdash(sys)
+    assert sys.classification is cls
+    assert len(classify_calls) == 1
+    assert len(vdash_calls) == 1
+
+
+def test_cached_classification_serves_both_witness_modes():
+    rng = gen.rng_for(808)
+    for ground in (G2, G3):
+        for _ in range(20):
+            rel = gen.random_relation(rng, ground)
+            fresh = classify(CoverSystem(ground, rel), with_witnesses=True)
+            sys = CoverSystem(ground, rel)
+            bare = classify(sys)
+            assert bare.witnesses == {} and bare.to_dict() == fresh.to_dict()
+            full = classify(sys, with_witnesses=True)
+            assert full.witnesses == fresh.witnesses
+            assert classify(sys).witnesses == {}
+            assert sys.classification is full
 
 
 def test_sandwich_instances_satisfy_cut_rule():

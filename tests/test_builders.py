@@ -1,7 +1,7 @@
 import pytest
 
 import gen
-from oracles import naive_tight_sets
+from oracles import naive_lattice_cover, naive_tight_sets
 from coverkit.kernel import iter_bits
 from coverkit.relations import Relation, is_cut, is_one_reflexive
 from coverkit.builders import (
@@ -58,6 +58,21 @@ def test_lattice_cut_iff_distributive_small():
         for lat in gen.all_lattices(k):
             sys = lattice_cover(lat)
             assert is_cut(sys.rel) == lat.is_distributive()
+
+
+N5 = FiniteLattice.from_pairs(
+    ["0", "a", "b", "c", "1"],
+    [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+
+
+def test_lattice_cover_matches_literal_scan():
+    rng = gen.rng_for(707)
+    lats = [FiniteLattice((), ()), m3_lattice(), N5, boolean4_lattice()]
+    lats += [chain_lattice(k) for k in range(1, 7)]
+    lats += [gen.random_lattice(rng, 6) for _ in range(60)]
+    assert len({(lat.size, lat.leq) for lat in lats}) > 30
+    for lat in lats:
+        assert list(lattice_cover(lat).rel.rows) == naive_lattice_cover(lat.size, lat.leq)
 
 
 def test_non_lattice_rejected():

@@ -109,6 +109,36 @@ def test_classify_four_element_non_lower_exits_zero(tmp_path, capsys):
     assert set(rep["witnesses"]["lower"]) == {"F", "G", "s"}
 
 
+def _explicit(ground):
+    return {"format_version": "1", "kind": "explicit",
+            "payload": {"ground": ground, "pairs": []}}
+
+
+def test_integer_labels_exit_two_on_every_command(tmp_path, capsys):
+    # integer labels used to pass classify and crash spectrum with exit 1
+    path = write(tmp_path, "ints.json", _explicit([1, 2]))
+    for command in ("classify", "spectrum"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ground must be a list of strings" in captured.err
+
+
+def test_label_string_is_not_a_label_list(tmp_path, capsys):
+    # "ab" used to be read as the labels ["a", "b"]
+    path = write(tmp_path, "str.json", _explicit("ab"))
+    assert main(["classify", path]) == 2
+    assert "ground must be a list of strings" in capsys.readouterr().err
+    lattice = {"format_version": "1", "kind": "lattice",
+               "payload": {"elements": [0, 1], "leq": [[0, 1]]}}
+    assert main(["classify", write(tmp_path, "lat.json", lattice)]) == 2
+    assert "elements must be a list of strings" in capsys.readouterr().err
+    space = json.loads(json.dumps(SIERPINSKI))
+    space["payload"]["points"] = "x0"
+    assert main(["dualize", write(tmp_path, "space.json", space)]) == 2
+    assert "points must be a list of strings" in capsys.readouterr().err
+
+
 def test_cap_flag_lowers_the_limit(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("COVERKIT_CAP", raising=False)
     path = write(tmp_path, "b4.json", BOOLEAN4)

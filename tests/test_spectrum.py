@@ -6,11 +6,15 @@ import gen
 from oracles import naive_prime, naive_round, naive_selections, naive_tight_sets
 from coverkit.kernel import Family, iter_bits
 from coverkit.relations import CoverSystem, Relation
+from coverkit.axioms import derive_vdash
 from coverkit.builders import (
+    anchored_meet_system,
     boolean4_lattice,
     chain_lattice,
     corpus,
+    empty_system,
     lattice_cover,
+    m3_lattice,
     perp_cover,
     sierpinski_space,
     TransitiveRelation,
@@ -33,6 +37,7 @@ from coverkit.spectrum import (
     space_properties,
     specialization_dot,
     specialization_pairs,
+    subset_label,
     tight_codes,
     tight_flags,
     tight_sets,
@@ -201,11 +206,66 @@ def test_representation_on_corpus():
 
 
 def test_non_cover_exercises_backward_failure():
-    from coverkit.builders import anchored_meet_system
-
     rep = verify_representation(anchored_meet_system(2))
     assert not rep.compact_implies_entail
     assert "compact_implies_entail" in rep.witnesses
+
+
+def _per_pair_witnesses(sys):
+    """The representation witnesses by a per-pair scan: basic and upper
+    opens through the Spectrum methods, compact containment through
+    ``compact_contained``, witnesses in (F, G) order."""
+    spec = Spectrum(sys)
+    vdash = derive_vdash(sys)
+    size = sys.ground.num_subsets
+    empty_tight = is_round(sys, 0) and is_prime(sys, 0)
+    wit = {}
+
+    def note(key, f, g):
+        wit.setdefault(key, {"F": subset_label(sys.ground, f),
+                             "G": subset_label(sys.ground, g)})
+
+    if empty_tight and vdash.rows[0]:
+        low = vdash.rows[0] & -vdash.rows[0]
+        wit["empty_corner"] = {"G": subset_label(sys.ground, low.bit_length() - 1)}
+    for f in range(size):
+        if empty_tight and f == 0:
+            continue
+        for g in range(size):
+            contained = spec.basic_open(f) & ~spec.upper_open(g) == 0
+            if (vdash.rows[f] >> g & 1) != contained:
+                note("derived_matches_subset", f, g)
+    for f in range(size):
+        for g in range(size):
+            compact = compact_contained(spec.space, spec.basic_open(f), spec.upper_open(g))
+            entails = sys.rel.rows[f] >> g & 1
+            if entails and not compact:
+                note("entail_implies_compact", f, g)
+            if compact and not entails and not (empty_tight and f == 0):
+                note("compact_implies_entail", f, g)
+    return wit
+
+
+def test_representation_witnesses_match_per_pair_scan():
+    rng = gen.rng_for(909)
+    systems = [lattice_cover(m3_lattice()), anchored_meet_system(2), empty_system(2),
+               lattice_cover(boolean4_lattice())]
+    for ground in (gen.ground(2), gen.ground(3)):
+        for _ in range(8):
+            systems.append(CoverSystem(ground, gen.random_monotone(rng, ground)))
+            systems.append(CoverSystem(ground, gen.random_relation(rng, ground)))
+    kinds = set()
+    for sys in systems:
+        got = verify_representation(sys).to_dict()
+        want = _per_pair_witnesses(sys)
+        assert list(got["witnesses"].items()) == list(want.items()), sys
+        for key in ("derived_matches_subset", "entail_implies_compact",
+                    "compact_implies_entail"):
+            assert got[key] == (key not in want)
+        kinds.update(want)
+        kinds.add(got["empty_set_tight"])
+    assert {"derived_matches_subset", "compact_implies_entail", True, False} <= kinds
+    assert not lattice_cover(m3_lattice()).classification.is_strong_idempotent
 
 
 # -- prime shrinking ------------------------------------------------------------------
