@@ -26,10 +26,10 @@ from .relations import CoverSystem, Relation, is_lower, is_upper, one_exists
 from .composition import cut_compose
 from .spectrum import (
     FiniteSpace,
-    Spectrum,
     compact_contained,
     is_prime,
     is_round,
+    spectrum,
     subset_label,
 )
 
@@ -253,11 +253,6 @@ def ab_functor(phi: SpaceMap, source_sys: CoverSystem | None = None,
 # the spectral functor: systems -> spaces
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _spectrum_of(sys: CoverSystem) -> Spectrum:
-    return Spectrum(sys)
-
-
 def sp_functor(m: CoverMorphism, check: bool = True) -> SpaceMap:
     """The induced map of spectra: a tight set goes to the elements whose
     singletons are reached from inside it; the domain is where that image
@@ -273,8 +268,8 @@ def sp_functor(m: CoverMorphism, check: bool = True) -> SpaceMap:
         failure = cover_morphism_failure(m)
         if failure is not None:
             raise ValueError(f"not a cover morphism: {failure}")
-    spec_s = _spectrum_of(m.source)
-    spec_t = _spectrum_of(m.target)
+    spec_s = spectrum(m.source)
+    spec_t = spectrum(m.target)
     tt = tables(m.source.ground.size)
     cols = m.rel.cols()
     single_cols = [cols[1 << i] for i in range(m.target.ground.size)]
@@ -314,8 +309,8 @@ def spectral_square_holds(m: CoverMorphism, phi: SpaceMap | None = None) -> bool
     system (its excluded point is the only separator there)."""
     if phi is None:
         phi = sp_functor(m, check=False)
-    spec_s = _spectrum_of(m.source)
-    spec_t = _spectrum_of(m.target)
+    spec_s = spectrum(m.source)
+    spec_t = spectrum(m.target)
     exempt_empty = is_round(m.source, 0) and is_prime(m.source, 0)
     for f in range(m.source.ground.num_subsets):
         tf = spec_s.basic_open(f)
@@ -338,13 +333,13 @@ def spectral_square_holds(m: CoverMorphism, phi: SpaceMap | None = None) -> bool
 def _abstracted_spectrum_system(sys: CoverSystem) -> CoverSystem:
     from .builders import topology_cover
 
-    return topology_cover(_spectrum_of(sys).space)
+    return topology_cover(spectrum(sys).space)
 
 
 def _subbasis_preimages(sys: CoverSystem):
     """For each dedup'd subbasic open of the spectrum, the least ground
     element whose basic open realises it."""
-    spec = _spectrum_of(sys)
+    spec = spectrum(sys)
     reps = []
     for s in spec.space.subbasis:
         for e in range(sys.ground.size):
@@ -356,7 +351,7 @@ def _subbasis_preimages(sys: CoverSystem):
 
 def angle_well_defined(sys: CoverSystem):
     """Whether ground subsets with identical basic opens entail alike."""
-    spec = _spectrum_of(sys)
+    spec = spectrum(sys)
     size = sys.ground.num_subsets
     seen = {}
     for f in range(size):
@@ -410,8 +405,13 @@ def lambda_map(space: FiniteSpace) -> SpaceMap:
     """The point map of a space into the spectrum of its cover system."""
     from .builders import topology_cover
 
-    sys = topology_cover(space)
-    spec = _spectrum_of(sys)
+    return _lambda_map(space, topology_cover(space))
+
+
+def _lambda_map(space: FiniteSpace, sys: CoverSystem) -> SpaceMap:
+    """``lambda_map`` given the space's cover system ``sys``, whose cached
+    spectrum it uses."""
+    spec = spectrum(sys)
     from .spectrum import _calc
 
     calc = _calc(space)
@@ -504,8 +504,9 @@ def verify_duality_system(sys: CoverSystem, test_morphisms=()) -> DualityReport:
         angle_iso = (round_to_sys.rel == sys.rel
                      and round_to_ab.rel == fwd.source.rel)
         phi = sp_functor(fwd, check=False)
-        lam = lambda_map(_spectrum_of(sys).space)
-        zig = lam.compose(phi) == SpaceMap.identity(_spectrum_of(sys).space)
+        space = spectrum(sys).space
+        lam = _lambda_map(space, fwd.source)
+        zig = lam.compose(phi) == SpaceMap.identity(space)
         for k, m in enumerate(test_morphisms):
             lhs = compose_morphisms(angle_morphism(m.source), m)
             ab_of_sp = ab_functor(
@@ -536,8 +537,7 @@ def verify_duality_space(space: FiniteSpace, test_maps=()) -> DualityReport:
 
     rec = recovery(space)
     sys = topology_cover(space)
-    spec = _spectrum_of(sys)
-    lam = lambda_map(space)
+    lam = _lambda_map(space, sys)
     lam_iso = (rec.passed() and rec.surjective and lam.is_total()
                and lam.is_injective())
 
@@ -552,8 +552,8 @@ def verify_duality_space(space: FiniteSpace, test_maps=()) -> DualityReport:
         sys_tgt = topology_cover(phi.target)
         m_phi = ab_functor(phi, source_sys=sys_src, target_sys=sys_tgt)
         phi_spec = sp_functor(m_phi, check=False)
-        lhs = phi.compose(lambda_map(phi.target))
-        rhs = lambda_map(phi.source).compose(phi_spec)
+        lhs = phi.compose(_lambda_map(phi.target, sys_tgt))
+        rhs = _lambda_map(phi.source, sys_src).compose(phi_spec)
         naturality[f"lambda_square_{k}"] = lhs == rhs
     return DualityReport(
         side="space",

@@ -14,6 +14,7 @@ expected classification outcome).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -260,11 +261,11 @@ def cmd_classify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .spectrum import (
-        Spectrum, specialization_dot, space_properties, verify_representation,
+        specialization_dot, space_properties, spectrum, verify_representation,
     )
 
     sys = load_system(args.inputs[0])
-    spec = Spectrum(sys)
+    spec = spectrum(sys)
     rep = verify_representation(sys)
     report = _base_report(args, "spectrum")
     report["tight_sets"] = [
@@ -360,7 +361,9 @@ def _bits(mask: int):
     return iter_bits(mask)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="coverkit",
         description="finite cover systems: classification, spectra, frames, duality",
@@ -396,8 +399,28 @@ COMMANDS = {
 }
 
 
+def _check_cap(args) -> str | None:
+    """Why the ground-set cap (``--cap``, else ``COVERKIT_CAP``) is
+    invalid, or None when it is a positive integer or unset."""
+    if args.cap is not None:
+        return None if args.cap > 0 else f"--cap must be a positive integer, got {args.cap}"
+    env = os.environ.get("COVERKIT_CAP")
+    if not env:
+        return None
+    try:
+        if int(env) > 0:
+            return None
+    except ValueError:
+        pass
+    return f"COVERKIT_CAP must be a positive integer, got {env!r}"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    bad_cap = _check_cap(args)
+    if bad_cap:
+        print(f"error: {bad_cap}", file=_sys.stderr)
+        return EXIT_PARSE
     saved_cap = os.environ.get("COVERKIT_CAP")
     if args.cap:
         os.environ["COVERKIT_CAP"] = str(args.cap)

@@ -8,8 +8,16 @@ so the downset is a single bit-parallel scan.
 
 For monotone cut-idempotent systems the quasi-ideals form a complete
 lattice: meets are intersections, joins are downsets of unions, and the
-way-below relation has a finite witness form that the tests cross-check
-against the lattice-theoretic definition via directed joins.
+way-below relation has a finite witness form.  ``verify_frame_laws``
+cross-checks that form against the lattice-theoretic definition via
+directed joins in one pass over the subsets of the frame
+(``directed_way_below_matrix``); the literal per-pair search is the test
+oracle ``way_below_directed`` in ``tests/oracles.py``.
+
+The frame model built with the defaults (``frame_model(sys)``) is cached
+on the system, so ``verify_open_iso``, ``karoubi_envelope`` and the CLI's
+``frame`` command share one build; the spectrum comes from the cached
+accessor ``spectrum.spectrum``.
 """
 
 from __future__ import annotations
@@ -127,17 +135,17 @@ class FrameModel:
         return m
 
     def join(self, a: int, b: int) -> int:
-        j = downset_mask(self.system, a | b)
-        if j not in self.index:
-            if self.complete:
-                raise TheoremViolationError("join of quasi-ideals escaped the model")
-            raise CapExceededError("join escaped an incomplete generated model")
-        return j
+        return self.join_union(a | b)
 
     def join_all(self, masks) -> int:
         u = 0
         for m in masks:
             u |= m
+        return self.join_union(u)
+
+    def join_union(self, u: int) -> int:
+        """The downset of the family ``u``: the join of any quasi-ideals
+        whose union is ``u``.  Raises if it is not an element of the model."""
         j = downset_mask(self.system, u)
         if j not in self.index:
             if self.complete:
@@ -170,7 +178,20 @@ def frame_model(sys: CoverSystem, mode: str = "auto",
     own downset); generated mode closes the principal quasi-ideals under
     binary joins and meets, which provably reaches everything when the
     system is divisible and is flagged incomplete otherwise.
+
+    With the defaults (``mode="auto"`` and the default cap) the model is
+    built once per system and cached on it; any other mode or cap builds
+    a fresh model.  Only a successful build is cached, so a system that
+    is not monotone and cut-idempotent raises ``ValueError`` on every call.
     """
+    if mode == "auto" and cap == GENERATED_DEFAULT_CAP:
+        if sys._frame is None:
+            sys._frame = _build_frame_model(sys, mode, cap)
+        return sys._frame
+    return _build_frame_model(sys, mode, cap)
+
+
+def _build_frame_model(sys: CoverSystem, mode: str, cap: int) -> FrameModel:
     _require_cut_idempotent(sys)
     n = sys.ground.size
     if mode == "auto":
@@ -219,25 +240,51 @@ def way_below(fm: FrameModel, q, r) -> bool:
     return fm.way_below(qm, rm)
 
 
-def way_below_directed(fm: FrameModel, q: int, r: int) -> bool:
-    """Lattice-theoretic approximation order, evaluated literally: for
-    every directed set of quasi-ideals whose join dominates r, some
-    member dominates q.  Exponential in the frame size; a test oracle."""
-    k = len(fm.elements)
+def directed_way_below_matrix(fm: FrameModel) -> list[int]:
+    """The lattice-theoretic approximation order, in the layout of
+    ``fm.way_below_matrix``: bit r of row q is set iff every directed set
+    of quasi-ideals whose join dominates element r has a member
+    dominating element q.
+
+    One pass over the non-empty subsets D of the frame decides, from D
+    without its lowest member, whether D is directed (a finite set is
+    directed iff it has a greatest member), the union of D and the
+    elements D dominates; each directed D then marks the elements below
+    its join as failing for every q it does not dominate.  A join that
+    escapes the model raises, as ``FrameModel.join_all`` does.
+    Exponential in the frame size, so gated to 14 elements.
+    """
+    els = fm.elements
+    k = len(els)
     if k > 14:
         raise CapExceededError("directed-join oracle gated to 14 frame elements")
-    for dmask in range(1, 1 << k):
-        members = [fm.elements[i] for i in iter_bits(dmask)]
-        directed = all(
-            any(a & ~c == 0 and b & ~c == 0 for c in members)
-            for a in members for b in members
-        )
-        if not directed:
+    # below[i]: the indices of the elements contained in element i
+    below = [sum(1 << j for j, b in enumerate(els) if b & ~a == 0) for a in els]
+    full = (1 << k) - 1
+    union = [0] * (1 << k)
+    dominated = [0] * (1 << k)
+    greatest = [-1] * (1 << k)
+    join_below = {}
+    fails = [0] * k
+    for d in range(1, 1 << k):
+        low = d & -d
+        i = low.bit_length() - 1
+        rest = d ^ low
+        union[d] = union[rest] | els[i]
+        dominated[d] = dominated[rest] | below[i]
+        if rest & ~below[i] == 0:
+            greatest[d] = i
+        elif greatest[rest] >= 0 and below[greatest[rest]] >> i & 1:
+            greatest[d] = greatest[rest]
+        else:
             continue
-        join = fm.join_all(members)
-        if r & ~join == 0 and not any(q & ~c == 0 for c in members):
-            return False
-    return True
+        u = union[d]
+        jb = join_below.get(u)
+        if jb is None:
+            jb = join_below[u] = below[fm.index[fm.join_union(u)]]
+        for q in iter_bits(full & ~dominated[d]):
+            fails[q] |= jb
+    return [full & ~f for f in fails]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +348,13 @@ def verify_frame_laws(fm: FrameModel, way_below_oracle: bool = None) -> FrameLaw
 
     Binary distributivity suffices finitely (arbitrary joins are finite
     joins here).  The directed-join cross-check of way-below runs when
-    the frame is small enough, or when explicitly requested.
+    the frame has at most 10 elements, or when explicitly requested, as
+    one pass over the subsets of the frame (``directed_way_below_matrix``;
+    the literal per-pair search is the oracle in ``tests/oracles.py``).
+    The union-join law is decided by lookups in a table of downsets built
+    once per call, of every family for |S| <= 3 and of every singleton
+    family above.  Nothing is cached here; ``frame_model`` caches the
+    model on the system.
     """
     sys = fm.system
     els = fm.elements
@@ -353,52 +406,39 @@ def verify_frame_laws(fm: FrameModel, way_below_oracle: bool = None) -> FrameLaw
         way_below_oracle = k <= 10
     wb_consistent = None
     if way_below_oracle:
-        wb_consistent = all(
-            fm.way_below(q, r) == way_below_directed(fm, q, r)
-            for q in els for r in els
-        )
+        wb_consistent = directed_way_below_matrix(fm) == fm.way_below_matrix
 
     cls = sys.classification
     size = sys.ground.num_subsets
     cols = sys.rel.cols()
+    # principal_join[g]: the join of the principal quasi-ideals of G's members
+    principal_join = [downset_mask(sys, _union_principals(sys, g))
+                      for g in range(size)]
 
     principal_ok = True
     principal_witness = None
     for g in range(size):
-        col = cols[g]
-        join = downset_mask(sys, _union_principals(sys, g))
-        if col != join:
+        if cols[g] != principal_join[g]:
             principal_ok = False
             from .spectrum import subset_label
 
             principal_witness = subset_label(sys.ground, g)
             break
 
-    union_joins = True
     if sys.ground.size <= 3:
-        fam_range = range(1 << size)
-        for fa in fam_range:
-            da = downset_mask(sys, fa)
-            for fb in fam_range:
-                if downset_mask(sys, fa | fb) != downset_mask(
-                    sys, da | downset_mask(sys, fb)
-                ):
-                    union_joins = False
-                    break
-            if not union_joins:
-                break
+        # every pair of families, against the downset of each family
+        down = [downset_mask(sys, fam) for fam in range(1 << size)]
+        union_joins = all(
+            down[fa | fb] == down[da | db]
+            for fa, da in enumerate(down) for fb, db in enumerate(down)
+        )
     else:
-        for f in range(size):
-            for g in range(size):
-                fa, fb = 1 << f, 1 << g
-                if downset_mask(sys, fa | fb) != downset_mask(
-                    sys,
-                    downset_mask(sys, fa) | downset_mask(sys, fb),
-                ):
-                    union_joins = False
-                    break
-            if not union_joins:
-                break
+        # every pair of singleton families
+        single = [downset_mask(sys, 1 << f) for f in range(size)]
+        union_joins = all(
+            downset_mask(sys, 1 << f | 1 << g) == downset_mask(sys, single[f] | single[g])
+            for f in range(size) for g in range(size)
+        )
 
     vdash_ok = None
     entails_wb = None
@@ -413,7 +453,7 @@ def verify_frame_laws(fm: FrameModel, way_below_oracle: bool = None) -> FrameLaw
             for i in iter_bits(f):
                 meet_f &= cols[1 << i]
             for g in range(size):
-                join_g = downset_mask(sys, _union_principals(sys, g))
+                join_g = principal_join[g]
                 if (vdash.rows[f] >> g & 1) != fm.leq(meet_f, join_g):
                     vdash_ok = False
                 if meet_f in fm.index and join_g in fm.index:
@@ -498,10 +538,10 @@ def verify_open_iso(sys: CoverSystem) -> OpenIsoReport:
     be an order isomorphism onto the spectrum's open-set lattice."""
     if not sys.classification.is_strong_idempotent:
         raise ValueError("the open-set correspondence requires a strong idempotent")
-    from .spectrum import Spectrum, is_prime, is_round
+    from .spectrum import is_prime, is_round, spectrum
 
     fm = frame_model(sys)
-    spec = Spectrum(sys)
+    spec = spectrum(sys)
     empty_tight = is_round(sys, 0) and is_prime(sys, 0)
 
     def open_of(qmask: int) -> int:

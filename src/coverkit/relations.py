@@ -6,13 +6,11 @@ right subset codes.  Structural predicates (upper, lower, cut, one-
 reflexive) are evaluated by direct quantification, vectorised over whole
 rows where a row-level formulation is available.
 
-Values are immutable after construction.  A cover system carries two
-caches, each filled on first use and then reused: its axiom
-classification (filled by ``axioms.classify``, whoever calls it first)
-and its derived relation (filled by ``axioms.derive_vdash``).  Neither
-the ground nor the relation of a system is ever reassigned, so the
-caches cannot go stale; threads racing on a first use may each compute
-a cache, and store equal values.
+Values are immutable after construction.  A cover system carries four
+caches, each filled on first use and then reused (see ``CoverSystem``).
+Neither the ground nor the relation of a system is ever reassigned, so
+the caches cannot go stale; threads racing on a first use may each
+compute a cache, and store equal values.
 
 For monotone relations the canonical extension to arbitrary subsets
 (some finite part of one side relating to some finite part of the other)
@@ -348,16 +346,23 @@ def star(rel: Relation, fam_a: Family, fam_b: Family) -> bool:
 class CoverSystem:
     """A ground set with an endorelation on its finite subsets.
 
-    Construction only checks the shape.  Two derived artefacts are
-    computed at most once per system and cached here: the axiom
-    classification (``_classification``, with its witnesses), filled by
-    the first ``axioms.classify`` call or the first access to
-    ``classification``; and the derived relation (``_vdash``), filled by
-    the first ``axioms.derive_vdash`` call.  ``classify``, ``Spectrum``,
-    ``verify_representation`` and the frame checks all share them.
+    Construction only checks the shape.  Four derived artefacts are
+    computed at most once per system and cached here:
+
+    - ``_classification``: the axiom classification, with its witnesses,
+      filled by the first ``axioms.classify`` call or the first access
+      to ``classification``;
+    - ``_vdash``: the derived relation, filled by the first
+      ``axioms.derive_vdash`` call;
+    - ``_frame``: the quasi-ideal frame model, filled by the first
+      successful ``frame.frame_model(sys)`` with the default mode and cap;
+    - ``_spectrum``: the tight spectrum, filled by the first
+      ``spectrum.spectrum(sys)`` call (the ``Spectrum`` constructor
+      itself always builds afresh).
     """
 
-    __slots__ = ("ground", "rel", "name", "_classification", "_vdash")
+    __slots__ = ("ground", "rel", "name", "_classification", "_vdash",
+                 "_frame", "_spectrum")
 
     def __init__(self, ground: GroundSet, rel: Relation, name: str = ""):
         if rel.left != ground or rel.right != ground:
@@ -367,6 +372,8 @@ class CoverSystem:
         self.name = name
         self._classification = None
         self._vdash = None
+        self._frame = None
+        self._spectrum = None
 
     @property
     def classification(self):

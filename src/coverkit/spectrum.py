@@ -534,7 +534,12 @@ class Spectrum:
 
 
 def spectrum(sys: CoverSystem) -> Spectrum:
-    return Spectrum(sys)
+    """The cached accessor: the spectrum of ``sys``, built on first use
+    and kept on the system, so all callers share one build (and one
+    non-strong-idempotent warning).  ``Spectrum(sys)`` builds afresh."""
+    if sys._spectrum is None:
+        sys._spectrum = Spectrum(sys)
+    return sys._spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +621,12 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
     also checks that it is open, as ``compact_contained`` does).  Compact
     containment is decided by the covering definition for a whole row of
     G at a time, against the G grouped by their upper open; each witness
-    is the first failing (F, G) in code order.
+    is the first failing (F, G) in code order.  The spectrum is the one
+    cached on the system by ``spectrum``.
     """
     from .axioms import derive_vdash
 
-    spec = Spectrum(sys)
+    spec = spectrum(sys)
     cls = sys.classification
     ground = sys.ground
     size = ground.num_subsets

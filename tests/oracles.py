@@ -12,9 +12,17 @@ reaches |S| = 4 where the family tables do not).  Their equivalence with
 the fully literal search is itself checked by the tests, and
 ``naive_compose_literal`` below implements that literal search by
 outright enumeration of witness subfamilies.
+
+``way_below_directed`` is the one oracle that takes a package object: it
+reads the elements and the joins of a ``coverkit.frame.FrameModel`` and
+evaluates the approximation order pair by pair from its lattice-theoretic
+definition, independently of the model's witness form and of the
+one-pass ``directed_way_below_matrix``.
 """
 
 from itertools import combinations
+
+from coverkit.kernel import CapExceededError
 
 
 def subset_codes(n):
@@ -348,3 +356,24 @@ def naive_lattice_cover(k, leq):
                 row |= 1 << g
         rows.append(row)
     return rows
+
+
+def way_below_directed(fm, q, r):
+    """Lattice-theoretic approximation order, evaluated literally: for
+    every directed set of quasi-ideals whose join dominates r, some
+    member dominates q.  Exponential in the frame size; a test oracle."""
+    k = len(fm.elements)
+    if k > 14:
+        raise CapExceededError("directed-join oracle gated to 14 frame elements")
+    for dmask in range(1, 1 << k):
+        members = [fm.elements[i] for i in bits_of(dmask)]
+        directed = all(
+            any(a & ~c == 0 and b & ~c == 0 for c in members)
+            for a in members for b in members
+        )
+        if not directed:
+            continue
+        join = fm.join_all(members)
+        if r & ~join == 0 and not any(q & ~c == 0 for c in members):
+            return False
+    return True

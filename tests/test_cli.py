@@ -147,6 +147,32 @@ def test_cap_flag_lowers_the_limit(tmp_path, capsys, monkeypatch):
     assert main(["classify", path]) == 0
 
 
+def _bad_cap(capsys, argv, source):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{source} must be a positive integer" in captured.err
+
+
+def test_non_integer_cap_variable_exits_two_naming_it(tmp_path, capsys, monkeypatch):
+    # used to be reported as "invalid lattice payload: invalid literal for int()"
+    monkeypatch.setenv("COVERKIT_CAP", "abc")
+    _bad_cap(capsys, ["classify", write(tmp_path, "m3.json", M3)], "COVERKIT_CAP")
+
+
+def test_zero_cap_flag_exits_two(tmp_path, capsys, monkeypatch):
+    # used to be ignored silently (exit 0)
+    monkeypatch.delenv("COVERKIT_CAP", raising=False)
+    _bad_cap(capsys, ["classify", write(tmp_path, "m3.json", M3), "--cap", "0"], "--cap")
+
+
+def test_negative_cap_flag_exits_two(tmp_path, capsys, monkeypatch):
+    # used to be reported as "ground set of size 2 exceeds cap -3" (exit 3)
+    monkeypatch.delenv("COVERKIT_CAP", raising=False)
+    path = write(tmp_path, "s.json", SIERPINSKI)
+    _bad_cap(capsys, ["classify", path, "--cap", "-3"], "--cap")
+
+
 def test_spectrum_command(tmp_path, capsys):
     path = write(tmp_path, "b4.json", BOOLEAN4)
     dot = tmp_path / "spec.dot"

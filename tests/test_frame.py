@@ -1,7 +1,9 @@
 import pytest
 
 import gen
-from coverkit.kernel import CapExceededError, Family, iter_bits
+from oracles import way_below_directed
+from coverkit import frame
+from coverkit.kernel import CapExceededError, Family, TheoremViolationError, iter_bits
 from coverkit.relations import CoverSystem, Relation
 from coverkit.builders import (
     boolean4_lattice,
@@ -11,8 +13,13 @@ from coverkit.builders import (
     lattice_cover,
     m3_lattice,
     meet_system,
+    sierpinski_space,
+    topology_cover,
 )
+from coverkit.category import verify_duality_system
 from coverkit.frame import (
+    FrameModel,
+    directed_way_below_matrix,
     downset,
     downset_mask,
     frame_elements_json,
@@ -24,8 +31,8 @@ from coverkit.frame import (
     verify_frame_laws,
     verify_open_iso,
     way_below,
-    way_below_directed,
 )
+from coverkit.spectrum import Spectrum, verify_representation
 
 RNG = gen.rng_for(606)
 B4 = lattice_cover(boolean4_lattice(), "boolean4")
@@ -147,6 +154,104 @@ def test_way_below_matches_directed_join_oracle():
         for q in fm.elements:
             for r in fm.elements:
                 assert fm.way_below(q, r) == way_below_directed(fm, q, r)
+
+
+def _outcome(fn, fm):
+    """``fn(fm)``, or the type of the error it raises."""
+    try:
+        return fn(fm)
+    except (CapExceededError, TheoremViolationError) as exc:
+        return type(exc)
+
+
+def _oracle_matrix(fm):
+    els = fm.elements
+    return [
+        sum(1 << r for r in range(len(els)) if way_below_directed(fm, q, els[r]))
+        for q in els
+    ]
+
+
+def _cut_idempotent_closures(rng, n, count):
+    """Monotone cut-idempotent systems, divisible or not, drawn as cut-
+    transitive closures of random monotone relations."""
+    out = []
+    while len(out) < count:
+        ground = gen.ground(n)
+        sys = CoverSystem(ground, gen.cut_transitive_closure(gen.random_monotone(rng, ground)))
+        try:
+            frame_model(sys)
+        except ValueError:
+            continue
+        out.append(sys)
+    return out
+
+
+def test_one_pass_directed_matrix_matches_per_pair_oracle():
+    rng = gen.rng_for(612)
+    models = []
+    while len(models) < 50:
+        sys = gen.random_strong_idempotent(rng, gen.ground(rng.choice([2, 3])))
+        if len(frame_model(sys)) <= 10:
+            models.append(frame_model(sys))
+    models += [frame_model(s) for s in _cut_idempotent_closures(rng, 2, 8)]
+    models.append(frame_model(interpolation_gap_system(), mode="generated"))
+    for fm in models:
+        assert _outcome(directed_way_below_matrix, fm) == _outcome(_oracle_matrix, fm)
+        assert directed_way_below_matrix(fm) == fm.way_below_matrix
+
+
+def test_one_pass_directed_matrix_raises_where_the_oracle_raises():
+    # a model holding a family that is not a quasi-ideal, without its
+    # downset: the join of that singleton directed set escapes the model
+    sys = meet_system(2)
+    fm = frame_model(sys)
+    stray = next(m for m in range(1, 1 << sys.ground.num_subsets)
+                 if downset_mask(sys, m) not in (m, fm.bottom))
+    for complete, error in ((True, TheoremViolationError), (False, CapExceededError)):
+        model = FrameModel(sys, (fm.bottom, stray), "generated", complete=complete)
+        assert _outcome(_oracle_matrix, model) is error
+        assert _outcome(directed_way_below_matrix, model) is error
+
+
+def test_directed_matrix_gated_to_fourteen_elements():
+    fm = frame_model(meet_system(3))
+    assert len(fm) > 14
+    with pytest.raises(CapExceededError):
+        directed_way_below_matrix(fm)
+    with pytest.raises(CapExceededError):
+        verify_frame_laws(fm, way_below_oracle=True)
+
+
+def _union_joins_literal(sys):
+    """The union-join law by a per-pair downset_mask scan: every pair of
+    families for |S| <= 3, every pair of singleton families above."""
+    size = sys.ground.num_subsets
+    if sys.ground.size <= 3:
+        pairs = [(fa, fb) for fa in range(1 << size) for fb in range(1 << size)]
+    else:
+        pairs = [(1 << f, 1 << g) for f in range(size) for g in range(size)]
+    return all(
+        downset_mask(sys, fa | fb)
+        == downset_mask(sys, downset_mask(sys, fa) | downset_mask(sys, fb))
+        for fa, fb in pairs
+    )
+
+
+def test_union_join_table_matches_per_pair_scan():
+    rng = gen.rng_for(613)
+    systems = [gen.random_strong_idempotent(rng, gen.ground(2)) for _ in range(34)]
+    systems += [gen.random_strong_idempotent(rng, gen.ground(3)) for _ in range(6)]
+    systems += _cut_idempotent_closures(rng, 2, 12) + _cut_idempotent_closures(rng, 3, 2)
+    systems += [interpolation_gap_system(), B4]
+    seen = set()
+    for sys in systems:
+        want = _union_joins_literal(sys)
+        seen.add(want)
+        for mode in ("auto", "generated"):
+            rep = verify_frame_laws(frame_model(sys, mode=mode))
+            assert rep.finite_union_joins_hold == want
+    assert seen == {True, False}
 
 
 def test_way_below_membership_errors():
@@ -273,3 +378,28 @@ def test_frame_exports():
     assert dot.startswith("graph") and dot == frame_hasse_dot(fm)
     js = frame_elements_json(fm)
     assert len(js) == 4 and all(isinstance(q, list) for q in js)
+
+
+# -- work per system ----------------------------------------------------------------------
+
+def test_frame_model_and_spectrum_built_once_per_system(monkeypatch):
+    builds = []
+    build = frame._build_frame_model
+    monkeypatch.setattr(frame, "_build_frame_model",
+                        lambda sys, *a: builds.append(sys) or build(sys, *a))
+    spectra = []
+    init = Spectrum.__init__
+    monkeypatch.setattr(Spectrum, "__init__",
+                        lambda self, sys: spectra.append(sys) or init(self, sys))
+    for sys in (meet_system(2), topology_cover(sierpinski_space())):
+        assert sys.ground.size == 2
+        fm = frame_model(sys)
+        verify_open_iso(sys)
+        karoubi_envelope(sys)
+        verify_representation(sys)
+        verify_duality_system(sys)
+        assert frame_model(sys) is fm
+        assert sum(s is sys for s in builds) == 1
+        assert sum(s is sys for s in spectra) == 1
+        generated = frame_model(sys, mode="generated")
+        assert generated is not fm and sum(s is sys for s in builds) == 2
