@@ -28,13 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .kernel import GroundMismatchError, iter_bits
+from .kernel import GroundMismatchError, iter_bits, meets_and_joins
 from .relations import (
     CoverSystem,
     Relation,
     cut_witness,
-    is_lower,
-    is_upper,
     lower_witness,
     one_exists,
     one_reflexive_witness,
@@ -94,18 +92,13 @@ def derive_vdash(sys: CoverSystem) -> Relation:
 
 def _compute_vdash(sys: CoverSystem) -> Relation:
     rel = sys.rel
-    n = sys.ground.size
-    size = sys.ground.num_subsets
-    full = (1 << size) - 1
+    full = (1 << sys.ground.num_subsets) - 1
     cols = rel.cols()
-    single_cols = [cols[1 << i] for i in range(n)]
+    deps_of, _ = meets_and_joins(
+        full, [cols[1 << i] for i in range(sys.ground.size)])
     rows = []
-    for f in range(size):
-        deps = full
-        for i in iter_bits(f):
-            deps &= single_cols[i]
+    for m in deps_of:
         out = full
-        m = deps
         while m and out:
             low = m & -m
             out &= rel.rows[low.bit_length() - 1]
@@ -200,32 +193,6 @@ def divisibility_witness(sys: CoverSystem):
         if bad:
             return r, (bad & -bad).bit_length() - 1
     return None
-
-
-def is_strong_idempotent(sys: CoverSystem) -> bool:
-    rel = sys.rel
-    return (is_upper(rel) and is_lower(rel) and is_divisible(sys)
-            and is_cut_transitive(sys))
-
-
-def is_cover(sys: CoverSystem) -> bool:
-    wit, _ = cover_witness(sys)
-    return wit is None
-
-
-def cover_witness(sys: CoverSystem):
-    """(witness, reason) pair: witness None iff the relation is a cover.
-
-    A cover relation is a strong idempotent auxiliary to its derived
-    relation; the auxiliarity is evaluated through composition, which is
-    equivalent here since strong idempotents are lower.
-    """
-    if not is_strong_idempotent(sys):
-        return ("not strong idempotent",), "strong_idempotent"
-    excess = composition_excess_witness(derive_vdash(sys), sys.rel, sys.rel)
-    if excess is not None:
-        return excess, "auxiliarity"
-    return None, None
 
 
 def vdash_antisymmetry_witness(sys: CoverSystem, vdash: Relation):

@@ -2,10 +2,14 @@
 
 Each builder evaluates its defining formula over all pairs of finite
 subsets and returns a CoverSystem; none of them enforce a
-classification.  All but ``lattice_cover`` scan the pairs literally;
-``lattice_cover`` is tabulated (the meet and join of every subset once,
-each row filled from the subsets grouped by their join), and its literal
-pairwise scan is a test oracle.  Negative instances (a non-distributive
+classification.  The intersection or union of the members of every
+subset is folded once per subset (``kernel.meets_and_joins``), not once
+per pair.  Two builders are tabulated rather than literal pair scans:
+``lattice_cover`` (the meet and join of every subset once, each row
+filled from the subsets grouped by their join), whose literal pairwise
+scan is a test oracle, and ``topology_cover``, whose rows are the
+compact-containment matrix ``spectrum.compact_rows`` of the subbasis
+intersections in the subbasis unions.  Negative instances (a non-distributive
 lattice, a non-Kakutani convexity) are first-class outputs whose
 attached classification records the failure.
 """
@@ -15,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kernel import GroundSet, iter_bits, tables
+from .kernel import GroundSet, iter_bits, meets_and_joins, tables
 from .relations import CoverSystem, Relation
-from .spectrum import FiniteSpace, compact_contained
+from .spectrum import FiniteSpace, compact_rows
 
 
 # ---------------------------------------------------------------------------
@@ -512,23 +516,18 @@ def perp_cover(tr: TransitiveRelation, name: str = "") -> CoverSystem:
     common predecessor of F is orthogonal to all of G."""
     ground = _ground_of(tr.elements)
     n = tr.size
-    size = ground.num_subsets
     full_el = (1 << n) - 1
     # s perp t: no common strict predecessor
     perp = [
         sum(1 << t for t in range(n) if tr.below[s] & tr.below[t] == 0)
         for s in range(n)
     ]
+    fdowns, _ = meets_and_joins(full_el, tr.below)
+    gperps, _ = meets_and_joins(full_el, perp)
     rows = []
-    for f in range(size):
-        fdown = full_el
-        for x in iter_bits(f):
-            fdown &= tr.below[x]
+    for fdown in fdowns:
         m = 0
-        for g in range(size):
-            gperp = full_el
-            for x in iter_bits(g):
-                gperp &= perp[x]
+        for g, gperp in enumerate(gperps):
             if fdown & gperp == 0:
                 m |= 1 << g
         rows.append(m)
@@ -571,11 +570,8 @@ def scott_cover_conditions(base: CoverSystem, lt: TransitiveRelation) -> dict:
             break
 
     succ = True
-    full_el = (1 << n) - 1
-    for f in range(size):
-        fdown = full_el
-        for x in iter_bits(f):
-            fdown &= lt.below[x]
+    fdowns, _ = meets_and_joins((1 << n) - 1, lt.below)
+    for f, fdown in enumerate(fdowns):
         for g in range(size):
             if rel.rows[f] >> g & 1:
                 continue
@@ -603,13 +599,7 @@ def scott_cover_construct(base: CoverSystem, lt: TransitiveRelation,
     for h in range(n):
         succs = sum(1 << g for g in range(n) if lt.lt[h] >> g & 1)
         above.append(t.meets[succs])
-    full = (1 << size) - 1
-    triangle = []
-    for h_code in range(size):
-        m = full
-        for h in iter_bits(h_code):
-            m &= above[h]
-        triangle.append(m)
+    triangle, _ = meets_and_joins((1 << size) - 1, above)
     rows = []
     for f in range(size):
         m = 0
@@ -625,19 +615,16 @@ def proximity_cover(pl: ProximityLattice, name: str = "") -> CoverSystem:
     lat = pl.lattice
     ground = _ground_of(pl.elements)
     size = ground.num_subsets
-    top = lat.top
+    _, gbelows = meets_and_joins(0, pl.below)
+    joins = [lat.join_of(iter_bits(gbelow), empty=lat.bottom) for gbelow in gbelows]
     rows = []
     for f in range(size):
-        meet = lat.meet_of(iter_bits(f), empty=top)
+        meet = lat.meet_of(iter_bits(f), empty=lat.top)
         if meet is None:
             rows.append(0)
             continue
         m = 0
-        for g in range(size):
-            gbelow = 0
-            for x in iter_bits(g):
-                gbelow |= pl.below[x]
-            join = lat.join_of(iter_bits(gbelow), empty=lat.bottom)
+        for g, join in enumerate(joins):
             if lat.le(meet, join):
                 m |= 1 << g
         rows.append(m)
@@ -662,7 +649,13 @@ def convexity_entailment(cx: Convexity, name: str = "") -> CoverSystem:
 
 def topology_cover(space: FiniteSpace, subbasis=None, name: str = "") -> CoverSystem:
     """Compact-containment cover of a space's subbasis: the intersection
-    of F compactly contained in the union of G."""
+    of F compactly contained in the union of G.
+
+    Tabulated: the intersection and the union of every subset of the
+    subbasis are folded once, and the rows are ``compact_rows`` of the
+    intersections in the unions.  ``space.cover_system`` caches this
+    cover with the defaults on the space.
+    """
     if subbasis is not None:
         space = FiniteSpace(space.points, space.opens, tuple(sorted(set(subbasis))))
     sub = space.subbasis
@@ -670,21 +663,8 @@ def topology_cover(space: FiniteSpace, subbasis=None, name: str = "") -> CoverSy
         "{" + ",".join(space.point_names(s)) + "}" for s in sub
     )
     ground = GroundSet(labels)
-    size = ground.num_subsets
-    full_pts = space.full_mask
-    rows = []
-    for f in range(size):
-        inter = full_pts
-        for i in iter_bits(f):
-            inter &= sub[i]
-        m = 0
-        for g in range(size):
-            union = 0
-            for i in iter_bits(g):
-                union |= sub[i]
-            if compact_contained(space, inter, union):
-                m |= 1 << g
-        rows.append(m)
+    inters, unions = meets_and_joins(space.full_mask, sub)
+    rows = compact_rows(space, inters, unions)
     return CoverSystem(ground, Relation(ground, ground, rows), name or "topology")
 
 

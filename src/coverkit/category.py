@@ -20,13 +20,14 @@ from .kernel import (
     GroundMismatchError,
     TheoremViolationError,
     iter_bits,
+    meets_and_joins,
     tables,
 )
 from .relations import CoverSystem, Relation, is_lower, is_upper, one_exists
 from .composition import cut_compose
 from .spectrum import (
     FiniteSpace,
-    compact_contained,
+    compact_rows,
     is_prime,
     is_round,
     spectrum,
@@ -192,18 +193,13 @@ def compose_morphisms(m1: CoverMorphism, m2: CoverMorphism) -> CoverMorphism:
 def derive_proper(m: CoverMorphism):
     """The derived comparison relation of a morphism and the properness
     test: the target relation must factor through it."""
-    size_t = m.target.ground.num_subsets
-    size_s = m.source.ground.num_subsets
-    full_s = (1 << size_s) - 1
+    full_s = (1 << m.source.ground.num_subsets) - 1
     cols = m.rel.cols()
-    single_cols = [cols[1 << i] for i in range(m.target.ground.size)]
+    deps_of, _ = meets_and_joins(
+        full_s, [cols[1 << i] for i in range(m.target.ground.size)])
     rows = []
-    for f in range(size_t):
-        deps = full_s
-        for i in iter_bits(f):
-            deps &= single_cols[i]
+    for d in deps_of:
         out = full_s
-        d = deps
         while d and out:
             low = d & -d
             out &= m.source.rel.rows[low.bit_length() - 1]
@@ -222,29 +218,21 @@ def ab_functor(phi: SpaceMap, source_sys: CoverSystem | None = None,
                target_sys: CoverSystem | None = None) -> CoverMorphism:
     """Abstract a partial continuous map to the morphism relating F to G
     when the intersection of F is compactly contained in the preimage of
-    the union of G."""
-    from .builders import topology_cover
+    the union of G.  The systems default to the spaces' cached cover
+    systems (``FiniteSpace.cover_system``).
 
+    The preimage of a union is the union of the preimages, so the
+    preimage of each subbasic open is taken once; the rows are
+    ``compact_rows`` of the intersections in those preimage unions.
+    """
     if source_sys is None:
-        source_sys = topology_cover(phi.source)
+        source_sys = phi.source.cover_system
     if target_sys is None:
-        target_sys = topology_cover(phi.target)
-    src_sub = phi.source.subbasis
-    tgt_sub = phi.target.subbasis
-    full_pts = phi.source.full_mask
-    rows = []
-    for f in range(source_sys.ground.num_subsets):
-        inter = full_pts
-        for i in iter_bits(f):
-            inter &= src_sub[i]
-        row = 0
-        for g in range(target_sys.ground.num_subsets):
-            union = 0
-            for i in iter_bits(g):
-                union |= tgt_sub[i]
-            if compact_contained(phi.source, inter, phi.preimage(union)):
-                row |= 1 << g
-        rows.append(row)
+        target_sys = phi.target.cover_system
+    inters, _ = meets_and_joins(phi.source.full_mask, phi.source.subbasis)
+    _, pre_unions = meets_and_joins(
+        0, [phi.preimage(s) for s in phi.target.subbasis])
+    rows = compact_rows(phi.source, inters, pre_unions)
     return CoverMorphism(source_sys, target_sys,
                          Relation(source_sys.ground, target_sys.ground, rows))
 
@@ -312,16 +300,15 @@ def spectral_square_holds(m: CoverMorphism, phi: SpaceMap | None = None) -> bool
     spec_s = spectrum(m.source)
     spec_t = spectrum(m.target)
     exempt_empty = is_round(m.source, 0) and is_prime(m.source, 0)
-    for f in range(m.source.ground.num_subsets):
-        tf = spec_s.basic_open(f)
-        for g in range(m.target.ground.num_subsets):
-            pre = phi.preimage(spec_t.upper_open(g))
-            holds = bool(m.rel.rows[f] >> g & 1)
-            compact = compact_contained(spec_s.space, tf, pre)
-            if holds and not compact:
-                return False
-            if compact and not holds and not (f == 0 and exempt_empty):
-                return False
+    basic, _ = meets_and_joins(spec_s.full_mask, spec_s.point_open)
+    _, pre_uppers = meets_and_joins(
+        0, [phi.preimage(o) for o in spec_t.point_open])
+    compact = compact_rows(spec_s.space, basic, pre_uppers)
+    for f, (row, comp) in enumerate(zip(m.rel.rows, compact)):
+        if row & ~comp:
+            return False
+        if comp & ~row and not (f == 0 and exempt_empty):
+            return False
     return True
 
 
@@ -336,26 +323,21 @@ def _abstracted_spectrum_system(sys: CoverSystem) -> CoverSystem:
     return topology_cover(spectrum(sys).space)
 
 
-def _subbasis_preimages(sys: CoverSystem):
-    """For each dedup'd subbasic open of the spectrum, the least ground
-    element whose basic open realises it."""
+def _subbasis_preimages(sys: CoverSystem) -> list[int]:
+    """For each subset code over the spectrum's dedup'd subbasis, the
+    ground subset of the least element realising each selected
+    subbasic open."""
     spec = spectrum(sys)
-    reps = []
-    for s in spec.space.subbasis:
-        for e in range(sys.ground.size):
-            if spec.point_open[e] == s:
-                reps.append(e)
-                break
-    return spec, reps
+    reps = [spec.point_open.index(s) for s in spec.space.subbasis]
+    return meets_and_joins(0, [1 << e for e in reps])[1]
 
 
 def angle_well_defined(sys: CoverSystem):
     """Whether ground subsets with identical basic opens entail alike."""
     spec = spectrum(sys)
-    size = sys.ground.num_subsets
+    basic, _ = meets_and_joins(spec.full_mask, spec.point_open)
     seen = {}
-    for f in range(size):
-        key = spec.basic_open(f)
+    for f, key in enumerate(basic):
         if key in seen and sys.rel.rows[f] != sys.rel.rows[seen[key]]:
             return False, (seen[key], f)
         seen.setdefault(key, f)
@@ -372,30 +354,20 @@ def angle_morphism(sys: CoverSystem) -> CoverMorphism:
     if not ok:
         raise ValueError("comparison relation is not well defined for this system")
     ab_sys = _abstracted_spectrum_system(sys)
-    spec, reps = _subbasis_preimages(sys)
-    rows = []
-    for u in range(ab_sys.ground.num_subsets):
-        pre = 0
-        for j in iter_bits(u):
-            pre |= 1 << reps[j]
-        rows.append(sys.rel.rows[pre])
+    pres = _subbasis_preimages(sys)
+    rows = [sys.rel.rows[pre] for pre in pres]
     return CoverMorphism(ab_sys, sys,
                          Relation(ab_sys.ground, sys.ground, rows))
 
 
 def angle_inverse_morphism(sys: CoverSystem) -> CoverMorphism:
     ab_sys = _abstracted_spectrum_system(sys)
-    spec, reps = _subbasis_preimages(sys)
-    sub_index = {s: j for j, s in enumerate(spec.space.subbasis)}
-    size = sys.ground.num_subsets
+    pres = _subbasis_preimages(sys)
     rows = []
-    for f in range(size):
+    for own in sys.rel.rows:
         row = 0
-        for u in range(ab_sys.ground.num_subsets):
-            pre = 0
-            for j in iter_bits(u):
-                pre |= 1 << reps[j]
-            if sys.rel.rows[f] >> pre & 1:
+        for u, pre in enumerate(pres):
+            if own >> pre & 1:
                 row |= 1 << u
         rows.append(row)
     return CoverMorphism(sys, ab_sys, Relation(sys.ground, ab_sys.ground, rows))
@@ -403,9 +375,7 @@ def angle_inverse_morphism(sys: CoverSystem) -> CoverMorphism:
 
 def lambda_map(space: FiniteSpace) -> SpaceMap:
     """The point map of a space into the spectrum of its cover system."""
-    from .builders import topology_cover
-
-    return _lambda_map(space, topology_cover(space))
+    return _lambda_map(space, space.cover_system)
 
 
 def _lambda_map(space: FiniteSpace, sys: CoverSystem) -> SpaceMap:
@@ -531,12 +501,13 @@ def verify_duality_system(sys: CoverSystem, test_morphisms=()) -> DualityReport:
 def verify_duality_space(space: FiniteSpace, test_maps=()) -> DualityReport:
     """The space-side duality data: the point map is an isomorphism, the
     abstraction zigzag reproduces the compact cover relation, and the
-    point-map square commutes for the supplied test maps."""
-    from .builders import topology_cover
+    point-map square commutes for the supplied test maps.  Every space
+    involved contributes its cached ``cover_system``, which ``recovery``
+    shares."""
     from .spectrum import recovery
 
     rec = recovery(space)
-    sys = topology_cover(space)
+    sys = space.cover_system
     lam = _lambda_map(space, sys)
     lam_iso = (rec.passed() and rec.surjective and lam.is_total()
                and lam.is_injective())
@@ -548,8 +519,8 @@ def verify_duality_space(space: FiniteSpace, test_maps=()) -> DualityReport:
 
     naturality = {}
     for k, phi in enumerate(test_maps):
-        sys_src = topology_cover(phi.source)
-        sys_tgt = topology_cover(phi.target)
+        sys_src = phi.source.cover_system
+        sys_tgt = phi.target.cover_system
         m_phi = ab_functor(phi, source_sys=sys_src, target_sys=sys_tgt)
         phi_spec = sp_functor(m_phi, check=False)
         lhs = phi.compose(_lambda_map(phi.target, sys_tgt))

@@ -20,7 +20,7 @@ import os
 import sys as _sys
 
 from . import __version__
-from .kernel import CapExceededError, GroundSet, TheoremViolationError
+from .kernel import CapExceededError, GroundSet, TheoremViolationError, iter_bits
 from .relations import CoverSystem, Relation
 from .axioms import classify
 
@@ -180,8 +180,6 @@ def load_morphism(path: str):
 
 
 def morphism_to_payload(m) -> dict:
-    from .kernel import iter_bits
-
     def subset_names(ground, code):
         return [ground.names[i] for i in iter_bits(code)]
 
@@ -269,7 +267,7 @@ def cmd_spectrum(args) -> int:
     rep = verify_representation(sys)
     report = _base_report(args, "spectrum")
     report["tight_sets"] = [
-        [sys.ground.names[i] for i in _bits(code)] for code in spec.tights
+        [sys.ground.names[i] for i in iter_bits(code)] for code in spec.tights
     ]
     report["space"] = {
         "points": list(spec.space.points),
@@ -313,6 +311,7 @@ def cmd_frame(args) -> int:
 
 def cmd_dualize(args) -> int:
     from .category import verify_duality_space, verify_duality_system
+    from .spectrum import space_properties
 
     data = load_json(args.inputs[0])
     report = _base_report(args, "dualize")
@@ -325,6 +324,8 @@ def cmd_dualize(args) -> int:
         violations += sys_rep.violations()
     if data.get("kind") == "topology":
         space = load_space(args.inputs[0])
+        _expect(space_properties(space).t0,
+                f"{args.inputs[0]}: space-side duality requires a T0 space")
         space_rep = verify_duality_space(space)
         report["space_side"] = space_rep.to_dict()
         violations += space_rep.violations()
@@ -353,12 +354,6 @@ def cmd_compose(args) -> int:
     if f1 is None and f2 is None and fc is not None:
         return EXIT_THEOREM
     return EXIT_OK
-
-
-def _bits(mask: int):
-    from .kernel import iter_bits
-
-    return iter_bits(mask)
 
 
 @functools.cache

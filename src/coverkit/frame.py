@@ -30,6 +30,7 @@ from .kernel import (
     GroundSet,
     TheoremViolationError,
     iter_bits,
+    meets_and_joins,
     selections_mask,
 )
 from .relations import CoverSystem, Relation
@@ -411,9 +412,11 @@ def verify_frame_laws(fm: FrameModel, way_below_oracle: bool = None) -> FrameLaw
     cls = sys.classification
     size = sys.ground.num_subsets
     cols = sys.rel.cols()
-    # principal_join[g]: the join of the principal quasi-ideals of G's members
-    principal_join = [downset_mask(sys, _union_principals(sys, g))
-                      for g in range(size)]
+    # meet_of[f]: the meet of the principal quasi-ideals of F's members;
+    # principal_join[g]: the join of those of G's members
+    meet_of, unions = meets_and_joins(
+        fm.top, [cols[1 << i] for i in range(sys.ground.size)])
+    principal_join = [downset_mask(sys, u) for u in unions]
 
     principal_ok = True
     principal_witness = None
@@ -448,10 +451,7 @@ def verify_frame_laws(fm: FrameModel, way_below_oracle: bool = None) -> FrameLaw
         vdash = derive_vdash(sys)
         vdash_ok = True
         entails_wb = True
-        for f in range(size):
-            meet_f = fm.top
-            for i in iter_bits(f):
-                meet_f &= cols[1 << i]
+        for f, meet_f in enumerate(meet_of):
             for g in range(size):
                 join_g = principal_join[g]
                 if (vdash.rows[f] >> g & 1) != fm.leq(meet_f, join_g):
@@ -484,14 +484,6 @@ def iter_bits_below(fm: FrameModel, qi: int):
         r for r in range(len(fm.elements))
         if fm.way_below_matrix[r] >> qi & 1
     ]
-
-
-def _union_principals(sys: CoverSystem, gcode: int) -> int:
-    cols = sys.rel.cols()
-    u = 0
-    for i in iter_bits(gcode):
-        u |= cols[1 << i]
-    return u
 
 
 # ---------------------------------------------------------------------------

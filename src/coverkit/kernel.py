@@ -74,9 +74,6 @@ class GroundSet:
             bits |= 1 << self.index(name)
         return FinSubset(self, bits)
 
-    def subset_from_code(self, code: int) -> "FinSubset":
-        return FinSubset(self, code)
-
     def family(self, subsets=()) -> "Family":
         mask = 0
         for s in subsets:
@@ -197,6 +194,23 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def meets_and_joins(full: int, masks) -> tuple[list[int], list[int]]:
+    """The intersection and the union of the selected members of ``masks``,
+    for every subset code over its positions.
+
+    Entry c of the first list ANDs ``masks[i]`` for the bits i of c, and is
+    ``full`` for c = 0; entry c of the second ORs them, and is 0 for c = 0.
+    Each entry comes from the code without its highest member (the table
+    doubles once per mask), so both lists cost O(2**len(masks)).
+    """
+    meets = [full]
+    joins = [0]
+    for m in masks:
+        meets += [x & m for x in meets]
+        joins += [x | m for x in joins]
+    return meets, joins
 
 
 class SubsetTables:

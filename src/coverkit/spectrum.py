@@ -11,13 +11,19 @@ them.  Compact containment is evaluated by its covering definition
 (every subbasic cover of the larger set admits a finite subcover of the
 smaller one) rather than by the subset shortcut it reduces to on finite
 spaces; the reduction is verified in the tests instead of assumed here.
+Every caller that needs it for many pairs (the topology cover, the
+representation check, the abstraction functor and the spectral square)
+decides it through one matrix, ``compact_rows``; ``compact_contained`` is
+the single-pair form.  Each space builds its topology cover once
+(``FiniteSpace.cover_system``), and recovery and the duality checks
+share it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 from .kernel import (
@@ -27,6 +33,7 @@ from .kernel import (
     GroundSet,
     TheoremViolationError,
     iter_bits,
+    meets_and_joins,
     selections_mask,
     tables,
 )
@@ -106,6 +113,16 @@ class FiniteSpace:
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
+    @cached_property
+    def cover_system(self) -> CoverSystem:
+        """``topology_cover(self)``, built on first use and kept on this
+        object (outside its fields, so equality and hashing ignore it):
+        recovery, the point map and the duality checks share one cover
+        system, with its classification and spectrum."""
+        from .builders import topology_cover
+
+        return topology_cover(self)
+
     def point_names(self, mask: int) -> list[str]:
         return [self.points[i] for i in iter_bits(mask)]
 
@@ -115,12 +132,7 @@ class FiniteSpace:
 
 def generated_opens(npoints: int, subbasis) -> frozenset[int]:
     """All unions of non-empty finite intersections of subbasis members."""
-    basics = set()
-    for cmask in range(1, 1 << len(subbasis)):
-        inter = (1 << npoints) - 1
-        for i in iter_bits(cmask):
-            inter &= subbasis[i]
-        basics.add(inter)
+    basics = set(meets_and_joins((1 << npoints) - 1, subbasis)[0][1:])
     opens = {0} | basics
     frontier = set(opens)
     while frontier:
@@ -144,26 +156,14 @@ class _SpaceCalc:
         n_sub = len(space.subbasis)
         if n_sub > SUBBASIS_COVER_CAP:
             raise CapExceededError("subbasis too large for covering computations")
-        unions = []
-        for cmask in range(1 << n_sub):
-            u = 0
-            for i in iter_bits(cmask):
-                u |= space.subbasis[i]
-            unions.append(u)
-        self.cover_unions = unions
+        meets, self.cover_unions = meets_and_joins(space.full_mask, space.subbasis)
+        self.meet_basis = sorted(set(meets[1:]))
         self._covermask = {}
         # subbasis membership profile of each point
         self.profiles = [
             sum(1 << j for j, s in enumerate(space.subbasis) if s >> i & 1)
             for i in range(len(space.points))
         ]
-        basis = set()
-        for cmask in range(1, 1 << n_sub):
-            inter = space.full_mask
-            for i in iter_bits(cmask):
-                inter &= space.subbasis[i]
-            basis.add(inter)
-        self.meet_basis = sorted(basis)
 
     def covermask(self, region: int) -> int:
         """Bitmask of the subbasis subfamilies covering an open region;
@@ -193,6 +193,36 @@ def compact_contained(space: FiniteSpace, smaller: int, larger: int) -> bool:
     """Covering-definition compact containment between two open sets."""
     calc = _calc(space)
     return calc.covermask(larger) & ~calc.covermask(smaller) == 0
+
+
+def compact_rows(space: FiniteSpace, smaller, larger) -> list[int]:
+    """Compact containment of every open in ``smaller`` in every open in
+    ``larger``: bit g of row f is set iff ``smaller[f]`` is compactly
+    contained in ``larger[g]``, by the covering definition of
+    ``compact_contained``.
+
+    ``larger`` is grouped by distinct open, the covering mask of each
+    distinct open is taken once, and each distinct open of ``smaller``
+    gets its row once.  Raises ``ValueError`` if a region is not open.
+    """
+    calc = _calc(space)
+    by_open: dict = {}
+    for g, u in enumerate(larger):
+        by_open[u] = by_open.get(u, 0) | 1 << g
+    groups = [(calc.covermask(u), gs) for u, gs in by_open.items()]
+    row_of: dict = {}
+    rows = []
+    for s in smaller:
+        row = row_of.get(s)
+        if row is None:
+            cs = calc.covermask(s)
+            row = 0
+            for cu, gs in groups:
+                if cu & ~cs == 0:
+                    row |= gs
+            row_of[s] = row
+        rows.append(row)
+    return rows
 
 
 def specialization_pairs(space: FiniteSpace) -> list[tuple[str, str]]:
@@ -617,19 +647,16 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
     pair (F, G) of subsets.
 
     The basic open of each F and the upper open of each G are built once
-    per subset, and the covering mask of each distinct open once (which
-    also checks that it is open, as ``compact_contained`` does).  Compact
-    containment is decided by the covering definition for a whole row of
-    G at a time, against the G grouped by their upper open; each witness
-    is the first failing (F, G) in code order.  The spectrum is the one
-    cached on the system by ``spectrum``.
+    per subset (``meets_and_joins``), and compact containment of each
+    basic open in each upper open is the matrix ``compact_rows``; each
+    witness is the first failing (F, G) in code order.  The spectrum is
+    the one cached on the system by ``spectrum``.
     """
     from .axioms import derive_vdash
 
     spec = spectrum(sys)
     cls = sys.classification
     ground = sys.ground
-    size = ground.num_subsets
     rows = sys.rel.rows
     vdash = derive_vdash(sys)
     witnesses: dict = {}
@@ -655,38 +682,26 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
             "G": subset_label(ground, (vdash.rows[0] & -vdash.rows[0]).bit_length() - 1)
         }
 
-    basic = [spec.full_mask] * size
-    upper = [0] * size
-    for c in range(1, size):
-        low = c & -c
-        point_open = spec.point_open[low.bit_length() - 1]
-        basic[c] = basic[c ^ low] & point_open
-        upper[c] = upper[c ^ low] | point_open
+    basic, upper = meets_and_joins(spec.full_mask, spec.point_open)
+    compact_of = compact_rows(spec.space, basic, upper)
     by_upper: dict = {}
     for g, u in enumerate(upper):
         by_upper[u] = by_upper.get(u, 0) | 1 << g
-    calc = _calc(spec.space)
-    cover = {o: calc.covermask(o) for o in (*by_upper, *basic)}
-
-    # per distinct basic open: the G whose upper open contains it, and
-    # the G whose upper open it is compactly contained in
-    row_of: dict = {}
+    # per distinct basic open: the G whose upper open contains it
+    subset_of: dict = {}
     for tf in set(basic):
-        subset = compact = 0
+        subset = 0
         for u, gs in by_upper.items():
             if tf & ~u == 0:
                 subset |= gs
-            if cover[u] & ~cover[tf] == 0:
-                compact |= gs
-        row_of[tf] = subset, compact
+        subset_of[tf] = subset
 
-    for f in range(size):
-        bad = vdash.rows[f] ^ row_of[basic[f]][0]
+    for f, tf in enumerate(basic):
+        bad = vdash.rows[f] ^ subset_of[tf]
         if bad and not exempt(f):
             note("derived_matches_subset", f, bad)
 
-    for f in range(size):
-        compact = row_of[basic[f]][1]
+    for f, compact in enumerate(compact_of):
         if rows[f] & ~compact:
             note("entail_implies_compact", f, rows[f] & ~compact)
         if compact & ~rows[f] and not exempt(f):
@@ -833,20 +848,9 @@ def recovery(space: FiniteSpace) -> RecoveryReport:
     props = space_properties(space)
     if not props.t0:
         raise ValueError("recovery requires a T0 space")
-    from .builders import topology_cover
-
-    sys = topology_cover(space)
-    spec = Spectrum(sys)
-    n_sub = len(sys.ground.names)
-    calc = _calc(space)
-
-    images = []
-    for x in range(len(space.points)):
-        code = 0
-        for j in range(n_sub):
-            if calc.profiles[x] >> j & 1:
-                code |= 1 << j
-        images.append(code)
+    spec = spectrum(space.cover_system)
+    # the subbasis profile of x is its image code over the cover's ground
+    images = _calc(space).profiles
     injective = len(set(images)) == len(images)
     in_spectrum = all(code in spec.index for code in images)
     image_mask = 0

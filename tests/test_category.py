@@ -2,6 +2,7 @@ import pytest
 
 import gen
 from coverkit.kernel import GroundMismatchError
+from coverkit import builders
 from coverkit.relations import Relation
 from coverkit.builders import (
     boolean4_lattice,
@@ -31,7 +32,7 @@ from coverkit.category import (
     verify_duality_system,
 )
 from coverkit.frame import karoubi_envelope
-from coverkit.spectrum import FiniteSpace, Spectrum
+from coverkit.spectrum import FiniteSpace, Spectrum, recovery
 
 RNG = gen.rng_for(707)
 
@@ -227,6 +228,32 @@ def test_duality_space_side_catalogue():
     for space in (SIER, D2, CHAIN3S):
         rep = verify_duality_space(space, test_maps=maps)
         assert rep.passed(), rep.to_dict()
+
+
+def test_recovery_and_space_duality_share_one_cover(monkeypatch):
+    covers = []
+    build = builders.topology_cover
+
+    def counted(space, *a, **kw):
+        sys = build(space, *a, **kw)
+        if space is target:
+            covers.append(sys)
+        return sys
+
+    monkeypatch.setattr(builders, "topology_cover", counted)
+    spectra = []
+    init = Spectrum.__init__
+    monkeypatch.setattr(Spectrum, "__init__",
+                        lambda self, sys: spectra.append(sys) or init(self, sys))
+    # fresh objects: the cover is cached on the space itself
+    for target in (sierpinski_space(), FiniteSpace(CHAIN3S.points, CHAIN3S.opens,
+                                                   CHAIN3S.subbasis)):
+        covers.clear()
+        recovery(target)
+        rep = verify_duality_space(target, [SpaceMap.identity(target)])
+        assert rep.passed()
+        assert len(covers) == 1 and target.cover_system is covers[0]
+        assert sum(s is covers[0] for s in spectra) == 1
 
 
 def test_duality_dispatch():

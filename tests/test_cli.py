@@ -1,4 +1,9 @@
 import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverkit.cli import main, morphism_to_payload
 from coverkit.builders import boolean4_lattice, lattice_cover, topology_cover, sierpinski_space
@@ -236,6 +241,86 @@ def test_dualize_command(tmp_path, capsys):
     assert rep["violations"] == []
     assert rep["space_side"]["zigzag_space"] is True
     assert rep["system_side"]["zigzag_system"] is True
+
+
+NON_T0 = {
+    "format_version": "1",
+    "kind": "topology",
+    "payload": {"points": ["x", "y"], "opens": [[], ["x", "y"]],
+                "subbasis": [["x", "y"]]},
+}
+
+
+def test_dualize_non_t0_space_exits_two(tmp_path, capsys):
+    # used to end in a traceback (ValueError from recovery) and exit 1
+    path = write(tmp_path, "nt0.json", NON_T0)
+    for command in ("classify", "spectrum", "frame"):
+        assert main([command, path]) == 0
+    capsys.readouterr()
+    assert main(["dualize", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "requires a T0 space" in captured.err
+
+
+POINTS = ("x", "y", "z")
+
+
+def _generated_opens(masks, full):
+    """Unions of the non-empty finite intersections of ``masks``."""
+    basics = set()
+    for code in range(1, 1 << len(masks)):
+        inter = full
+        for i, m in enumerate(masks):
+            if code >> i & 1:
+                inter &= m
+        basics.add(inter)
+    opens = {0}
+    for b in basics:
+        opens |= {o | b for o in opens}
+    return opens
+
+
+@st.composite
+def topology_files(draw):
+    """Topology payloads on at most three points with an arbitrary subbasis
+    list; the opens are the ones it generates, or an arbitrary list."""
+    points = POINTS[:draw(st.integers(0, 3))]
+    subset = st.lists(st.sampled_from(points), max_size=3) if points else st.just([])
+    subbasis = draw(st.lists(subset, max_size=3))
+    if draw(st.booleans()):
+        index = {p: i for i, p in enumerate(points)}
+        masks = [sum(1 << index[p] for p in set(s)) for s in subbasis]
+        opens = [[p for i, p in enumerate(points) if o >> i & 1]
+                 for o in sorted(_generated_opens(masks, (1 << len(points)) - 1))]
+    else:
+        opens = draw(st.lists(subset, max_size=6))
+    return {"format_version": "1", "kind": "topology",
+            "payload": {"points": list(points), "opens": opens, "subbasis": subbasis}}
+
+
+@st.composite
+def explicit_files(draw):
+    """Explicit systems on at most two elements with arbitrary pairs."""
+    ground = ["a", "b"][:draw(st.integers(0, 2))]
+    subset = st.lists(st.sampled_from(ground), max_size=2) if ground else st.just([])
+    pairs = draw(st.lists(st.lists(subset, min_size=2, max_size=2), max_size=16))
+    return {"format_version": "1", "kind": "explicit",
+            "payload": {"ground": ground, "pairs": pairs}}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(topology_files(), explicit_files()))
+@example(NON_T0)
+def test_every_command_exits_with_a_documented_code(data):
+    # without --require, every input ends in 0, 2 (parse), 3 (cap) or 4
+    # (theorem), never in an exception or exit 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        for command in ("classify", "spectrum", "frame", "dualize"):
+            assert main([command, path]) in (0, 2, 3, 4), (command, data)
 
 
 def test_compose_command(tmp_path, capsys):

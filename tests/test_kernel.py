@@ -9,6 +9,8 @@ from coverkit.kernel import (
     GroundSet,
     all_groundsets_named,
     diagonal,
+    iter_bits,
+    meets_and_joins,
     minimal_members_mask,
     selections,
     selections_mask,
@@ -150,6 +152,21 @@ def test_wedge_associative(a, b, c):
 def test_minimal_member_prefilter_preserves_selections(mask):
     reduced = minimal_members_mask(3, mask)
     assert selections_mask(3, reduced) == selections_mask(3, mask)
+
+
+# -- subset folds -----------------------------------------------------------------
+
+@given(st.lists(st.integers(0, 255), max_size=6), st.integers(0, 255))
+@settings(max_examples=120)
+def test_meets_and_joins_match_literal_fold(masks, full):
+    meets, joins = meets_and_joins(full, masks)
+    assert len(meets) == len(joins) == 1 << len(masks)
+    for code in range(1 << len(masks)):
+        meet, join = full, 0
+        for i in iter_bits(code):
+            meet &= masks[i]
+            join |= masks[i]
+        assert (meets[code], joins[code]) == (meet, join)
 
 
 # -- ground set hygiene -----------------------------------------------------------

@@ -25,6 +25,7 @@ from coverkit.spectrum import (
     birkhoff_stone,
     birkhoff_stone_families,
     compact_contained,
+    compact_rows,
     homeomorphic,
     is_prime,
     is_round,
@@ -164,6 +165,29 @@ def test_compact_containment_equals_subset():
         for o in space.opens:
             for n2 in space.opens:
                 assert compact_contained(space, o, n2) == (o & ~n2 == 0)
+
+
+def test_compact_rows_match_per_pair_definition():
+    for k in (1, 2, 3):
+        for space in gen.all_t0_spaces(k):
+            for sub in gen.subbasis_choices(space):
+                opens = list(sub.opens)
+                smaller = opens + opens[::-1]
+                larger = opens[::-1] + opens[1:]
+                rows = compact_rows(sub, smaller, larger)
+                assert len(rows) == len(smaller)
+                for row, s in zip(rows, smaller):
+                    assert row == sum(1 << g for g, n2 in enumerate(larger)
+                                      if compact_contained(sub, s, n2))
+
+
+def test_compact_rows_reject_non_open_regions():
+    sp = sierpinski_space()  # opens {}, {x1}, {x0, x1}; {x0} is not open
+    with pytest.raises(ValueError):
+        compact_contained(sp, 0b01, 0b11)
+    for smaller, larger in (([0b01], [0b11]), ([0b11], [0b10, 0b01])):
+        with pytest.raises(ValueError):
+            compact_rows(sp, smaller, larger)
 
 
 def test_t0_catalogue_properties_all_true():
