@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .kernel import GroundMismatchError, iter_bits, meets_and_joins
+from .kernel import GroundMismatchError, iter_bits, meets_and_joins, tables
 from .relations import (
     CoverSystem,
     Relation,
@@ -38,7 +38,7 @@ from .relations import (
     one_reflexive_witness,
     upper_witness,
 )
-from .composition import composition_excess_witness, cut_compose
+from .composition import composition_deficit_witness, composition_excess_witness
 
 
 @dataclass
@@ -96,13 +96,19 @@ def _compute_vdash(sys: CoverSystem) -> Relation:
     cols = rel.cols()
     deps_of, _ = meets_and_joins(
         full, [cols[1 << i] for i in range(sys.ground.size)])
+    # equal dependency families give equal rows, so each is folded once
+    done = {}
     rows = []
-    for m in deps_of:
-        out = full
-        while m and out:
-            low = m & -m
-            out &= rel.rows[low.bit_length() - 1]
-            m ^= low
+    for deps in deps_of:
+        out = done.get(deps)
+        if out is None:
+            out = full
+            m = deps
+            while m and out:
+                low = m & -m
+                out &= rel.rows[low.bit_length() - 1]
+                m ^= low
+            done[deps] = out
         rows.append(out)
     return Relation(sys.ground, sys.ground, rows)
 
@@ -145,21 +151,23 @@ def semicut_witness(sys: CoverSystem):
     for every h in H, is built for all H in one pass (each element
     doubles the table), and H then walks the codes entailing G in
     ascending order, so the first witness is the one a plain (G, H, F)
-    scan meets first.
+    scan meets first.  An H that meets G has G itself among the G+{h},
+    so its ``cand[H]`` entails G: only the H disjoint from G are walked.
     """
     n = sys.ground.size
+    t = tables(n)
     cols = sys.rel.cols()
-    full = (1 << sys.ground.num_subsets) - 1
+    full = t.full
     for g, col_g in enumerate(cols):
-        # col_g is both the H entailing G and the F entailing G; an empty
-        # or full column admits no violation
-        if col_g == 0 or col_g == full:
+        # col_g is both the H entailing G and the F entailing G; a full
+        # column, or one without an H disjoint from G, admits no violation
+        hs = col_g & t.subsets[(t.size - 1) ^ g]
+        if hs == 0 or col_g == full:
             continue
         cand = [full]
         for i in range(n):
             ext = cols[g | 1 << i]
             cand += [c & ext for c in cand]
-        hs = col_g
         while hs:
             low = hs & -hs
             bad = cand[low.bit_length() - 1] & ~col_g
@@ -187,12 +195,7 @@ def divisibility_witness(sys: CoverSystem):
     """First (F, G) entailed but not reachable through an interpolating
     family of singleton-entailed subsets, else None."""
     rel = sys.rel
-    composed = cut_compose(rel, one_exists(rel))
-    for r, (own, c) in enumerate(zip(rel.rows, composed.rows)):
-        bad = own & ~c
-        if bad:
-            return r, (bad & -bad).bit_length() - 1
-    return None
+    return composition_deficit_witness(rel, one_exists(rel), rel)
 
 
 def vdash_antisymmetry_witness(sys: CoverSystem, vdash: Relation):

@@ -19,41 +19,36 @@ witness families lives in the test oracles.
 
 from __future__ import annotations
 
-from .kernel import GroundMismatchError, tables
+from .kernel import GroundMismatchError, lower_closure_rows, tables
 from .relations import Relation
-
-
-def _lower_closure_rows(rel: Relation) -> list[int]:
-    """Rows of the lower closure: rows[F] is the union of rel.rows[G] over
-    G contained in F (one zeta pass over the left subset lattice)."""
-    rows = list(rel.rows)
-    for i in range(rel.left.size):
-        bit = 1 << i
-        for f in range(len(rows)):
-            if f & bit:
-                rows[f] |= rows[f ^ bit]
-    return rows
 
 
 def _composed_rows(rel_a: Relation, rel_b: Relation):
     """Yield the rows of the cut-composition of rel_a and rel_b in order."""
     if rel_a.right != rel_b.left:
         raise GroundMismatchError("inner grounds do not match")
-    rows_b = _lower_closure_rows(rel_b)
+    rows_b = lower_closure_rows(rel_b.left.size, rel_b.rows)
     full = (1 << rel_b.right.num_subsets) - 1
     t = tables(rel_a.right.size)
+    meets = t.meets
+    # a composed row depends only on its row of rel_a, so equal rows
+    # (common in lower relations) are composed once
+    done = {}
     for row_a in rel_a.rows:
-        sel = t.full
-        m = row_a
-        while m and sel:
-            low = m & -m
-            sel &= t.meets[low.bit_length() - 1]
-            m ^= low
-        out = full
-        while sel and out:
-            low = sel & -sel
-            out &= rows_b[low.bit_length() - 1]
-            sel ^= low
+        out = done.get(row_a)
+        if out is None:
+            sel = t.full
+            m = row_a
+            while m and sel:
+                low = m & -m
+                sel &= meets[low.bit_length() - 1]
+                m ^= low
+            out = full
+            while sel and out:
+                low = sel & -sel
+                out &= rows_b[low.bit_length() - 1]
+                sel ^= low
+            done[row_a] = out
         yield out
 
 
@@ -71,6 +66,18 @@ def composition_excess_witness(rel_a: Relation, rel_b: Relation, target: Relatio
     """
     for r, (row, own) in enumerate(zip(_composed_rows(rel_a, rel_b), target.rows)):
         bad = row & ~own
+        if bad:
+            return r, (bad & -bad).bit_length() - 1
+    return None
+
+
+def composition_deficit_witness(rel_a: Relation, rel_b: Relation, target: Relation):
+    """First (r, t) in target but not in the composition, else None.
+
+    Stops at the first composed row that misses part of its target row.
+    """
+    for r, (row, own) in enumerate(zip(_composed_rows(rel_a, rel_b), target.rows)):
+        bad = own & ~row
         if bad:
             return r, (bad & -bad).bit_length() - 1
     return None

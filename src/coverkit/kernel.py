@@ -5,9 +5,17 @@ subset is coded as an n-bit integer (bit i set iff element i present), so
 the 2**n subsets are exactly the codes 0 .. 2**n - 1.  A family of finite
 subsets is coded the same way one level up: an integer over bit positions
 0 .. 2**n - 1, where bit c is set iff the subset with code c belongs to
-the family.  All set-level operators below (selections, supersets, wedge,
-diagonal) reduce to bit arithmetic on these codes, which keeps every
-enumeration deterministic and fast.
+the family.  A relation between subset lattices is a bit matrix: row f is
+the family of codes related to f.
+
+The operators below work on whole masks rather than member by member.
+Adding element i to every code lacking it is a shift of the family mask
+by 2**i, so the upper closure (``supersets_mask``) and the minimal
+members take n shifts and masks each, and the lower closure of a
+matrix's rows (``lower_closure_rows``) is the one zeta pass over the
+subset lattice.  ``transpose`` packs the rows of a matrix into one
+integer and exchanges row and column codes by n masked block swaps.
+Every enumeration stays deterministic.
 
 All values here are immutable after construction and safe to share.
 """
@@ -213,13 +221,30 @@ def meets_and_joins(full: int, masks) -> tuple[list[int], list[int]]:
     return meets, joins
 
 
+def _periodic(block: int, period: int, total: int) -> int:
+    """``block``, ``period`` bits long, repeated to fill ``total`` bits
+    (both lengths powers of two): the pattern doubles once per step."""
+    while period < total:
+        block |= block << period
+        period <<= 1
+    return block
+
+
+def _codes_with(i: int, size: int) -> int:
+    """Family mask of the codes below ``size`` that contain element i:
+    runs of 2**i ones after 2**i zeros."""
+    return _periodic(((1 << (1 << i)) - 1) << (1 << i), 2 << i, size)
+
+
 class SubsetTables:
     """Per-arity lookup tables used by the bit-parallel operators.
 
     For each subset code F of an n-element ground set:
       meets[F]    -- family mask of all G with G & F != 0
-      supersets[F]-- family mask of all G with F <= G
       subsets[F]  -- family mask of all G with G <= F
+    and for each element i:
+      contains_elem[i] -- family mask of the codes containing i
+      lacks_elem[i]    -- family mask of the codes without i
     full is the family mask containing every subset code.
     """
 
@@ -228,36 +253,102 @@ class SubsetTables:
         self.n = n
         self.size = size
         self.full = (1 << size) - 1
-        subsets = []
-        for f in range(size):
-            m = 0
-            sub = f
-            while True:
-                m |= 1 << sub
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-            subsets.append(m)
+        # the subsets of F + {i} (F without i) are those of F, and those
+        # shifted up by 2**i: the table doubles once per element
+        subsets = [1]
+        for i in range(n):
+            subsets += [m | m << (1 << i) for m in subsets]
         self.subsets = subsets
         # G disjoint from F  <=>  G is a subset of the complement of F
         comp = size - 1
         self.meets = [self.full & ~subsets[comp ^ f] for f in range(size)]
-        self.supersets = [0] * size
-        for f in range(size):
-            base = comp ^ f
-            sub = base
-            while True:
-                self.supersets[f] |= 1 << (f | sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & base
-        self.contains_elem = [self.supersets[1 << i] for i in range(n)]
-        self.singleton_codes = [1 << i for i in range(n)]
+        self.contains_elem = [_codes_with(i, size) for i in range(n)]
+        self.lacks_elem = [self.full ^ c for c in self.contains_elem]
 
 
 @lru_cache(maxsize=None)
 def tables(n: int) -> SubsetTables:
     return SubsetTables(n)
+
+
+# -- bit-matrix primitives ---------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _swap_rounds(n: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of the n rounds that transpose a 2**n x 2**n bit
+    matrix stored row after row in one integer.
+
+    Bit (f << n) | g holds entry (f, g).  Round j exchanges bit j of the
+    column code g with bit j of the row code f: the entries whose g has
+    bit j and whose f lacks it move up by 2**(n+j) - 2**j.  The masks
+    depend only on n; each is 4**n bits, so they are built on the first
+    transpose of that size, not with the subset tables.
+    """
+    w = 1 << n
+    rounds = []
+    for j in range(n):
+        # columns with bit j, in the rows without bit j
+        in_row = _codes_with(j, w)
+        mask = _periodic(_periodic(in_row, w, w << j), w << (j + 1), w << n)
+        rounds.append(((w << j) - (1 << j), mask))
+    return tuple(rounds)
+
+
+@lru_cache(maxsize=None)
+def _transpose_plan(n_left: int, n_right: int):
+    """Bytes per packed row, swap rounds, packed length in bytes, and the
+    byte slice of each output row, for one matrix shape.
+
+    The square has side 2**s, s = max(n_left, n_right, 3), so that a row
+    is whole bytes.  Codes below 2**n, n = max(n_left, n_right), have no
+    bit at n or above, so only the first n rounds move anything.
+    """
+    n = max(n_left, n_right)
+    s = max(n, 3)
+    nbytes = 1 << s >> 3
+    slices = tuple(slice(i, i + nbytes) for i in range(0, nbytes << n_right, nbytes))
+    return nbytes, _swap_rounds(s)[:n], nbytes << s, slices
+
+
+_from_bytes = int.from_bytes
+
+
+def transpose(rows, n_left: int, n_right: int) -> tuple[int, ...]:
+    """Columns of a bit matrix: ``rows`` holds 2**n_left masks over
+    2**n_right codes, and entry g of the result is the mask of the f
+    whose row has bit g.
+
+    The rows go into one integer as a square padded with zeros to the
+    larger side (and to at least 8 x 8, so that every row is whole
+    bytes).  Then one masked block swap per element of the larger side
+    (Warren, Hacker's Delight, 7-3) transposes the whole square at once,
+    and the first 2**n_right rows of the result are the columns.
+    Whole-integer operations only, so the cost does not depend on how
+    many bits are set.
+    """
+    nbytes, rounds, total, slices = _transpose_plan(n_left, n_right)
+    m = _from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
+    for shift, mask in rounds:
+        t = (m ^ m >> shift) & mask
+        m ^= t | t << shift
+    packed = m.to_bytes(total, "little")
+    return tuple([_from_bytes(packed[s], "little") for s in slices])
+
+
+def lower_closure_rows(n: int, rows) -> list[int]:
+    """Rows of the lower closure of a relation whose 2**n rows are
+    ``rows``: entry F is the union of rows[G] over all G contained in F.
+
+    One zeta pass over the subset lattice of the row codes: element i
+    ORs each row lacking i into the row with i added.
+    """
+    rows = list(rows)
+    for i in range(n):
+        bit = 1 << i
+        for f in range(bit, len(rows)):
+            if f & bit:
+                rows[f] |= rows[f ^ bit]
+    return rows
 
 
 # -- family-level operators on raw masks ------------------------------------
@@ -275,11 +366,14 @@ def selections_mask(n: int, fam_mask: int) -> int:
 
 
 def supersets_mask(n: int, fam_mask: int) -> int:
-    t = tables(n)
-    out = 0
-    for f in iter_bits(fam_mask):
-        out |= t.supersets[f]
-    return out
+    """Upper closure: codes of all G containing a member of the family.
+
+    n steps; step i adds element i to every code lacking it, which moves
+    that code's bit up by 2**i.
+    """
+    for i, lacks in enumerate(tables(n).lacks_elem):
+        fam_mask |= (fam_mask & lacks) << (1 << i)
+    return fam_mask
 
 
 def wedge_mask(n: int, a_mask: int, b_mask: int) -> int:
@@ -294,13 +388,28 @@ def diagonal_masks(n: int, a_mask: int, b_mask: int) -> bool:
     return selections_mask(n, a_mask) & ~supersets_mask(n, b_mask) == 0
 
 
+def minimal_members_mask(n: int, fam_mask: int) -> int:
+    """The members of the family with no proper subset in it.
+
+    Selections are unchanged by this reduction, since a transversal of the
+    minimal members already meets every superset of one of them.  One
+    shift per element gives the members with one element added, their
+    upper closure is every proper superset of a member, and the minimal
+    members are what it leaves: 2n shifts and masks.
+    """
+    grown = 0
+    for i, lacks in enumerate(tables(n).lacks_elem):
+        grown |= (fam_mask & lacks) << (1 << i)
+    return fam_mask & ~supersets_mask(n, grown)
+
+
 # -- public Family-level API -------------------------------------------------
 
 def selections(fam: Family) -> Family:
     """All finite subsets meeting every member of ``fam``.
 
     The empty family selects everything; any family containing the empty
-    subset selects nothing.  Computed by scanning all candidate subsets.
+    subset selects nothing.
     """
     return Family(fam.ground, selections_mask(fam.ground.size, fam.mask))
 
@@ -320,20 +429,6 @@ def diagonal(fam_a: Family, fam_b: Family) -> bool:
     """True iff every selection of ``fam_a`` contains a member of ``fam_b``."""
     _same_ground(fam_a, fam_b)
     return diagonal_masks(fam_a.ground.size, fam_a.mask, fam_b.mask)
-
-
-def minimal_members_mask(n: int, fam_mask: int) -> int:
-    """Optional prefilter: drop members with a proper subset in the family.
-
-    Selections are unchanged by this reduction, since a transversal of the
-    minimal members already meets every superset of one of them.
-    """
-    t = tables(n)
-    out = 0
-    for f in iter_bits(fam_mask):
-        if fam_mask & t.subsets[f] & ~(1 << f) == 0:
-            out |= 1 << f
-    return out
 
 
 def all_groundsets_named(n: int) -> GroundSet:

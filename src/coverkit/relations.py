@@ -34,6 +34,7 @@ from .kernel import (
     iter_bits,
     selections_mask,
     tables,
+    transpose,
 )
 
 
@@ -127,16 +128,14 @@ class Relation:
                 yield f, g
 
     def cols(self):
-        """Column masks: cols()[g] is the bitmask over left codes f with f ~ g."""
+        """Column masks: cols()[g] is the bitmask over left codes f with f ~ g.
+
+        Computed once per relation by ``kernel.transpose``, a whole-matrix
+        block-swap transpose, for every shape.
+        """
         if self._cols is None:
-            width = self.right.num_subsets
-            cols = [0] * width
-            for f, row in enumerate(self.rows):
-                while row:
-                    low = row & -row
-                    cols[low.bit_length() - 1] |= 1 << f
-                    row ^= low
-            object.__setattr__(self, "_cols", tuple(cols))
+            object.__setattr__(self, "_cols",
+                               transpose(self.rows, self.left.size, self.right.size))
         return self._cols
 
     def transpose(self) -> "Relation":

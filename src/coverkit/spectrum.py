@@ -33,8 +33,10 @@ from .kernel import (
     GroundSet,
     TheoremViolationError,
     iter_bits,
+    lower_closure_rows,
     meets_and_joins,
     selections_mask,
+    supersets_mask,
     tables,
 )
 from .relations import CoverSystem
@@ -493,16 +495,38 @@ def tight_flags(sys: CoverSystem, t) -> TightFlags:
     return TightFlags(round=is_round(sys, t), prime=is_prime(sys, t))
 
 
+def tight_mask(sys: CoverSystem) -> int:
+    """Family mask of the tight subsets, the empty one included when it
+    is tight.
+
+    Round as a mask: T is round iff, for each element i of T, T contains
+    a member of the column of {i}, so the round codes are the AND over i
+    of the upper closure of that column with the codes lacking i.  Prime
+    per round code: T is prime iff every G entailed by some part of T
+    meets T, that is, iff the lower-closure row of T lies in ``meets[T]``.
+    """
+    n = sys.ground.size
+    t = tables(n)
+    cols = sys.rel.cols()
+    round_mask = t.full
+    for i, lacks in enumerate(t.lacks_elem):
+        round_mask &= supersets_mask(n, cols[1 << i]) | lacks
+    below = lower_closure_rows(n, sys.rel.rows)
+    meets = t.meets
+    out = 0
+    for code in iter_bits(round_mask):
+        if below[code] & ~meets[code] == 0:
+            out |= 1 << code
+    return out
+
+
 def tight_codes(sys: CoverSystem) -> tuple[int, ...]:
-    """Codes of the non-empty tight subsets, ascending."""
-    out = []
-    for code in range(sys.ground.num_subsets):
-        if is_round(sys, code) and is_prime(sys, code):
-            if code == 0:
-                log.info("empty subset is tight for %r; excluded from the spectrum", sys)
-                continue
-            out.append(code)
-    return tuple(out)
+    """Codes of the non-empty tight subsets, ascending: the members of
+    ``tight_mask`` without the empty set, whose tightness is logged."""
+    tights = tight_mask(sys)
+    if tights & 1:
+        log.info("empty subset is tight for %r; excluded from the spectrum", sys)
+    return tuple(iter_bits(tights & ~1))
 
 
 def tight_sets(sys: CoverSystem) -> tuple[FinSubset, ...]:
@@ -766,10 +790,9 @@ def birkhoff_stone(sys: CoverSystem, r, q):
         raise ValueError("the set to extend must be round")
     if _entails_between(sys, rcode, qcode):
         return None
-    for code in range(sys.ground.num_subsets):
+    for code in iter_bits(tight_mask(sys)):
         if code & rcode == rcode and code & qcode == 0:
-            if is_round(sys, code) and is_prime(sys, code):
-                return FinSubset(sys.ground, code)
+            return FinSubset(sys.ground, code)
     raise TheoremViolationError(
         "no tight extension found although the hypothesis holds"
     )
@@ -796,13 +819,12 @@ def birkhoff_stone_families(sys: CoverSystem, r, fams: Family):
     sel = selections_mask(n, fams.mask)
     if any(sel & ~rows[f] == 0 for f in iter_bits(tt.subsets[rcode])):
         return None
-    for code in range(sys.ground.num_subsets):
+    for code in iter_bits(tight_mask(sys)):
         if code & rcode != rcode:
             continue
         if any(code & h == h for h in iter_bits(fams.mask)):
             continue
-        if is_round(sys, code) and is_prime(sys, code):
-            return FinSubset(sys.ground, code)
+        return FinSubset(sys.ground, code)
     raise TheoremViolationError(
         "no tight extension found although the family hypothesis holds"
     )
@@ -871,7 +893,7 @@ def recovery(space: FiniteSpace) -> RecoveryReport:
             own_opens.add(m)
         homeo = own_opens == sub_images
 
-    dense = bool(spec.tights) and is_very_dense(spec.space, image_mask)
+    dense = is_very_dense(spec.space, image_mask)
     surjective = in_spectrum and image_mask == spec.full_mask
 
     report = RecoveryReport(

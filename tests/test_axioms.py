@@ -369,10 +369,10 @@ def test_building_a_system_runs_no_classification(monkeypatch):
 
 
 def test_classify_composes_at_most_three_times(monkeypatch):
-    # every composition, materialised by cut_compose or scanned for an
-    # excess, runs through the one row generator
+    # every composition, scanned for an excess or for a deficit, runs
+    # through the one row generator
     rows_calls = _counting(monkeypatch, composition, "_composed_rows")
-    cut_calls = _counting(monkeypatch, axioms, "cut_compose")
+    cut_calls = _counting(monkeypatch, axioms, "composition_deficit_witness")
     vdash_calls = _counting(monkeypatch, axioms, "derive_vdash")
     systems = (meet_system(3), lattice_cover(boolean4_lattice()),
                topology_cover(sierpinski_space()), gen.random_scott(gen.rng_for(606), G3))

@@ -243,6 +243,21 @@ def test_dualize_command(tmp_path, capsys):
     assert rep["system_side"]["zigzag_system"] is True
 
 
+EMPTY_SPACE = {
+    "format_version": "1",
+    "kind": "topology",
+    "payload": {"points": [], "opens": [[]], "subbasis": [[]]},
+}
+
+
+def test_dualize_empty_space(tmp_path, capsys):
+    # the empty image is very dense in the empty spectrum: no violation
+    path = write(tmp_path, "empty.json", EMPTY_SPACE)
+    code, rep = run(capsys, "dualize", path)
+    assert code == 0
+    assert rep["violations"] == []
+
+
 NON_T0 = {
     "format_version": "1",
     "kind": "topology",

@@ -10,13 +10,17 @@ from coverkit.kernel import (
     all_groundsets_named,
     diagonal,
     iter_bits,
+    lower_closure_rows,
     meets_and_joins,
     minimal_members_mask,
     selections,
     selections_mask,
     supersets,
+    supersets_mask,
+    transpose,
     wedge,
 )
+from oracles import naive_supersets
 
 G2 = all_groundsets_named(2)
 G3 = all_groundsets_named(3)
@@ -167,6 +171,78 @@ def test_meets_and_joins_match_literal_fold(masks, full):
             meet &= masks[i]
             join |= masks[i]
         assert (meets[code], joins[code]) == (meet, join)
+
+
+# -- whole-mask primitives against literal scans -------------------------------------
+
+@st.composite
+def bit_matrices(draw):
+    n_left = draw(st.integers(0, 6))
+    n_right = draw(st.integers(0, 6))
+    width = 1 << (1 << n_right)
+    rows = draw(st.lists(st.integers(0, width - 1), min_size=1 << n_left,
+                         max_size=1 << n_left))
+    return n_left, n_right, rows
+
+
+@given(bit_matrices())
+@settings(max_examples=150)
+def test_transpose_matches_per_bit_transpose(matrix):
+    n_left, n_right, rows = matrix
+    literal = tuple(
+        sum(1 << f for f, row in enumerate(rows) if row >> g & 1)
+        for g in range(1 << n_right)
+    )
+    assert transpose(rows, n_left, n_right) == literal
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_transpose_of_full_and_diagonal(n):
+    size = 1 << n
+    full = (1 << size) - 1
+    assert transpose([full] * size, n, n) == (full,) * size
+    diagonal = [1 << f for f in range(size)]
+    assert transpose(diagonal, n, n) == tuple(diagonal)
+
+
+def literal_minimal_members(mask):
+    members = list(iter_bits(mask))
+    return sum(1 << f for f in members
+               if not any(g != f and g & f == g for g in members))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_supersets_and_minimal_members_exhaustive(n):
+    for mask in range(1 << (1 << n)):
+        members = list(iter_bits(mask))
+        assert supersets_mask(n, mask) == sum(1 << g for g in naive_supersets(n, members))
+        assert minimal_members_mask(n, mask) == literal_minimal_members(mask)
+
+
+@given(st.integers(4, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+@settings(max_examples=120)
+def test_supersets_and_minimal_members_random(case):
+    n, mask = case
+    members = list(iter_bits(mask))
+    assert supersets_mask(n, mask) == sum(1 << g for g in naive_supersets(n, members))
+    assert minimal_members_mask(n, mask) == literal_minimal_members(mask)
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 255), min_size=1 << n,
+                                             max_size=1 << n))))
+@settings(max_examples=120)
+def test_lower_closure_rows_match_literal_scan(case):
+    n, rows = case
+    literal = []
+    for f in range(1 << n):
+        out = 0
+        for g in range(1 << n):
+            if g & f == g:
+                out |= rows[g]
+        literal.append(out)
+    assert lower_closure_rows(n, rows) == literal
 
 
 # -- ground set hygiene -----------------------------------------------------------

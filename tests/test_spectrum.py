@@ -1,3 +1,4 @@
+import logging
 from itertools import combinations
 
 import pytest
@@ -105,6 +106,31 @@ def test_tight_sets_match_naive():
         g = gen.ground(3)
         sys = CoverSystem(g, gen.random_monotone(RNG, g))
         assert list(tight_codes(sys)) == naive_tight_sets(3, sys.rel.rows)
+
+
+def test_tight_codes_match_naive_on_every_relation_at_two():
+    g = gen.ground(2)
+    for m in range(1 << 16):
+        rows = [m >> 4 * f & 15 for f in range(4)]
+        sys = CoverSystem(g, Relation(g, g, rows))
+        assert list(tight_codes(sys)) == naive_tight_sets(2, rows), rows
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tight_codes_match_naive_on_random_relations(n):
+    g = gen.ground(n)
+    for k in range(60):
+        rel = gen.random_relation(RNG, g) if k % 2 else gen.random_monotone(RNG, g)
+        sys = CoverSystem(g, rel)
+        assert list(tight_codes(sys)) == naive_tight_sets(n, rel.rows)
+
+
+def test_tight_empty_set_logged_once(caplog):
+    sys = CoverSystem(gen.ground(2), Relation.empty(gen.ground(2)))
+    with caplog.at_level(logging.INFO, logger="coverkit.spectrum"):
+        assert tight_codes(sys) == ()
+    notes = [r for r in caplog.records if "empty subset is tight" in r.getMessage()]
+    assert len(notes) == 1
 
 
 # -- spectrum ---------------------------------------------------------------------
