@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .kernel import GroundMismatchError, iter_bits, meets_and_joins, tables
+from .kernel import GroundMismatchError, iter_bits, meets_of, tables
 from .relations import (
     CoverSystem,
     Relation,
@@ -94,7 +94,7 @@ def _compute_vdash(sys: CoverSystem) -> Relation:
     rel = sys.rel
     full = (1 << sys.ground.num_subsets) - 1
     cols = rel.cols()
-    deps_of, _ = meets_and_joins(
+    deps_of = meets_of(
         full, [cols[1 << i] for i in range(sys.ground.size)])
     # equal dependency families give equal rows, so each is folded once
     done = {}

@@ -3,8 +3,8 @@
 Each builder evaluates its defining formula over all pairs of finite
 subsets and returns a CoverSystem; none of them enforce a
 classification.  The intersection or union of the members of every
-subset is folded once per subset (``kernel.meets_and_joins``), not once
-per pair.  Two builders are tabulated rather than literal pair scans:
+subset is folded once per subset (``kernel.meets_of``,
+``kernel.joins_of``), not once per pair.  Two builders are tabulated rather than literal pair scans:
 ``lattice_cover`` (the meet and join of every subset once, each row
 filled from the subsets grouped by their join), whose literal pairwise
 scan is a test oracle, and ``topology_cover``, whose rows are the
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kernel import GroundSet, iter_bits, meets_and_joins, tables
+from .kernel import GroundSet, iter_bits, joins_of, meets_of, tables
 from .relations import CoverSystem, Relation
 from .spectrum import FiniteSpace, compact_rows
 
@@ -59,6 +59,26 @@ def _is_partial_order(rows) -> bool:
     return True
 
 
+def _bound_table(elements, cones, what: str) -> list[list[int]]:
+    """The greatest lower (least upper) bound of every pair of elements of
+    a partial order, from each element's down-set (up-set) mask ``cones``.
+
+    i and j have a bound iff the common part of their cones is the cone
+    of one element, and that element is the bound; distinct elements have
+    distinct cones, so each pair is one dict lookup.  The first pair in
+    row-major order without a bound raises ValueError naming it.
+    """
+    of_cone = {c: k for k, c in enumerate(cones)}
+    table = []
+    for i, ci in enumerate(cones):
+        row = [of_cone.get(ci & cj) for cj in cones]
+        if None in row:
+            j = row.index(None)
+            raise ValueError(f"no {what} for {elements[i]},{elements[j]}")
+        table.append(row)
+    return table
+
+
 @dataclass(frozen=True)
 class FiniteLattice:
     """Labelled finite lattice given by its order; meet/join are computed
@@ -96,52 +116,13 @@ class FiniteLattice:
             sum(1 << i for i in range(n) if self.le(i, j)) for j in range(n)
         )
 
-    def _bound(self, i, j, upper: bool):
-        cands = (self.leq[i] & self.leq[j]) if upper else (self.downs[i] & self.downs[j])
-        best = None
-        for c in iter_bits(cands):
-            if best is None:
-                best = c
-            elif upper and self.le(c, best):
-                best = c
-            elif not upper and self.le(best, c):
-                best = c
-        if best is None:
-            return None
-        for c in iter_bits(cands):
-            if upper and not self.le(best, c):
-                return None
-            if not upper and not self.le(c, best):
-                return None
-        return best
-
     @cached_property
     def meet_table(self):
-        n = self.size
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                m = self._bound(i, j, upper=False)
-                if m is None:
-                    raise ValueError(
-                        f"no meet for {self.elements[i]},{self.elements[j]}"
-                    )
-                out[i][j] = m
-        return out
+        return _bound_table(self.elements, self.downs, "meet")
 
     @cached_property
     def join_table(self):
-        n = self.size
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                m = self._bound(i, j, upper=True)
-                if m is None:
-                    raise ValueError(
-                        f"no join for {self.elements[i]},{self.elements[j]}"
-                    )
-                out[i][j] = m
-        return out
+        return _bound_table(self.elements, self.leq, "join")
 
     @cached_property
     def bottom(self):
@@ -215,21 +196,7 @@ class JoinSemilattice:
 
     @cached_property
     def join_table(self):
-        n = self.size
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ups = self.leq[i] & self.leq[j]
-                best = None
-                for c in iter_bits(ups):
-                    if best is None or self.le(c, best):
-                        best = c
-                if best is None or any(not self.le(best, c) for c in iter_bits(ups)):
-                    raise ValueError(
-                        f"no join for {self.elements[i]},{self.elements[j]}"
-                    )
-                out[i][j] = best
-        return out
+        return _bound_table(self.elements, self.leq, "join")
 
     def join_of(self, idxs):
         acc = self.bottom
@@ -522,8 +489,8 @@ def perp_cover(tr: TransitiveRelation, name: str = "") -> CoverSystem:
         sum(1 << t for t in range(n) if tr.below[s] & tr.below[t] == 0)
         for s in range(n)
     ]
-    fdowns, _ = meets_and_joins(full_el, tr.below)
-    gperps, _ = meets_and_joins(full_el, perp)
+    fdowns = meets_of(full_el, tr.below)
+    gperps = meets_of(full_el, perp)
     rows = []
     for fdown in fdowns:
         m = 0
@@ -570,7 +537,7 @@ def scott_cover_conditions(base: CoverSystem, lt: TransitiveRelation) -> dict:
             break
 
     succ = True
-    fdowns, _ = meets_and_joins((1 << n) - 1, lt.below)
+    fdowns = meets_of((1 << n) - 1, lt.below)
     for f, fdown in enumerate(fdowns):
         for g in range(size):
             if rel.rows[f] >> g & 1:
@@ -599,7 +566,7 @@ def scott_cover_construct(base: CoverSystem, lt: TransitiveRelation,
     for h in range(n):
         succs = sum(1 << g for g in range(n) if lt.lt[h] >> g & 1)
         above.append(t.meets[succs])
-    triangle, _ = meets_and_joins((1 << size) - 1, above)
+    triangle = meets_of((1 << size) - 1, above)
     rows = []
     for f in range(size):
         m = 0
@@ -615,7 +582,7 @@ def proximity_cover(pl: ProximityLattice, name: str = "") -> CoverSystem:
     lat = pl.lattice
     ground = _ground_of(pl.elements)
     size = ground.num_subsets
-    _, gbelows = meets_and_joins(0, pl.below)
+    gbelows = joins_of(pl.below)
     joins = [lat.join_of(iter_bits(gbelow), empty=lat.bottom) for gbelow in gbelows]
     rows = []
     for f in range(size):
@@ -663,7 +630,7 @@ def topology_cover(space: FiniteSpace, subbasis=None, name: str = "") -> CoverSy
         "{" + ",".join(space.point_names(s)) + "}" for s in sub
     )
     ground = GroundSet(labels)
-    inters, unions = meets_and_joins(space.full_mask, sub)
+    inters, unions = meets_of(space.full_mask, sub), joins_of(sub)
     rows = compact_rows(space, inters, unions)
     return CoverSystem(ground, Relation(ground, ground, rows), name or "topology")
 

@@ -20,7 +20,8 @@ from .kernel import (
     GroundMismatchError,
     TheoremViolationError,
     iter_bits,
-    meets_and_joins,
+    joins_of,
+    meets_of,
     tables,
 )
 from .relations import CoverSystem, Relation, is_lower, is_upper, one_exists
@@ -195,7 +196,7 @@ def derive_proper(m: CoverMorphism):
     test: the target relation must factor through it."""
     full_s = (1 << m.source.ground.num_subsets) - 1
     cols = m.rel.cols()
-    deps_of, _ = meets_and_joins(
+    deps_of = meets_of(
         full_s, [cols[1 << i] for i in range(m.target.ground.size)])
     rows = []
     for d in deps_of:
@@ -229,9 +230,8 @@ def ab_functor(phi: SpaceMap, source_sys: CoverSystem | None = None,
         source_sys = phi.source.cover_system
     if target_sys is None:
         target_sys = phi.target.cover_system
-    inters, _ = meets_and_joins(phi.source.full_mask, phi.source.subbasis)
-    _, pre_unions = meets_and_joins(
-        0, [phi.preimage(s) for s in phi.target.subbasis])
+    inters = meets_of(phi.source.full_mask, phi.source.subbasis)
+    pre_unions = joins_of([phi.preimage(s) for s in phi.target.subbasis])
     rows = compact_rows(phi.source, inters, pre_unions)
     return CoverMorphism(source_sys, target_sys,
                          Relation(source_sys.ground, target_sys.ground, rows))
@@ -300,9 +300,8 @@ def spectral_square_holds(m: CoverMorphism, phi: SpaceMap | None = None) -> bool
     spec_s = spectrum(m.source)
     spec_t = spectrum(m.target)
     exempt_empty = is_round(m.source, 0) and is_prime(m.source, 0)
-    basic, _ = meets_and_joins(spec_s.full_mask, spec_s.point_open)
-    _, pre_uppers = meets_and_joins(
-        0, [phi.preimage(o) for o in spec_t.point_open])
+    basic = meets_of(spec_s.full_mask, spec_s.point_open)
+    pre_uppers = joins_of([phi.preimage(o) for o in spec_t.point_open])
     compact = compact_rows(spec_s.space, basic, pre_uppers)
     for f, (row, comp) in enumerate(zip(m.rel.rows, compact)):
         if row & ~comp:
@@ -329,13 +328,13 @@ def _subbasis_preimages(sys: CoverSystem) -> list[int]:
     subbasic open."""
     spec = spectrum(sys)
     reps = [spec.point_open.index(s) for s in spec.space.subbasis]
-    return meets_and_joins(0, [1 << e for e in reps])[1]
+    return joins_of([1 << e for e in reps])
 
 
 def angle_well_defined(sys: CoverSystem):
     """Whether ground subsets with identical basic opens entail alike."""
     spec = spectrum(sys)
-    basic, _ = meets_and_joins(spec.full_mask, spec.point_open)
+    basic = meets_of(spec.full_mask, spec.point_open)
     seen = {}
     for f, key in enumerate(basic):
         if key in seen and sys.rel.rows[f] != sys.rel.rows[seen[key]]:

@@ -1,9 +1,17 @@
 """Deterministic command-line front end.
 
 Commands read JSON system/morphism files, run the requested analysis and
-emit JSON reports (and optionally DOT graphs).  Outputs carry no
+emit JSON reports (and, with ``--dot``, DOT graphs).  Outputs carry no
 timestamps and are byte-identical across reruns with the same inputs and
 seed.
+
+The front end works in one pass.  Each input file is read and parsed
+once (``load_json``), and the loaders take the parsed document.  Subset
+label lists decode straight to subset codes (``GroundSet.code``), with
+no intermediate subset objects.  Each report is serialised once by
+``_dumps``, which writes the bytes of ``json.dumps(report, indent=2,
+sort_keys=True)``, and a DOT graph is built only when ``--dot`` asks for
+it.
 
 Exit codes: 0 success; 1 a --require'd axiom failed; 2 unreadable or
 schema-invalid input; 3 a size cap was exceeded; 4 a theorem-backed
@@ -57,14 +65,14 @@ def load_json(path: str) -> dict:
     return data
 
 
-def _name_pairs(payload, key):
+def _name_pairs(payload, key) -> list:
+    """``payload[key]`` (default empty), which must be a list of 2-lists."""
     pairs = payload.get(key, [])
     _expect(isinstance(pairs, list), f"{key} must be a list of pairs")
-    out = []
     for p in pairs:
-        _expect(isinstance(p, list) and len(p) == 2, f"bad entry in {key}: {p}")
-        out.append((p[0], p[1]))
-    return out
+        if not (isinstance(p, list) and len(p) == 2):
+            raise SystemFileError(f"bad entry in {key}: {p}")
+    return pairs
 
 
 def _labels(payload, key) -> tuple:
@@ -83,9 +91,7 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
     try:
         if kind == "explicit":
             ground = GroundSet(_labels(payload, "ground"))
-            rel = Relation.from_pairs(ground, ground, [
-                (tuple(f), tuple(g)) for f, g in _name_pairs(payload, "pairs")
-            ])
+            rel = Relation.from_pairs(ground, ground, _name_pairs(payload, "pairs"))
             return CoverSystem(ground, rel, payload.get("name", "explicit"))
         if kind == "lattice":
             lat = builders.FiniteLattice.from_pairs(
@@ -134,8 +140,8 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
     raise SystemFileError(f"unknown system kind {kind!r}")
 
 
-def load_system(path: str) -> CoverSystem:
-    data = load_json(path)
+def load_system(data: dict, path: str) -> CoverSystem:
+    """The cover system of the parsed system file ``data`` read from ``path``."""
     _expect(data.get("format_version") == FORMAT_VERSION,
             f"{path}: format_version must be {FORMAT_VERSION!r}")
     kind = data.get("kind")
@@ -143,10 +149,10 @@ def load_system(path: str) -> CoverSystem:
     return system_from_payload(kind, data.get("payload", {}))
 
 
-def load_space(path: str):
+def load_space(data: dict, path: str):
+    """The finite space of the parsed topology file ``data`` read from ``path``."""
     from .spectrum import FiniteSpace
 
-    data = load_json(path)
     _expect(data.get("kind") == "topology",
             f"{path}: space-side analysis needs a topology file")
     payload = data.get("payload", {})
@@ -169,9 +175,7 @@ def load_morphism(path: str):
         tgt = data["target_system"]
         source = system_from_payload(src["kind"], src["payload"])
         target = system_from_payload(tgt["kind"], tgt["payload"])
-        rel = Relation.from_pairs(source.ground, target.ground, [
-            (tuple(f), tuple(g)) for f, g in _name_pairs(data, "pairs")
-        ])
+        rel = Relation.from_pairs(source.ground, target.ground, _name_pairs(data, "pairs"))
         return CoverMorphism(source, target, rel)
     except (KeyError, TypeError) as exc:
         raise SystemFileError(f"malformed morphism file: {exc}")
@@ -213,18 +217,56 @@ def morphism_to_payload(m) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, in
+    one recursive pass.
+
+    ``indent`` is the newline and indentation of the enclosing level.
+    Dict keys must be strings (TypeError otherwise), and a value of a
+    type JSON lacks raises TypeError, as ``json.dumps`` does.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+        items = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + sep.join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + sep.join([_dumps(v, inner) for v in value]) + indent + "]"
+    if isinstance(value, float):
+        return json.dumps(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            fh.write(text)
+    text = _dumps(report) + "\n"
+    if args.json:
+        _write(args.json, text)
     _sys.stdout.write(text)
-
-
-def _emit_dot(text: str, args) -> None:
-    if getattr(args, "dot", None):
-        with open(args.dot, "w") as fh:
-            fh.write(text)
 
 
 def _base_report(args, command: str) -> dict:
@@ -238,8 +280,13 @@ def _base_report(args, command: str) -> dict:
     }
 
 
+def _input_system(args) -> CoverSystem:
+    path = args.inputs[0]
+    return load_system(load_json(path), path)
+
+
 def cmd_classify(args) -> int:
-    sys = load_system(args.inputs[0])
+    sys = _input_system(args)
     cls = classify(sys, with_witnesses=True)
     report = _base_report(args, "classify")
     report["classification"] = cls.to_dict()
@@ -262,7 +309,7 @@ def cmd_spectrum(args) -> int:
         specialization_dot, space_properties, spectrum, verify_representation,
     )
 
-    sys = load_system(args.inputs[0])
+    sys = _input_system(args)
     spec = spectrum(sys)
     rep = verify_representation(sys)
     report = _base_report(args, "spectrum")
@@ -276,7 +323,8 @@ def cmd_spectrum(args) -> int:
     }
     report["representation"] = rep.to_dict()
     _emit(report, args)
-    _emit_dot(specialization_dot(spec.space), args)
+    if args.dot:
+        _write(args.dot, specialization_dot(spec.space))
     return EXIT_THEOREM if rep.violations() else EXIT_OK
 
 
@@ -285,8 +333,7 @@ def cmd_frame(args) -> int:
         frame_model, frame_elements_json, frame_hasse_dot, verify_frame_laws,
     )
 
-    sys = load_system(args.inputs[0])
-    cls = sys.classification
+    sys = _input_system(args)
     report = _base_report(args, "frame")
     report["monotone_cut_idempotent"] = True
     try:
@@ -305,7 +352,8 @@ def cmd_frame(args) -> int:
     }
     report["laws"] = laws.to_dict()
     _emit(report, args)
-    _emit_dot(frame_hasse_dot(fm), args)
+    if args.dot:
+        _write(args.dot, frame_hasse_dot(fm))
     return EXIT_THEOREM if laws.violations() else EXIT_OK
 
 
@@ -313,19 +361,20 @@ def cmd_dualize(args) -> int:
     from .category import verify_duality_space, verify_duality_system
     from .spectrum import space_properties
 
-    data = load_json(args.inputs[0])
+    path = args.inputs[0]
+    data = load_json(path)
+    sys = load_system(data, path)
     report = _base_report(args, "dualize")
     violations = []
-    sys = load_system(args.inputs[0])
     report["classification"] = sys.classification.to_dict()
     sys_rep = verify_duality_system(sys)
     report["system_side"] = sys_rep.to_dict()
     if sys.classification.is_cover:
         violations += sys_rep.violations()
     if data.get("kind") == "topology":
-        space = load_space(args.inputs[0])
+        space = load_space(data, path)
         _expect(space_properties(space).t0,
-                f"{args.inputs[0]}: space-side duality requires a T0 space")
+                f"{path}: space-side duality requires a T0 space")
         space_rep = verify_duality_space(space)
         report["space_side"] = space_rep.to_dict()
         violations += space_rep.violations()

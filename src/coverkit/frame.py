@@ -30,7 +30,8 @@ from .kernel import (
     GroundSet,
     TheoremViolationError,
     iter_bits,
-    meets_and_joins,
+    joins_of,
+    meets_of,
     selections_mask,
 )
 from .relations import CoverSystem, Relation
@@ -414,8 +415,8 @@ def verify_frame_laws(fm: FrameModel, way_below_oracle: bool = None) -> FrameLaw
     cols = sys.rel.cols()
     # meet_of[f]: the meet of the principal quasi-ideals of F's members;
     # principal_join[g]: the join of those of G's members
-    meet_of, unions = meets_and_joins(
-        fm.top, [cols[1 << i] for i in range(sys.ground.size)])
+    singletons = [cols[1 << i] for i in range(sys.ground.size)]
+    meet_of, unions = meets_of(fm.top, singletons), joins_of(singletons)
     principal_join = [downset_mask(sys, u) for u in unions]
 
     principal_ok = True

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 DEFAULT_GROUND_CAP = 16
 # A dense endorelation is 2**n x 2**n bits; refuse above this many bits
@@ -76,11 +76,26 @@ class GroundSet:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def subset(self, names=()) -> "FinSubset":
+    @cached_property
+    def _bit(self) -> dict:
+        """Label -> its one-bit subset code, built on the first ``code``."""
+        return {name: 1 << i for i, name in enumerate(self.names)}
+
+    def code(self, names) -> int:
+        """The subset code of the labels ``names``.  A label outside the
+        ground set raises ValueError naming it; an unhashable one raises
+        TypeError."""
+        bit = self._bit
         bits = 0
-        for name in names:
-            bits |= 1 << self.index(name)
-        return FinSubset(self, bits)
+        try:
+            for name in names:
+                bits |= bit[name]
+        except KeyError:
+            raise ValueError(f"{name!r} is not an element of {self!r}") from None
+        return bits
+
+    def subset(self, names=()) -> "FinSubset":
+        return FinSubset(self, self.code(names))
 
     def family(self, subsets=()) -> "Family":
         mask = 0
@@ -90,7 +105,7 @@ class GroundSet:
                     raise GroundMismatchError("subset over a different ground set")
                 mask |= 1 << s.bits
             else:
-                mask |= 1 << self.subset(s).bits
+                mask |= 1 << self.code(s)
         return Family(self, mask)
 
     def family_from_mask(self, mask: int) -> "Family":
@@ -204,21 +219,27 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def meets_and_joins(full: int, masks) -> tuple[list[int], list[int]]:
-    """The intersection and the union of the selected members of ``masks``,
-    for every subset code over its positions.
+def meets_of(full: int, masks) -> list[int]:
+    """The intersection of the selected members of ``masks``, for every
+    subset code over its positions.
 
-    Entry c of the first list ANDs ``masks[i]`` for the bits i of c, and is
-    ``full`` for c = 0; entry c of the second ORs them, and is 0 for c = 0.
-    Each entry comes from the code without its highest member (the table
-    doubles once per mask), so both lists cost O(2**len(masks)).
+    Entry c ANDs ``masks[i]`` for the bits i of c, and is ``full`` for
+    c = 0.  Each entry comes from the code without its highest member
+    (the table doubles once per mask), so the list costs O(2**len(masks)).
     """
     meets = [full]
-    joins = [0]
     for m in masks:
         meets += [x & m for x in meets]
+    return meets
+
+
+def joins_of(masks) -> list[int]:
+    """The union of the selected members of ``masks``, for every subset
+    code over its positions (0 for c = 0), built as ``meets_of``."""
+    joins = [0]
+    for m in masks:
         joins += [x | m for x in joins]
-    return meets, joins
+    return joins
 
 
 def _periodic(block: int, period: int, total: int) -> int:

@@ -91,10 +91,13 @@ class Relation:
 
     @staticmethod
     def from_pairs(left: GroundSet, right: GroundSet, pairs) -> "Relation":
+        """The relation holding on each (f, g) of ``pairs``; each side is a
+        FinSubset or an iterable of labels (``GroundSet.code``)."""
         rows = [0] * left.num_subsets
+        left_code, right_code = left.code, right.code
         for f, g in pairs:
-            fc = f.bits if isinstance(f, FinSubset) else left.subset(f).bits
-            gc = g.bits if isinstance(g, FinSubset) else right.subset(g).bits
+            fc = f.bits if isinstance(f, FinSubset) else left_code(f)
+            gc = g.bits if isinstance(g, FinSubset) else right_code(g)
             rows[fc] |= 1 << gc
         return Relation(left, right, rows)
 

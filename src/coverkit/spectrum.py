@@ -34,7 +34,8 @@ from .kernel import (
     TheoremViolationError,
     iter_bits,
     lower_closure_rows,
-    meets_and_joins,
+    joins_of,
+    meets_of,
     selections_mask,
     supersets_mask,
     tables,
@@ -134,7 +135,7 @@ class FiniteSpace:
 
 def generated_opens(npoints: int, subbasis) -> frozenset[int]:
     """All unions of non-empty finite intersections of subbasis members."""
-    basics = set(meets_and_joins((1 << npoints) - 1, subbasis)[0][1:])
+    basics = set(meets_of((1 << npoints) - 1, subbasis)[1:])
     opens = {0} | basics
     frontier = set(opens)
     while frontier:
@@ -158,7 +159,8 @@ class _SpaceCalc:
         n_sub = len(space.subbasis)
         if n_sub > SUBBASIS_COVER_CAP:
             raise CapExceededError("subbasis too large for covering computations")
-        meets, self.cover_unions = meets_and_joins(space.full_mask, space.subbasis)
+        meets = meets_of(space.full_mask, space.subbasis)
+        self.cover_unions = joins_of(space.subbasis)
         self.meet_basis = sorted(set(meets[1:]))
         self._covermask = {}
         # subbasis membership profile of each point
@@ -671,7 +673,7 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
     pair (F, G) of subsets.
 
     The basic open of each F and the upper open of each G are built once
-    per subset (``meets_and_joins``), and compact containment of each
+    per subset (``meets_of``, ``joins_of``), and compact containment of each
     basic open in each upper open is the matrix ``compact_rows``; each
     witness is the first failing (F, G) in code order.  The spectrum is
     the one cached on the system by ``spectrum``.
@@ -706,7 +708,7 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
             "G": subset_label(ground, (vdash.rows[0] & -vdash.rows[0]).bit_length() - 1)
         }
 
-    basic, upper = meets_and_joins(spec.full_mask, spec.point_open)
+    basic, upper = meets_of(spec.full_mask, spec.point_open), joins_of(spec.point_open)
     compact_of = compact_rows(spec.space, basic, upper)
     by_upper: dict = {}
     for g, u in enumerate(upper):

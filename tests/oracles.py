@@ -328,31 +328,34 @@ def naive_tight_sets(n, rows):
 
 # -- builders ------------------------------------------------------------------
 
+def naive_meet(k, leq, members):
+    """The greatest lower bound of ``members`` in the order on k elements
+    where leq[i] is the mask of the j with i <= j, by a literal scan (the
+    top for no members), or None."""
+    lower = [x for x in range(k) if all(leq[x] >> m & 1 for m in members)]
+    return next((x for x in lower if all(leq[y] >> x & 1 for y in lower)), None)
+
+
+def naive_join(k, leq, members):
+    """The least upper bound of ``members`` by a literal scan (the bottom
+    for no members), or None."""
+    upper = [x for x in range(k) if all(leq[m] >> x & 1 for m in members)]
+    return next((x for x in upper if all(leq[x] >> y & 1 for y in upper)), None)
+
+
 def naive_lattice_cover(k, leq):
     """Rows of the meet-below-join relation on a lattice of k elements,
     where leq[i] is the mask of the j with i <= j: F relates to G iff
     meet(F) <= join(G), by a literal scan over all pairs.  Meets and joins
     are found by scanning for the greatest lower and least upper bound, so
     the empty meet is the top and the empty join the bottom."""
-
-    def le(i, j):
-        return leq[i] >> j & 1
-
-    def meet(members):
-        lower = [x for x in range(k) if all(le(x, m) for m in members)]
-        return next((x for x in lower if all(le(y, x) for y in lower)), None)
-
-    def join(members):
-        upper = [x for x in range(k) if all(le(m, x) for m in members)]
-        return next((x for x in upper if all(le(x, y) for y in upper)), None)
-
     rows = []
     for f in subset_codes(k):
-        m = meet(bits_of(f))
+        m = naive_meet(k, leq, bits_of(f))
         row = 0
         for g in subset_codes(k):
-            j = join(bits_of(g))
-            if m is not None and j is not None and le(m, j):
+            j = naive_join(k, leq, bits_of(g))
+            if m is not None and j is not None and leq[m] >> j & 1:
                 row |= 1 << g
         rows.append(row)
     return rows

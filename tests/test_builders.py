@@ -1,7 +1,7 @@
 import pytest
 
 import gen
-from oracles import naive_lattice_cover, naive_tight_sets
+from oracles import naive_join, naive_lattice_cover, naive_meet, naive_tight_sets
 from coverkit.kernel import iter_bits
 from coverkit.relations import Relation, is_cut, is_one_reflexive
 from coverkit.builders import (
@@ -78,6 +78,49 @@ def test_lattice_cover_matches_literal_scan():
 def test_non_lattice_rejected():
     with pytest.raises(ValueError):
         FiniteLattice.from_pairs(("a", "b"), [])  # two incomparable tops
+
+
+def _first_missing(names, table, what):
+    """The error naming the first pair without an entry, row by row."""
+    for i, row in enumerate(table):
+        for j, b in enumerate(row):
+            if b is None:
+                return f"no {what} for {names[i]},{names[j]}"
+    return None
+
+
+def test_bound_tables_match_literal_scan_on_every_small_poset():
+    # every labelled partial order on at most five elements: the lattice
+    # (semilattice) builds iff every pair has a meet and a join (a join,
+    # and there is a minimum), its tables are the greatest lower and least
+    # upper bounds found by scanning, and a rejection names the first pair
+    # without one
+    built = 0
+    for k in range(6):
+        names = tuple(f"v{i}" for i in range(k))
+        for leq in gen.all_posets(k):
+            meets = [[naive_meet(k, leq, (i, j)) for j in range(k)] for i in range(k)]
+            joins = [[naive_join(k, leq, (i, j)) for j in range(k)] for i in range(k)]
+            error = _first_missing(names, meets, "meet") or _first_missing(names, joins, "join")
+            assert (error is None) == gen.poset_is_lattice(leq)
+            try:
+                lat = FiniteLattice(names, leq)
+            except ValueError as exc:
+                assert str(exc) == error
+            else:
+                assert error is None
+                assert (lat.meet_table, lat.join_table) == (meets, joins)
+                built += 1
+            has_min = naive_meet(k, leq, range(k)) is not None
+            error = (_first_missing(names, joins, "join") if has_min
+                     else "semilattice must have a minimum")
+            try:
+                sl = JoinSemilattice(names, leq)
+            except ValueError as exc:
+                assert str(exc) == error
+            else:
+                assert error is None and sl.join_table == joins
+    assert built > 100
 
 
 # -- semilattice cover ---------------------------------------------------------

@@ -196,6 +196,24 @@ def test_frame_command(tmp_path, capsys):
     assert rep["laws"]["violations"] == []
 
 
+def test_dot_graph_built_only_with_dot_flag(tmp_path, capsys, monkeypatch):
+    import coverkit.frame
+    import coverkit.spectrum
+
+    def refuse(*args):
+        raise AssertionError("DOT graph built without --dot")
+
+    path = write(tmp_path, "b4.json", BOOLEAN4)
+    with monkeypatch.context() as patch:
+        patch.setattr(coverkit.frame, "frame_hasse_dot", refuse)
+        patch.setattr(coverkit.spectrum, "specialization_dot", refuse)
+        assert main(["spectrum", path]) == 0
+        assert main(["frame", path]) == 0
+    dot = tmp_path / "hasse.dot"
+    assert main(["frame", path, "--dot", str(dot)]) == 0
+    assert dot.read_text().startswith("graph")
+
+
 def test_frame_command_reports_non_divisible(tmp_path, capsys):
     gap = {
         "format_version": "1",
@@ -360,6 +378,57 @@ def test_compose_over_non_lower_systems_reports(tmp_path, capsys):
     assert code == 0
     assert rep["first_is_morphism"] == rep["composite_is_morphism"]
     assert rep["composite"]["pairs"] == []
+
+
+AB_SYSTEM = {"kind": "explicit",
+             "payload": {"ground": ["a", "b"], "pairs": [[["a"], ["a"]]]}}
+
+
+def _bad_element_files(element):
+    """Files with ``element`` in place of a label: in a pair of an explicit
+    system file, of a morphism's source system, and of a morphism."""
+    pair = [["a"], ["b", element]]
+    system = {"kind": "explicit",
+              "payload": {"ground": ["a", "b"], "pairs": [[["a"], ["a"]], pair]}}
+    return {
+        "system.json": dict(system, format_version="1"),
+        "in_system.json": {"format_version": "1", "kind": "morphism",
+                           "source_system": system, "target_system": AB_SYSTEM,
+                           "pairs": []},
+        "in_pairs.json": {"format_version": "1", "kind": "morphism",
+                          "source_system": AB_SYSTEM, "target_system": AB_SYSTEM,
+                          "pairs": [pair]},
+    }
+
+
+def _exits(tmp_path, capsys, element):
+    """(file, exit code, stderr) of every command on each bad-element file."""
+    out = []
+    for name, data in _bad_element_files(element).items():
+        path = write(tmp_path, name, data)
+        commands = (["compose", path, path],) if name != "system.json" else (
+            [c, path] for c in ("classify", "spectrum", "frame", "dualize"))
+        for argv in commands:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            out.append((name, code, captured.err))
+    return out
+
+
+def test_unknown_element_exits_two_naming_it(tmp_path, capsys):
+    results = _exits(tmp_path, capsys, "zebra")
+    assert len(results) == 6
+    for name, code, err in results:
+        assert code == 2, name
+        assert "'zebra' is not an element" in err, (name, err)
+
+
+def test_unhashable_element_exits_two(tmp_path, capsys):
+    for element in (["b"], {"b": 1}):
+        for name, code, err in _exits(tmp_path, capsys, element):
+            assert code == 2, (name, element)
+            assert err.startswith("error: "), err
 
 
 def test_compose_mismatch_is_parse_error(tmp_path, capsys):

@@ -1,0 +1,108 @@
+"""CLI stdout and exit codes, byte for byte, against committed reports.
+
+``tests/golden/cases.json`` lists each case's argv (paths relative to the
+repository root) and exit code, and ``tests/golden/<name>.out`` holds its
+stdout.  The cases are every fixture under every report command, the
+failing ``--require`` on M3, and ``compose`` of a generated morphism file
+(``tests/golden/inputs/identity3.json``, the identity morphism of
+``gen.random_strong_idempotent(gen.rng_for(7), gen.ground(3))``) with
+itself.  Reports name their inputs by base name, so the bytes do not
+depend on where the repository lives.
+
+The reports were recorded before the one-pass front end (single read,
+direct subset codes, hand-written JSON emitter) and must not change with
+it.  Rewrite them only for a deliberate change of report format:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coverkit.cli import _dumps, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+COMMANDS = ("classify", "spectrum", "frame", "dualize")
+
+
+def _cases():
+    fixtures = sorted(f for f in os.listdir(os.path.join(ROOT, "fixtures"))
+                      if f.endswith(".json"))
+    cases = [(f"{c}-{f[:-5]}", [c, f"fixtures/{f}"]) for f in fixtures for c in COMMANDS]
+    cases.append(("classify-m3-require-cut",
+                  ["classify", "fixtures/m3.json", "--require", "cut"]))
+    morphism = "tests/golden/inputs/identity3.json"
+    cases.append(("compose-identity3", ["compose", morphism, morphism]))
+    return cases
+
+
+def _run(argv):
+    """Exit code and stdout of ``main`` on ``argv`` rooted at the repository."""
+    argv = [os.path.join(ROOT, a) if a.endswith(".json") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _recorded():
+    with open(os.path.join(GOLDEN, "cases.json")) as fh:
+        return json.load(fh)
+
+
+def test_golden_cases_cover_every_fixture_and_command():
+    assert [(c["name"], c["argv"]) for c in _recorded()] == _cases()
+
+
+def test_cli_stdout_and_exit_code_match_golden():
+    for case in _recorded():
+        code, out = _run(case["argv"])
+        with open(os.path.join(GOLDEN, case["name"] + ".out")) as fh:
+            expected = fh.read()
+        assert code == case["exit"], case["name"]
+        assert out == expected, case["name"]
+
+
+json_text = st.text(st.characters(), max_size=8) | st.sampled_from(
+    ["", "\"", "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "☃", "\U0001f600", "\ud800"])
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | json_text
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(json_values)
+def test_dumps_equals_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dumps_rejects_non_string_keys():
+    for key in (1, None, True, (1, 2)):
+        try:
+            _dumps({key: 0})
+        except TypeError:
+            continue
+        raise AssertionError(f"key {key!r} accepted")
+
+
+if __name__ == "__main__":
+    cases = []
+    for name, argv in _cases():
+        code, out = _run(argv)
+        with open(os.path.join(GOLDEN, name + ".out"), "w") as fh:
+            fh.write(out)
+        cases.append({"name": name, "argv": argv, "exit": code})
+    with open(os.path.join(GOLDEN, "cases.json"), "w") as fh:
+        json.dump(cases, fh, indent=2)
+        fh.write("\n")

@@ -10,8 +10,9 @@ from coverkit.kernel import (
     all_groundsets_named,
     diagonal,
     iter_bits,
+    joins_of,
     lower_closure_rows,
-    meets_and_joins,
+    meets_of,
     minimal_members_mask,
     selections,
     selections_mask,
@@ -163,7 +164,7 @@ def test_minimal_member_prefilter_preserves_selections(mask):
 @given(st.lists(st.integers(0, 255), max_size=6), st.integers(0, 255))
 @settings(max_examples=120)
 def test_meets_and_joins_match_literal_fold(masks, full):
-    meets, joins = meets_and_joins(full, masks)
+    meets, joins = meets_of(full, masks), joins_of(masks)
     assert len(meets) == len(joins) == 1 << len(masks)
     for code in range(1 << len(masks)):
         meet, join = full, 0
