@@ -373,6 +373,10 @@ def cmd_dualize(args) -> int:
         violations += sys_rep.violations()
     if data.get("kind") == "topology":
         space = load_space(data, path)
+        # the loaded system is topology_cover(space), built from the same
+        # payload: it fills the space's cover cache, so both sides share
+        # one classification and one spectrum
+        vars(space)["cover_system"] = sys
         _expect(space_properties(space).t0,
                 f"{path}: space-side duality requires a T0 space")
         space_rep = verify_duality_space(space)

@@ -19,7 +19,7 @@ witness families lives in the test oracles.
 
 from __future__ import annotations
 
-from .kernel import GroundMismatchError, lower_closure_rows, tables
+from .kernel import GroundMismatchError, tables
 from .relations import Relation
 
 
@@ -27,7 +27,7 @@ def _composed_rows(rel_a: Relation, rel_b: Relation):
     """Yield the rows of the cut-composition of rel_a and rel_b in order."""
     if rel_a.right != rel_b.left:
         raise GroundMismatchError("inner grounds do not match")
-    rows_b = lower_closure_rows(rel_b.left.size, rel_b.rows)
+    rows_b = rel_b.lower_closure()
     full = (1 << rel_b.right.num_subsets) - 1
     t = tables(rel_a.right.size)
     meets = t.meets

@@ -13,8 +13,20 @@ Adding element i to every code lacking it is a shift of the family mask
 by 2**i, so the upper closure (``supersets_mask``) and the minimal
 members take n shifts and masks each, and the lower closure of a
 matrix's rows (``lower_closure_rows``) is the one zeta pass over the
-subset lattice.  ``transpose`` packs the rows of a matrix into one
-integer and exchanges row and column codes by n masked block swaps.
+subset lattice.
+
+A whole bit matrix is one integer too (``pack_rows``): row f sits at bit
+f * 2**s, each row padded to 2**s bits, s = max(n_left, n_right, 3), so
+the rows are whole bytes and lie in a square of side 2**s.  Shifting it
+by 2**i moves every entry to the column with i added, and by 2**(s+i)
+to the row with i added.  ``matrix_plan`` holds one round per element
+for each shape: the shift 2**(s+j) - 2**j and the swap mask
+``_swap_masks(s)[j]`` of the entries whose row lacks j and whose column
+has it.  Those s masks, 4**s bits each, are the only matrix-sized masks
+kept per side; the rows or columns with or without j are a swap mask
+ORed with its copy shifted by one block.  ``transpose`` exchanges row
+and column codes by one masked block swap per round, and the structural
+predicates of ``relations`` are a few shifts and ANDs per element.
 Every enumeration stays deterministic.
 
 All values here are immutable after construction and safe to share.
@@ -295,65 +307,76 @@ def tables(n: int) -> SubsetTables:
 # -- bit-matrix primitives ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _swap_rounds(n: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of the n rounds that transpose a 2**n x 2**n bit
-    matrix stored row after row in one integer.
+def _swap_masks(s: int) -> tuple[int, ...]:
+    """Entry j marks the entries (f, g) of a 2**s x 2**s bit matrix
+    packed row after row (entry (f, g) at bit (f << s) | g) whose row
+    code f lacks j and whose column code g has it.
 
-    Bit (f << n) | g holds entry (f, g).  Round j exchanges bit j of the
-    column code g with bit j of the row code f: the entries whose g has
-    bit j and whose f lacks it move up by 2**(n+j) - 2**j.  The masks
-    depend only on n; each is 4**n bits, so they are built on the first
-    transpose of that size, not with the subset tables.
+    These s masks, 4**s bits each, are the only matrix-sized masks kept
+    per side, built on the first matrix of that side.  The other masks
+    of rows or columns with or without j derive from entry j with one
+    shift and one OR.
     """
-    w = 1 << n
-    rounds = []
-    for j in range(n):
+    w = 1 << s
+    masks = []
+    for j in range(s):
         # columns with bit j, in the rows without bit j
         in_row = _codes_with(j, w)
-        mask = _periodic(_periodic(in_row, w, w << j), w << (j + 1), w << n)
-        rounds.append(((w << j) - (1 << j), mask))
-    return tuple(rounds)
+        masks.append(_periodic(_periodic(in_row, w, w << j), w << (j + 1), w << s))
+    return tuple(masks)
 
 
 @lru_cache(maxsize=None)
-def _transpose_plan(n_left: int, n_right: int):
-    """Bytes per packed row, swap rounds, packed length in bytes, and the
-    byte slice of each output row, for one matrix shape.
+def matrix_plan(n_left: int, n_right: int):
+    """Side exponent s, bytes per packed row, the transpose rounds, and
+    the byte slice of each row of the transpose, for one matrix shape.
 
-    The square has side 2**s, s = max(n_left, n_right, 3), so that a row
-    is whole bytes.  Codes below 2**n, n = max(n_left, n_right), have no
-    bit at n or above, so only the first n rounds move anything.
+    A packed matrix stores row f in bits f * 2**s .. (f + 1) * 2**s - 1,
+    s = max(n_left, n_right, 3): the rows are padded to the side of the
+    square that holds both shapes, and to at least whole bytes.  Round j,
+    for each element j of the larger side, is the shift 2**(s+j) - 2**j
+    that moves entry (f, g | {j}) to (f | {j}, g) for f and g lacking j,
+    with ``_swap_masks(s)[j]``, the mask of those entries.
     """
-    n = max(n_left, n_right)
-    s = max(n, 3)
-    nbytes = 1 << s >> 3
+    s = max(n_left, n_right, 3)
+    w = 1 << s
+    nbytes = w >> 3
+    swaps = _swap_masks(s)
+    rounds = tuple(((w << j) - (1 << j), swaps[j]) for j in range(max(n_left, n_right)))
     slices = tuple(slice(i, i + nbytes) for i in range(0, nbytes << n_right, nbytes))
-    return nbytes, _swap_rounds(s)[:n], nbytes << s, slices
+    return s, nbytes, rounds, slices
 
 
 _from_bytes = int.from_bytes
 
 
-def transpose(rows, n_left: int, n_right: int) -> tuple[int, ...]:
-    """Columns of a bit matrix: ``rows`` holds 2**n_left masks over
-    2**n_right codes, and entry g of the result is the mask of the f
-    whose row has bit g.
+def pack_rows(rows, n_left: int, n_right: int) -> int:
+    """The rows of a bit matrix (2**n_left masks over 2**n_right codes) as
+    one integer, row f at bit f * 2**s (``matrix_plan``)."""
+    nbytes = matrix_plan(n_left, n_right)[1]
+    return _from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
 
-    The rows go into one integer as a square padded with zeros to the
-    larger side (and to at least 8 x 8, so that every row is whole
-    bytes).  Then one masked block swap per element of the larger side
-    (Warren, Hacker's Delight, 7-3) transposes the whole square at once,
-    and the first 2**n_right rows of the result are the columns.
-    Whole-integer operations only, so the cost does not depend on how
-    many bits are set.
+
+def transpose(packed: int, n_left: int, n_right: int) -> tuple[int, ...]:
+    """Columns of a bit matrix packed by ``pack_rows``: entry g of the
+    result is the mask of the f whose row has bit g.
+
+    The packed rows are the top-left corner of a square of side 2**s.
+    One masked block swap per round of ``matrix_plan`` (Warren, Hacker's
+    Delight, 7-3) transposes the whole square at once: round j exchanges
+    bit j of the column code with bit j of the row code.  Codes below
+    2**max(n_left, n_right) have no higher bit, so only those rounds
+    move anything, and the first 2**n_right rows of the result are the
+    columns.  Whole-integer operations only, so the cost does not depend
+    on how many bits are set.
     """
-    nbytes, rounds, total, slices = _transpose_plan(n_left, n_right)
-    m = _from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
+    s, nbytes, rounds, slices = matrix_plan(n_left, n_right)
+    m = packed
     for shift, mask in rounds:
         t = (m ^ m >> shift) & mask
         m ^= t | t << shift
-    packed = m.to_bytes(total, "little")
-    return tuple([_from_bytes(packed[s], "little") for s in slices])
+    data = m.to_bytes(nbytes << s, "little")
+    return tuple([_from_bytes(data[sl], "little") for sl in slices])
 
 
 def lower_closure_rows(n: int, rows) -> list[int]:

@@ -2,9 +2,16 @@
 
 A relation here always runs between F(S) and F(T) for ground sets S, T:
 rows are indexed by left subset codes, and each row is a bitmask over
-right subset codes.  Structural predicates (upper, lower, cut, one-
-reflexive) are evaluated by direct quantification, vectorised over whole
-rows where a row-level formulation is available.
+right subset codes.  Each relation also keeps, built on first use, its
+packed matrix (all rows in one integer, ``kernel.pack_rows``), its
+columns (the block-swap transpose of the packed matrix) and its lower
+closure (the zeta pass over its rows).  The upper, lower and cut rules
+are decided on the whole packed matrix: per element i, a few shifts of
+the matrix line each entry up with the entry the rule compares it to,
+and one swap mask of ``kernel.matrix_plan`` (or its copy shifted by one
+block) keeps the rows or columns the rule is about.  So each rule costs
+O(n) whole-integer operations, not O(n 2**n) row steps, and its witness
+is the first violation in row, element, column order.
 
 Values are immutable after construction.  A cover system carries four
 caches, each filled on first use and then reused (see ``CoverSystem``).
@@ -32,10 +39,17 @@ from .kernel import (
     GroundMismatchError,
     GroundSet,
     iter_bits,
+    lower_closure_rows,
+    matrix_plan,
+    pack_rows,
     selections_mask,
     tables,
     transpose,
 )
+
+
+_set = object.__setattr__
+_PACKED, _COLS, _BELOW, _HASH = range(4)
 
 
 @dataclass(frozen=True)
@@ -51,9 +65,12 @@ class Relation:
     """A relation between F(left) and F(right) as a dense boolean matrix.
 
     ``rows[f]`` is the bitmask of right-hand codes g with f related to g.
+    The packed matrix, the columns, the lower closure and the hash are
+    derived from the rows on first use and kept in ``_memo`` (entries
+    ``_PACKED``, ``_COLS``, ``_BELOW``, ``_HASH``).
     """
 
-    __slots__ = ("left", "right", "rows", "_cols", "_hash")
+    __slots__ = ("left", "right", "rows", "_memo")
 
     def __init__(self, left: GroundSet, right: GroundSet, rows, allow_large=False):
         rows = tuple(rows)
@@ -64,14 +81,12 @@ class Relation:
             raise CapExceededError(
                 f"relation matrix {left.num_subsets}x{width} exceeds the size cap"
             )
-        for r in rows:
-            if not 0 <= r < (1 << width):
-                raise ValueError("row mask out of range")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_cols", None)
-        object.__setattr__(self, "_hash", None)
+        if rows and (min(rows) < 0 or max(rows) >> width):
+            raise ValueError("row mask out of range")
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "rows", rows)
+        _set(self, "_memo", [None, None, None, None])
 
     def __setattr__(self, *a):
         raise AttributeError("Relation is immutable")
@@ -130,16 +145,37 @@ class Relation:
             for g in iter_bits(row):
                 yield f, g
 
+    @property
+    def packed(self) -> int:
+        """The whole matrix as one integer (``kernel.pack_rows``): row f
+        at bit f * 2**s, each row padded to 2**s bits.  Built once per
+        relation; the transpose and the structural predicates read it."""
+        memo = self._memo
+        if memo[_PACKED] is None:
+            memo[_PACKED] = pack_rows(self.rows, self.left.size, self.right.size)
+        return memo[_PACKED]
+
     def cols(self):
         """Column masks: cols()[g] is the bitmask over left codes f with f ~ g.
 
-        Computed once per relation by ``kernel.transpose``, a whole-matrix
-        block-swap transpose, for every shape.
+        Computed once per relation by ``kernel.transpose`` from the packed
+        matrix (``packed``, shared with the structural predicates): one
+        block swap per element of the larger side, for every shape.
         """
-        if self._cols is None:
-            object.__setattr__(self, "_cols",
-                               transpose(self.rows, self.left.size, self.right.size))
-        return self._cols
+        memo = self._memo
+        if memo[_COLS] is None:
+            memo[_COLS] = transpose(self.packed, self.left.size, self.right.size)
+        return memo[_COLS]
+
+    def lower_closure(self) -> tuple[int, ...]:
+        """Rows of the lower closure: entry f is the union of the rows of
+        all subsets of f (``kernel.lower_closure_rows``).  Computed once
+        per relation; every composition with this relation on the right,
+        and the tight sets of its system, read it."""
+        memo = self._memo
+        if memo[_BELOW] is None:
+            memo[_BELOW] = tuple(lower_closure_rows(self.left.size, self.rows))
+        return memo[_BELOW]
 
     def transpose(self) -> "Relation":
         return Relation(self.right, self.left, self.cols())
@@ -167,9 +203,10 @@ class Relation:
                 and self.right == other.right and self.rows == other.rows)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.left, self.right, self.rows)))
-        return self._hash
+        memo = self._memo
+        if memo[_HASH] is None:
+            memo[_HASH] = hash((self.left, self.right, self.rows))
+        return memo[_HASH]
 
     def __repr__(self):
         n = sum(bin(r).count("1") for r in self.rows)
@@ -212,20 +249,41 @@ def is_upper(rel: Relation) -> bool:
     return upper_witness(rel) is None
 
 
+def _earlier(best, bad: int, i: int, s: int):
+    """The first violation so far: ``best``, or (pos, i) for the lowest
+    packed position pos = (f << s) | c of ``bad``, element i's violations.
+    Elements come in ascending order, so a later one is first only in a
+    lower row: the witness order is row, then element, then column."""
+    pos = (bad & -bad).bit_length() - 1
+    return (pos, i) if best is None or pos >> s < best[0] >> s else best
+
+
 def upper_witness(rel: Relation):
-    """First (f, g, s) with f ~ g but not f ~ g+{s}, else None."""
-    nr = rel.right.size
-    t = tables(nr)
-    for f, row in enumerate(rel.rows):
-        for i in range(nr):
-            hi = t.contains_elem[i]
-            # rows whose g lacks i, shifted up to g | {i}
-            shifted = (row & ~hi) << (1 << i)
-            bad = shifted & ~row
-            if bad:
-                g_hi = (bad & -bad).bit_length() - 1
-                return f, g_hi ^ (1 << i), rel.right.names[i]
-    return None
+    """First (f, g, s) with f ~ g but not f ~ g+{s}, else None.
+
+    Per element i, on the whole packed matrix M: M << 2**i moves entry
+    (f, g) to (f, g | {i}) for every g lacking i, so the violations,
+    marked at g | {i}, are (M << 2**i) & ~M on the columns with i.  A
+    violation in row 0 ends the scan: no later element comes first.
+    """
+    s, _, rounds, _ = matrix_plan(rel.left.size, rel.right.size)
+    w = 1 << s
+    m = rel.packed
+    best = None
+    for i, (_, swap) in enumerate(rounds[:rel.right.size]):
+        # a swap mask and its copy 2**i rows up: the columns with i
+        y = (m << (1 << i)) & (swap | swap << (w << i))
+        # y & ~m without a negative operand, so without a complemented
+        # copy of the whole matrix (likewise below)
+        bad = y ^ (y & m)
+        if bad:
+            best = _earlier(best, bad, i, s)
+            if best[0] < w:
+                break
+    if best is None:
+        return None
+    pos, i = best
+    return pos >> s, (pos & (w - 1)) ^ 1 << i, rel.right.names[i]
 
 
 def is_lower(rel: Relation) -> bool:
@@ -233,15 +291,28 @@ def is_lower(rel: Relation) -> bool:
 
 
 def lower_witness(rel: Relation):
-    nl = rel.left.size
-    for f in range(rel.left.num_subsets):
-        for i in range(nl):
-            if f >> i & 1:
-                continue
-            bad = rel.rows[f] & ~rel.rows[f | 1 << i]
-            if bad:
-                return f, (bad & -bad).bit_length() - 1, rel.left.names[i]
-    return None
+    """First (f, g, s) with f ~ g but not f+{s} ~ g, else None.
+
+    Per element i, on the whole packed matrix M: M >> 2**(s+i) moves row
+    f | {i} to row f, so the violations are M & ~(M >> 2**(s+i)) on the
+    rows lacking i.
+    """
+    s, _, rounds, _ = matrix_plan(rel.left.size, rel.right.size)
+    w = 1 << s
+    m = rel.packed
+    best = None
+    for i, (_, swap) in enumerate(rounds[:rel.left.size]):
+        # a swap mask and its copy 2**i columns down: the rows lacking i
+        y = m & (swap | swap >> (1 << i))
+        bad = y ^ (y & (m >> (w << i)))
+        if bad:
+            best = _earlier(best, bad, i, s)
+            if best[0] < w:
+                break
+    if best is None:
+        return None
+    pos, i = best
+    return pos >> s, pos & (w - 1), rel.left.names[i]
 
 
 def is_cut(rel: Relation) -> bool:
@@ -251,23 +322,30 @@ def is_cut(rel: Relation) -> bool:
 def cut_witness(rel: Relation):
     """First (F, G, s) violating the cut rule, else None.
 
-    Violation: {s}+F ~ G and F ~ G+{s} both hold but F ~ G fails.
+    Violation: {s}+F ~ G and F ~ G+{s} both hold but F ~ G fails.  Per
+    element i, on the whole packed matrix M, marked at (F, G | {i}) for
+    the F and G lacking i (the swap mask of round i): M shifted down by
+    the round's shift reads entry (F | {i}, G), M itself (F, G | {i}),
+    and M << 2**i reads (F, G), which must fail.
     """
     if not rel.is_endo:
         raise GroundMismatchError("cut rule applies to endorelations only")
     n = rel.left.size
-    t = tables(n)
-    for f, row in enumerate(rel.rows):
-        for i in range(n):
-            if f >> i & 1:
-                continue
-            hi = t.contains_elem[i]
-            # b[g] = 1 iff F ~ g | {i}
-            b = (row & hi) | ((row & hi) >> (1 << i))
-            bad = rel.rows[f | 1 << i] & b & ~row
-            if bad:
-                return f, (bad & -bad).bit_length() - 1, rel.left.names[i]
-    return None
+    s, _, rounds, _ = matrix_plan(n, n)
+    w = 1 << s
+    m = rel.packed
+    best = None
+    for i, (shift, swap) in enumerate(rounds):
+        y = m & swap & (m >> shift)
+        bad = y ^ (y & (m << (1 << i)))
+        if bad:
+            best = _earlier(best, bad, i, s)
+            if best[0] < w:
+                break
+    if best is None:
+        return None
+    pos, i = best
+    return pos >> s, (pos & (w - 1)) ^ 1 << i, rel.left.names[i]
 
 
 def is_one_reflexive(rel: Relation) -> bool:
@@ -359,8 +437,9 @@ class CoverSystem:
     - ``_frame``: the quasi-ideal frame model, filled by the first
       successful ``frame.frame_model(sys)`` with the default mode and cap;
     - ``_spectrum``: the tight spectrum, filled by the first
-      ``spectrum.spectrum(sys)`` call (the ``Spectrum`` constructor
-      itself always builds afresh).
+      ``spectrum.spectrum(sys)`` call or ``Spectrum(sys)`` build,
+      whichever comes first (the constructor always builds, and keeps
+      its build only on a system that has none).
     """
 
     __slots__ = ("ground", "rel", "name", "_classification", "_vdash",

@@ -33,7 +33,6 @@ from .kernel import (
     GroundSet,
     TheoremViolationError,
     iter_bits,
-    lower_closure_rows,
     joins_of,
     meets_of,
     selections_mask,
@@ -513,7 +512,7 @@ def tight_mask(sys: CoverSystem) -> int:
     round_mask = t.full
     for i, lacks in enumerate(t.lacks_elem):
         round_mask &= supersets_mask(n, cols[1 << i]) | lacks
-    below = lower_closure_rows(n, sys.rel.rows)
+    below = sys.rel.lower_closure()
     meets = t.meets
     out = 0
     for code in iter_bits(round_mask):
@@ -544,7 +543,8 @@ class Spectrum:
 
     Points are stored as the tight subset codes themselves, so the
     correspondences between ground elements and subbasic opens are direct
-    bit tests.
+    bit tests.  A build on a system without a spectrum is kept on it, so
+    ``spectrum(sys)`` and every check that reads it reuse this one.
     """
 
     def __init__(self, sys: CoverSystem):
@@ -566,6 +566,8 @@ class Spectrum:
             self.space = FiniteSpace((), (0,), ())
         else:
             self.space = FiniteSpace.from_subbasis(names, sub)
+        if sys._spectrum is None:
+            sys._spectrum = self
 
     @property
     def full_mask(self) -> int:
@@ -592,9 +594,10 @@ class Spectrum:
 def spectrum(sys: CoverSystem) -> Spectrum:
     """The cached accessor: the spectrum of ``sys``, built on first use
     and kept on the system, so all callers share one build (and one
-    non-strong-idempotent warning).  ``Spectrum(sys)`` builds afresh."""
+    non-strong-idempotent warning).  ``Spectrum(sys)`` always builds,
+    and keeps what it built on a system that has no spectrum yet."""
     if sys._spectrum is None:
-        sys._spectrum = Spectrum(sys)
+        Spectrum(sys)
     return sys._spectrum
 
 

@@ -105,6 +105,47 @@ def naive_cut(n, rows):
     return True
 
 
+def naive_upper_witness(n_right, rows):
+    """First (f, g, i), scanning f, then i, then g, with f related to g
+    (g lacking i) but not to g + {i}; None when upper.  ``rows`` may have
+    any number of rows: the left side plays no part."""
+    for f in range(len(rows)):
+        for i in range(n_right):
+            for g in subset_codes(n_right):
+                if (not g >> i & 1 and rows[f] >> g & 1
+                        and not rows[f] >> (g | 1 << i) & 1):
+                    return f, g, i
+    return None
+
+
+def naive_lower_witness(n_left, rows):
+    """First (f, g, i), scanning f, then i (lacking from f), then g, with
+    f related to g but f + {i} not; None when lower.  The right side
+    enters only through the row masks."""
+    for f in subset_codes(n_left):
+        for i in range(n_left):
+            if f >> i & 1:
+                continue
+            for g in bits_of(rows[f]):
+                if not rows[f | 1 << i] >> g & 1:
+                    return f, g, i
+    return None
+
+
+def naive_cut_witness(n, rows):
+    """First (f, g, i), scanning f, then i (lacking from f), then g, with
+    f + {i} related to g and f to g + {i} but f not to g; None when cut."""
+    for f in subset_codes(n):
+        for i in range(n):
+            if f >> i & 1:
+                continue
+            for g in subset_codes(n):
+                if (rows[f | 1 << i] >> g & 1 and rows[f] >> (g | 1 << i) & 1
+                        and not rows[f] >> g & 1):
+                    return f, g, i
+    return None
+
+
 def naive_one_reflexive(n, rows):
     return all(rows[1 << s] >> (1 << s) & 1 for s in range(n))
 

@@ -261,6 +261,27 @@ def test_dualize_command(tmp_path, capsys):
     assert rep["system_side"]["zigzag_system"] is True
 
 
+def test_dualize_classifies_a_topology_cover_once(capsys, monkeypatch):
+    # the system side and the space side share the loaded cover system:
+    # one classification for it, one for the abstracted spectrum system
+    from coverkit import axioms, category
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    classified = []
+    inner = axioms._compute_classification
+
+    def counted(sys):
+        classified.append(sys)
+        return inner(sys)
+
+    monkeypatch.setattr(axioms, "_compute_classification", counted)
+    # an equal abstracted system kept from an earlier test would skip one
+    category._abstracted_spectrum_system.cache_clear()
+    assert main(["dualize", os.path.join(root, "fixtures", "sierpinski.json")]) == 0
+    capsys.readouterr()
+    assert len(classified) == 2
+
+
 EMPTY_SPACE = {
     "format_version": "1",
     "kind": "topology",

@@ -14,6 +14,7 @@ from coverkit.kernel import (
     lower_closure_rows,
     meets_of,
     minimal_members_mask,
+    pack_rows,
     selections,
     selections_mask,
     supersets,
@@ -194,16 +195,16 @@ def test_transpose_matches_per_bit_transpose(matrix):
         sum(1 << f for f, row in enumerate(rows) if row >> g & 1)
         for g in range(1 << n_right)
     )
-    assert transpose(rows, n_left, n_right) == literal
+    assert transpose(pack_rows(rows, n_left, n_right), n_left, n_right) == literal
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_transpose_of_full_and_diagonal(n):
     size = 1 << n
     full = (1 << size) - 1
-    assert transpose([full] * size, n, n) == (full,) * size
+    assert transpose(pack_rows([full] * size, n, n), n, n) == (full,) * size
     diagonal = [1 << f for f in range(size)]
-    assert transpose(diagonal, n, n) == tuple(diagonal)
+    assert transpose(pack_rows(diagonal, n, n), n, n) == tuple(diagonal)
 
 
 def literal_minimal_members(mask):

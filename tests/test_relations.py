@@ -1,19 +1,23 @@
 import pytest
 
 import gen
-from coverkit.kernel import Family, GroundMismatchError, iter_bits
+import oracles
+from coverkit.kernel import Family, GroundMismatchError, GroundSet, iter_bits
 from coverkit.relations import (
     CoverSystem,
     Relation,
     between,
+    cut_witness,
     is_upper,
+    lower_witness,
     one_exists,
     polar_exists,
     polar_forall,
     star,
     structural_flags,
+    upper_witness,
 )
-from coverkit.builders import meet_system
+from coverkit.builders import boolean4_lattice, lattice_cover, meet_system
 
 G2 = gen.ground(2)
 G3 = gen.ground(3)
@@ -200,3 +204,97 @@ def test_classification_cache_coherent():
     for _ in range(20):
         sys = CoverSystem(G2, gen.random_relation(RNG, G2))
         assert sys.classification.to_dict() == classify(sys).to_dict()
+
+
+# -- structural witnesses against the literal scans ------------------------------------
+
+def _named(names, wit):
+    return None if wit is None else (wit[0], wit[1], names[wit[2]])
+
+
+def _check_witnesses(rel):
+    left, right = rel.left, rel.right
+    assert upper_witness(rel) == _named(
+        right.names, oracles.naive_upper_witness(right.size, rel.rows))
+    assert lower_witness(rel) == _named(
+        left.names, oracles.naive_lower_witness(left.size, rel.rows))
+    if rel.is_endo:
+        assert cut_witness(rel) == _named(
+            left.names, oracles.naive_cut_witness(left.size, rel.rows))
+
+
+def test_structural_witnesses_match_naive_exhaustive():
+    # every relation at |S| = 2: the witness, not only the flag, must agree
+    for code in range(1 << 16):
+        _check_witnesses(Relation(G2, G2, [code >> (4 * f) & 15 for f in range(4)]))
+
+
+def _sparse_rows(rng, n_left, n_right):
+    codes = range(1 << n_right)
+    return [sum(1 << g for g in rng.sample(codes, min(len(codes), rng.randrange(3))))
+            for _ in range(1 << n_left)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_structural_witnesses_match_naive_random(n):
+    rng = gen.rng_for(707 + n)
+    ground = gen.ground(n)
+    for k in range(60 if n < 5 else 24):
+        kind = k % 3
+        if kind == 0:
+            rel = gen.random_relation(rng, ground)
+        elif kind == 1:
+            rel = Relation(ground, ground, _sparse_rows(rng, n, n))
+        else:
+            rel = gen.random_monotone(rng, ground)
+            assert upper_witness(rel) is None and lower_witness(rel) is None
+        _check_witnesses(rel)
+
+
+@pytest.mark.parametrize("n_left,n_right",
+                         [(1, 3), (3, 1), (2, 5), (5, 2), (0, 2), (2, 0)])
+def test_upper_and_lower_witnesses_on_other_shapes(n_left, n_right):
+    rng = gen.rng_for(808 + 7 * n_left + n_right)
+    left = GroundSet(tuple(f"l{i}" for i in range(n_left)))
+    right = GroundSet(tuple(f"r{i}" for i in range(n_right)))
+    width = 1 << (1 << n_right)
+    for k in range(40):
+        if k % 2:
+            rows = [rng.randrange(width) for _ in range(left.num_subsets)]
+        else:
+            rows = _sparse_rows(rng, n_left, n_right)
+        _check_witnesses(Relation(left, right, rows))
+    _check_witnesses(Relation.full(left, right))
+    _check_witnesses(Relation.empty(left, right))
+
+
+def test_cut_witness_needs_an_endorelation():
+    with pytest.raises(GroundMismatchError):
+        cut_witness(Relation.empty(G2, G3))
+
+
+# -- one lower closure per relation ----------------------------------------------------
+
+def test_lower_closure_computed_once_per_system(monkeypatch):
+    # classify (two compositions with sys.rel on the right), a further
+    # self-composition and the tight sets of the spectrum all read the
+    # one lower closure kept on the relation
+    from coverkit import relations
+    from coverkit.axioms import classify
+    from coverkit.composition import cut_compose
+    from coverkit.spectrum import spectrum
+
+    sys = lattice_cover(boolean4_lattice())
+    closed = []
+    inner = relations.lower_closure_rows
+
+    def counted(n, rows):
+        if tuple(rows) == sys.rel.rows:
+            closed.append(n)
+        return inner(n, rows)
+
+    monkeypatch.setattr(relations, "lower_closure_rows", counted)
+    assert classify(sys).is_strong_idempotent
+    cut_compose(sys.rel, sys.rel)
+    spectrum(sys)
+    assert closed == [sys.ground.size]

@@ -39,6 +39,7 @@ from coverkit.spectrum import (
     space_properties,
     specialization_dot,
     specialization_pairs,
+    spectrum,
     subset_label,
     tight_codes,
     tight_flags,
@@ -134,6 +135,32 @@ def test_tight_empty_set_logged_once(caplog):
 
 
 # -- spectrum ---------------------------------------------------------------------
+
+def test_constructor_and_representation_share_one_spectrum(caplog, monkeypatch):
+    # the constructor keeps what it built on a system without a spectrum,
+    # so the representation check neither rebuilds nor warns again
+    builds = []
+    inner = Spectrum.__init__
+
+    def counted(self, sys):
+        builds.append(sys)
+        inner(self, sys)
+
+    monkeypatch.setattr(Spectrum, "__init__", counted)
+    sys = lattice_cover(m3_lattice(), "m3")
+    with caplog.at_level(logging.WARNING, logger="coverkit.spectrum"):
+        spec = Spectrum(sys)
+        verify_representation(sys)
+    assert not sys.classification.is_strong_idempotent
+    assert builds == [sys]
+    warnings = [r for r in caplog.records if "non-strong-idempotent" in r.getMessage()]
+    assert len(warnings) == 1
+    assert spectrum(sys) is spec
+    # a later constructor call still builds, and leaves the kept one in place
+    assert Spectrum(sys) is not spec and spectrum(sys) is spec
+    assert len(builds) == 2
+
+
 
 def test_chain3_spectrum_is_sierpinski():
     assert homeomorphic(Spectrum(CHAIN3).space, sierpinski_space())
