@@ -621,8 +621,12 @@ def topology_cover(space: FiniteSpace, subbasis=None, name: str = "") -> CoverSy
     Tabulated: the intersection and the union of every subset of the
     subbasis are folded once, and the rows are ``compact_rows`` of the
     intersections in the unions.  ``space.cover_system`` caches this
-    cover with the defaults on the space.
+    cover with the defaults on the space, and a call with the defaults
+    (no subbasis, no name) keeps its build there when that cache is
+    empty, so the space-side checks reuse its classification and
+    spectrum.
     """
+    defaults = subbasis is None and not name
     if subbasis is not None:
         space = FiniteSpace(space.points, space.opens, tuple(sorted(set(subbasis))))
     sub = space.subbasis
@@ -632,7 +636,10 @@ def topology_cover(space: FiniteSpace, subbasis=None, name: str = "") -> CoverSy
     ground = GroundSet(labels)
     inters, unions = meets_of(space.full_mask, sub), joins_of(sub)
     rows = compact_rows(space, inters, unions)
-    return CoverSystem(ground, Relation(ground, ground, rows), name or "topology")
+    sys = CoverSystem(ground, Relation(ground, ground, rows), name or "topology")
+    if defaults:
+        vars(space).setdefault("cover_system", sys)
+    return sys
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ Every caller that needs it for many pairs (the topology cover, the
 representation check, the abstraction functor and the spectral square)
 decides it through one matrix, ``compact_rows``; ``compact_contained`` is
 the single-pair form.  Each space builds its topology cover once
-(``FiniteSpace.cover_system``), and recovery and the duality checks
-share it.
+(``FiniteSpace.cover_system``, or the first ``topology_cover(space)``
+with the defaults, which fills that cache), and recovery and the duality
+checks share it.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class FiniteSpace:
         """``topology_cover(self)``, built on first use and kept on this
         object (outside its fields, so equality and hashing ignore it):
         recovery, the point map and the duality checks share one cover
-        system, with its classification and spectrum."""
+        system, with its classification and spectrum.  An earlier
+        ``topology_cover(self)`` with the defaults has already filled it."""
         from .builders import topology_cover
 
         return topology_cover(self)

@@ -13,11 +13,14 @@ the fully literal search is itself checked by the tests, and
 ``naive_compose_literal`` below implements that literal search by
 outright enumeration of witness subfamilies.
 
-``way_below_directed`` is the one oracle that takes a package object: it
-reads the elements and the joins of a ``coverkit.frame.FrameModel`` and
-evaluates the approximation order pair by pair from its lattice-theoretic
-definition, independently of the model's witness form and of the
-one-pass ``directed_way_below_matrix``.
+``way_below_directed`` and ``naive_karoubi_rows`` are the two oracles
+that take a package object.  The first reads the elements and the joins
+of a ``coverkit.frame.FrameModel`` and evaluates the approximation order
+pair by pair from its lattice-theoretic definition, independently of the
+model's witness form and of the closed-form
+``directed_way_below_matrix``.  The second reads the elements and the
+way-below matrix of a model and builds the Karoubi envelope's rows by
+the per-(s, g) loops, with joins as literal downsets.
 """
 
 from itertools import combinations
@@ -421,3 +424,64 @@ def way_below_directed(fm, q, r):
         if r & ~join == 0 and not any(q & ~c == 0 for c in members):
             return False
     return True
+
+
+def _literal_downset(n, rows, fam):
+    """The F entailing every code that meets all members of ``fam``."""
+    members = bits_of(fam)
+    sel = [g for g in subset_codes(n) if all(g & f for f in members)]
+    return sum(1 << h for h in subset_codes(n) if all(rows[h] >> g & 1 for g in sel))
+
+
+def naive_quasi_ideals(n, rows):
+    """Every quasi-ideal, ascending, by the literal per-family scan: the
+    downset of each of the 2**(2**n) families (the F entailing every
+    code that meets all its members), collected.  The selections are
+    folded family by family (those of a family without its highest
+    member, ANDed with the codes meeting that member)."""
+    size = 1 << n
+    meeting = [sum(1 << g for g in subset_codes(n) if g & f) for f in subset_codes(n)]
+    sels = [(1 << size) - 1]
+    for f in subset_codes(n):
+        sels += [sel & meeting[f] for sel in sels]
+    return sorted({
+        sum(1 << h for h in subset_codes(n) if rows[h] & sel == sel) for sel in sels
+    })
+
+
+def naive_karoubi_rows(fm):
+    """Rows of the envelope relation, of sq and of sq_bar, as
+    ``coverkit.frame.karoubi_envelope`` defines them, by the per-(s, g)
+    loops: the meet and the join of every subset s of the frame folded
+    from its lowest member (joins as literal downsets of unions), then
+    bit g of a row tested one pair at a time."""
+    els = fm.elements
+    k = len(els)
+    wb = fm.way_below_matrix
+    n = fm.system.ground.size
+    rows = fm.system.rel.rows
+    index = {m: i for i, m in enumerate(els)}
+    meet_idx = [index[els[-1]]] * (1 << k)
+    join_idx = [index[els[0]]] * (1 << k)
+    for s in range(1, 1 << k):
+        low = bits_of(s)[0]
+        rest = s ^ 1 << low
+        meet_idx[s] = index[els[meet_idx[rest]] & els[low]]
+        join_idx[s] = index[_literal_downset(n, rows, els[join_idx[rest]] | els[low])]
+    principal_idx = [
+        index[sum(1 << f for f in subset_codes(n) if rows[f] >> g & 1)]
+        for g in subset_codes(n)
+    ]
+    env = [
+        sum(1 << g for g in range(1 << k) if wb[meet_idx[s]] >> join_idx[g] & 1)
+        for s in range(1 << k)
+    ]
+    sq = [
+        sum(1 << g for g in subset_codes(n) if wb[meet_idx[s]] >> principal_idx[g] & 1)
+        for s in range(1 << k)
+    ]
+    sq_bar = [
+        sum(1 << g for g in range(1 << k) if els[join_idx[g]] >> f & 1)
+        for f in subset_codes(n)
+    ]
+    return env, sq, sq_bar

@@ -407,7 +407,7 @@ def test_criterion_08_frame_suite():
     ]
     for name, sys in named:
         fm = frame_model(sys, mode="exhaustive")
-        laws = verify_frame_laws(fm, way_below_oracle=False)
+        laws = verify_frame_laws(fm)
         assert laws.violations() == [], (name, laws.to_dict())
         assert verify_open_iso(sys).passed(), name
         frames += 1

@@ -1,12 +1,13 @@
 import pytest
 
 import gen
-from oracles import way_below_directed
+from oracles import naive_karoubi_rows, naive_quasi_ideals, way_below_directed
 from coverkit import frame
 from coverkit.kernel import CapExceededError, Family, TheoremViolationError, iter_bits
 from coverkit.relations import CoverSystem, Relation
 from coverkit.builders import (
     boolean4_lattice,
+    chain_lattice,
     corpus,
     diagonal_system,
     interpolation_gap_system,
@@ -122,6 +123,31 @@ def test_generated_incomplete_flag_for_non_divisible():
     assert set(fm.elements) <= set(frame_model(interpolation_gap_system()).elements)
 
 
+def _frame_systems(rng):
+    """Monotone cut-idempotent corpus systems at |S| <= 4, random strong
+    idempotents at |S| = 2 and 3, and the boolean4, chain4 and meet4
+    covers."""
+    systems = []
+    for name, sys, expected in corpus():
+        if expected["is_monotone"] and sys.ground.size <= 4:
+            try:
+                frame_model(sys)
+            except ValueError:
+                continue
+            systems.append(sys)
+    systems += [gen.random_strong_idempotent(rng, gen.ground(n))
+                for n in (2, 3) for _ in range(12)]
+    return systems + [B4, lattice_cover(chain_lattice(4)), meet_system(4)]
+
+
+def test_exhaustive_frame_equals_per_family_scan():
+    for sys in _frame_systems(gen.rng_for(614)):
+        fm = frame_model(sys, mode="exhaustive")
+        want = naive_quasi_ideals(sys.ground.size, list(sys.rel.rows))
+        assert list(fm.elements) == want
+        assert fm.complete and fm.mode == "exhaustive"
+
+
 def test_frame_cap():
     sys = meet_system(3)
     with pytest.raises(CapExceededError):
@@ -214,13 +240,15 @@ def test_one_pass_directed_matrix_raises_where_the_oracle_raises():
         assert _outcome(directed_way_below_matrix, model) is error
 
 
-def test_directed_matrix_gated_to_fourteen_elements():
+def test_directed_matrix_closed_form_on_twenty_element_frame():
+    # beyond the reach of the literal directed-set search: the closed form
+    # is the inclusion order, which is also the witness form here
     fm = frame_model(meet_system(3))
-    assert len(fm) > 14
-    with pytest.raises(CapExceededError):
-        directed_way_below_matrix(fm)
-    with pytest.raises(CapExceededError):
-        verify_frame_laws(fm, way_below_oracle=True)
+    els = fm.elements
+    assert len(fm) == 20
+    order = [sum(1 << r for r, b in enumerate(els) if a & ~b == 0) for a in els]
+    assert directed_way_below_matrix(fm) == order == fm.way_below_matrix
+    assert verify_frame_laws(fm).way_below_consistent is True
 
 
 def _union_joins_literal(sys):
@@ -252,6 +280,51 @@ def test_union_join_table_matches_per_pair_scan():
             rep = verify_frame_laws(frame_model(sys, mode=mode))
             assert rep.finite_union_joins_hold == want
     assert seen == {True, False}
+
+
+def _structure_literal(fm):
+    """Distributivity, continuity and stability by the per-pair loops on
+    masks, with the model's join, meet and way-below operations."""
+    els = fm.elements
+    wbm = fm.way_below_matrix
+    distributive = all(
+        c & fm.join(a, b) == fm.join(c & a, c & b) for a in els for b in els for c in els
+    )
+    continuous = all(
+        fm.join_all([els[r] for r in range(len(els)) if wbm[r] >> q & 1]) == els[q]
+        for q in range(len(els))
+    )
+    above = [[r for r in els if fm.way_below(q, r)] for q in els]
+    stable = all(
+        fm.way_below(q, fm.meet(r1, r2))
+        for q, rs in zip(els, above) for i, r1 in enumerate(rs) for r2 in rs[i:]
+    )
+    return distributive, continuous, stable
+
+
+def _structure_tables(fm):
+    return frame._distributive(fm), frame._continuous(fm), frame._stable(fm)
+
+
+def test_frame_structure_laws_match_per_pair_loops():
+    # on the models frame_model builds, and on hand-built ones that drop
+    # elements or hold stray families, whose meets and joins may escape:
+    # same verdicts, and the same error where the loops raise
+    rng = gen.rng_for(616)
+    outcomes = set()
+    for sys in _frame_systems(rng)[:-1]:
+        fm = frame_model(sys)
+        models = [fm]
+        for _ in range(4):
+            kept = [m for m in fm.elements if rng.random() < 0.7] or [fm.top]
+            strays = [rng.randrange(1 << sys.ground.num_subsets) for _ in range(rng.randrange(3))]
+            models.append(FrameModel(sys, set(kept + strays), "generated",
+                                     complete=rng.random() < 0.5))
+        for model in models:
+            want = _outcome(_structure_literal, model)
+            assert _outcome(_structure_tables, model) == want
+            outcomes.add(want if isinstance(want, type) else all(want))
+    assert outcomes == {True, False, TheoremViolationError, CapExceededError}
 
 
 def test_way_below_membership_errors():
@@ -351,6 +424,19 @@ def test_karoubi_envelope_on_corpus():
             continue
         assert env.violations() == [], name
         assert env.target_is_cover
+
+
+def test_karoubi_rows_equal_per_pair_loops():
+    rng = gen.rng_for(615)
+    systems = [s for s in _frame_systems(rng) if len(frame_model(s)) <= 8]
+    systems += _cut_idempotent_closures(rng, 2, 6) + [interpolation_gap_system()]
+    sizes = set()
+    for sys in systems:
+        env = karoubi_envelope(sys)
+        sizes.add(len(env.frame))
+        assert (list(env.target.rel.rows), list(env.sq.rows), list(env.sq_bar.rows)) \
+            == tuple(map(list, naive_karoubi_rows(env.frame)))
+    assert len(sizes) >= 4
 
 
 def test_karoubi_envelope_of_non_divisible():

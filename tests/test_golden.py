@@ -6,7 +6,11 @@ stdout.  The cases are every fixture under every report command, the
 failing ``--require`` on M3, and ``compose`` of a generated morphism file
 (``tests/golden/inputs/identity3.json``, the identity morphism of
 ``gen.random_strong_idempotent(gen.rng_for(7), gen.ground(3))``) with
-itself.  Reports name their inputs by base name, so the bytes do not
+itself, and ``frame`` and ``dualize`` of two explicit strong idempotents
+beyond the fixtures' reach: ``strong3.json``
+(``gen.random_strong_idempotent(gen.rng_for(1), gen.ground(3))``, a cover
+with a 10-element frame) and ``strong4.json`` (``gen.rng_for(22)`` at
+|S| = 4, a non-cover with a 6-element frame).  Reports name their inputs by base name, so the bytes do not
 depend on where the repository lives.
 
 The reports were recorded before the one-pass front end (single read,
@@ -39,6 +43,9 @@ def _cases():
                   ["classify", "fixtures/m3.json", "--require", "cut"]))
     morphism = "tests/golden/inputs/identity3.json"
     cases.append(("compose-identity3", ["compose", morphism, morphism]))
+    for stem in ("strong3", "strong4"):
+        path = f"tests/golden/inputs/{stem}.json"
+        cases += [(f"{c}-{stem}", [c, path]) for c in ("frame", "dualize")]
     return cases
 
 

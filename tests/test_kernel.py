@@ -20,6 +20,7 @@ from coverkit.kernel import (
     supersets,
     supersets_mask,
     transpose,
+    upsets,
     wedge,
 )
 from oracles import naive_supersets
@@ -219,6 +220,15 @@ def test_supersets_and_minimal_members_exhaustive(n):
         members = list(iter_bits(mask))
         assert supersets_mask(n, mask) == sum(1 << g for g in naive_supersets(n, members))
         assert minimal_members_mask(n, mask) == literal_minimal_members(mask)
+
+
+@pytest.mark.parametrize("n, count", [(0, 2), (1, 3), (2, 6), (3, 20), (4, 168)])
+def test_upsets_are_the_selection_families(n, count):
+    ups = upsets(n)
+    assert len(ups) == count and list(ups) == sorted(set(ups))
+    assert set(ups) == {selections_mask(n, mask) for mask in range(1 << (1 << n))}
+    for up in ups:
+        assert supersets_mask(n, up) == up
 
 
 @given(st.integers(4, 5).flatmap(

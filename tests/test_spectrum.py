@@ -162,6 +162,35 @@ def test_constructor_and_representation_share_one_spectrum(caplog, monkeypatch):
 
 
 
+def test_topology_cover_with_defaults_is_the_spaces_cover_system(monkeypatch):
+    # topology_cover(space) fills the space's empty cover cache, so the
+    # space-side checks after it classify and build the spectrum of the
+    # same system: one classification and one spectrum in all (two of
+    # each when the cache held a second, equal system)
+    from coverkit import axioms, category
+    from coverkit.builders import topology_cover
+    from coverkit.category import verify_duality_space
+
+    classified, built = [], []
+    classify_inner, spectrum_inner = axioms._compute_classification, Spectrum.__init__
+    monkeypatch.setattr(axioms, "_compute_classification",
+                        lambda sys: classified.append(sys) or classify_inner(sys))
+    monkeypatch.setattr(Spectrum, "__init__",
+                        lambda self, sys: built.append(sys) or spectrum_inner(self, sys))
+    category._abstracted_spectrum_system.cache_clear()
+    space = sierpinski_space()
+    sys = topology_cover(space)
+    assert space.cover_system is sys
+    verify_representation(sys)
+    assert recovery(space).passed()
+    assert verify_duality_space(space).passed()
+    assert classified == [sys] and built == [sys]
+    # any other subbasis or a name builds a system the cache does not keep
+    assert topology_cover(space, name="named") is not sys
+    assert topology_cover(space, subbasis=space.subbasis) is not sys
+    assert space.cover_system is sys
+
+
 def test_chain3_spectrum_is_sierpinski():
     assert homeomorphic(Spectrum(CHAIN3).space, sierpinski_space())
 
