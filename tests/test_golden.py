@@ -10,8 +10,12 @@ itself, and ``frame`` and ``dualize`` of two explicit strong idempotents
 beyond the fixtures' reach: ``strong3.json``
 (``gen.random_strong_idempotent(gen.rng_for(1), gen.ground(3))``, a cover
 with a 10-element frame) and ``strong4.json`` (``gen.rng_for(22)`` at
-|S| = 4, a non-cover with a 6-element frame).  Reports name their inputs by base name, so the bytes do not
-depend on where the repository lives.
+|S| = 4, a non-cover with a 6-element frame), and ``classify`` of an
+explicit relation that fails most axioms: ``arbitrary3.json``
+(``gen.random_relation(gen.rng_for(31), gen.ground(3))``), whose report
+carries the upper, lower, cut, 1-reflexive, cut-transitive, divisible,
+semicut and antisymmetric witnesses.  Reports name their inputs by base
+name, so the bytes do not depend on where the repository lives.
 
 The reports were recorded before the one-pass front end (single read,
 direct subset codes, hand-written JSON emitter) and must not change with
@@ -46,6 +50,8 @@ def _cases():
     for stem in ("strong3", "strong4"):
         path = f"tests/golden/inputs/{stem}.json"
         cases += [(f"{c}-{stem}", [c, path]) for c in ("frame", "dualize")]
+    cases.append(("classify-arbitrary3",
+                  ["classify", "tests/golden/inputs/arbitrary3.json"]))
     return cases
 
 
