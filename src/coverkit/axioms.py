@@ -12,14 +12,21 @@ Terminology used throughout the package:
   cover relation      strong idempotent auxiliary to its derived
                       1-reflexive relation
 
-Every predicate is a literal quantifier evaluation, except that
-cut-composition evaluates its witness search in closed form (the maximal
-witness pair, see ``composition``), which the tests check against the
-literal enumeration of witness families.  ``classify`` evaluates each
-predicate once, and both the classification and the derived relation are
-computed once per system and cached on it (see ``CoverSystem``), so
-``classify``, the spectrum and frame checks and library callers share
-them.  All predicates can produce a minimal counterexample
+Every predicate is a literal quantifier evaluation, except for three
+closed forms, each checked by the tests against the literal definition:
+cut-composition evaluates its witness search by the maximal witness pair
+(see ``composition``); the lower closure of the singleton-existential
+strengthening ``one_exists(rel)`` is read off the lower closure of the
+relation itself (see ``_self_composition_witnesses``); and antisymmetry
+compares the relation's singleton columns instead of rows of the derived
+relation (see ``antisymmetry_witness``).  ``classify`` evaluates each
+predicate once, deciding cut-transitivity and divisibility in one walk
+over the relation's rows.  The classification and the derived relation
+are each computed at most once per system and cached on it (see
+``CoverSystem``), so ``classify``, the spectrum and frame checks and
+library callers share them; the derived relation is built on first
+need, which in ``classify`` is only the cover check of a strong
+idempotent.  All predicates can produce a minimal counterexample
 witness, minimised by subset-code order, for debuggability of generated
 systems.
 """
@@ -34,11 +41,10 @@ from .relations import (
     Relation,
     cut_witness,
     lower_witness,
-    one_exists,
     one_reflexive_witness,
     upper_witness,
 )
-from .composition import composition_deficit_witness, composition_excess_witness
+from .composition import composition_excess_witness
 
 
 @dataclass
@@ -82,8 +88,9 @@ def derive_vdash(sys: CoverSystem) -> Relation:
     singleton of F also entails G.
 
     Always lower and 1-reflexive; upper whenever the base relation is.
-    For Scott relations it coincides with the base relation.  Computed
-    once per system and cached on it.
+    For Scott relations it coincides with the base relation.  Built on
+    the first call and cached on the system; ``classify`` makes that
+    call only for the cover check of a strong idempotent.
     """
     if sys._vdash is None:
         sys._vdash = _compute_vdash(sys)
@@ -182,9 +189,11 @@ def is_cut_transitive(sys: CoverSystem) -> bool:
 
 
 def cut_transitive_witness(sys: CoverSystem):
-    """First (r, t) where self-composition exceeds the relation, else None."""
-    rel = sys.rel
-    return composition_excess_witness(rel, rel, rel)
+    """First (r, t) where self-composition exceeds the relation, else None.
+
+    The first half of ``_self_composition_witnesses``.
+    """
+    return _self_composition_witnesses(sys.rel)[0]
 
 
 def is_divisible(sys: CoverSystem) -> bool:
@@ -193,19 +202,107 @@ def is_divisible(sys: CoverSystem) -> bool:
 
 def divisibility_witness(sys: CoverSystem):
     """First (F, G) entailed but not reachable through an interpolating
-    family of singleton-entailed subsets, else None."""
-    rel = sys.rel
-    return composition_deficit_witness(rel, one_exists(rel), rel)
+    family of singleton-entailed subsets, else None.
+
+    The second half of ``_self_composition_witnesses``.
+    """
+    return _self_composition_witnesses(sys.rel)[1]
 
 
-def vdash_antisymmetry_witness(sys: CoverSystem, vdash: Relation):
-    """First pair of distinct elements that the derived relation ``vdash``
-    of ``sys`` identifies, else None."""
+def _self_composition_witnesses(rel: Relation):
+    """The cut-transitivity and divisibility witnesses of ``rel``, in one
+    walk over its distinct rows.
+
+    Both compositions, rel ; rel and rel ; one_exists(rel), have ``rel``
+    on the left.  So row r of either is the AND, over the selections X of
+    the row's family (``composition``), of row X of the right operand's
+    lower closure.  Each distinct row's selection family is folded once,
+    and one walk over its members ANDs both lower-closure rows.  The
+    cut-transitivity witness is the first (r, t) in rel ; rel but not in
+    rel, the divisibility witness the first (r, t) in rel but not in
+    rel ; one_exists(rel): first by row r, then the lowest t.  Equal rows
+    give equal composed rows, so a repeated row adds no witness.  A side
+    stops being tracked once it has its witness, and the walk stops when
+    both have one.  The lower closure of one_exists(rel) comes from
+    ``_one_exists_lower_closure``, without building one_exists(rel).
+    """
+    t = tables(rel.left.size)
+    meets = t.meets
+    full = t.full
+    below = rel.lower_closure()
+    below_one = _one_exists_lower_closure(rel)
+    excess = deficit = None
+    seen = set()
+    for r, row in enumerate(rel.rows):
+        if row in seen:
+            continue
+        seen.add(row)
+        # the composed rows' part outside row r, and their part of row r
+        out = full ^ row if excess is None else 0
+        kept = row if deficit is None else 0
+        # the row's selection family (``kernel.selections_mask``, inlined
+        # as in ``composition._composed_rows``)
+        sel = full
+        m = row
+        while m and sel:
+            low = m & -m
+            sel &= meets[low.bit_length() - 1]
+            m ^= low
+        while sel and (out or kept):
+            low = sel & -sel
+            x = low.bit_length() - 1
+            out &= below[x]
+            kept &= below_one[x]
+            sel ^= low
+        if out:
+            excess = r, (out & -out).bit_length() - 1
+        if deficit is None and kept != row:
+            lost = row ^ kept
+            deficit = r, (lost & -lost).bit_length() - 1
+        if excess is not None and deficit is not None:
+            break
+    return excess, deficit
+
+
+def _one_exists_lower_closure(rel: Relation) -> list[int]:
+    """Rows of the lower closure of ``one_exists(rel)``, read off the lower
+    closure of ``rel`` itself.
+
+    Row f of one_exists(rel) is ``meets[J(f)]``, with J(f) = {i : f rel
+    {i}}.  ``meets`` turns unions into unions (a subset meets a union iff
+    it meets one of its parts), so the union of those rows over all f in
+    G is ``meets[I(G)]``, with I(G) the union of J(f) over all f in G.
+    That is the set of elements i whose singleton {i} lies in row G of
+    rel's lower closure.  So the table costs one list of 2**n entries,
+    with n bit tests each.
+    """
+    n = rel.left.size
+    meets = tables(n).meets
+    singles = [(1 << (1 << i), 1 << i) for i in range(n)]
+    rows = []
+    for below in rel.lower_closure():
+        code = 0
+        for single, bit in singles:
+            if below & single:
+                code |= bit
+        rows.append(meets[code])
+    return rows
+
+
+def antisymmetry_witness(sys: CoverSystem):
+    """First pair of distinct elements that the derived relation of
+    ``sys`` identifies, else None.
+
+    {i} is derived-related to {j} iff every H that entails {i} also
+    entails {j}, that is, iff column {i} of the relation is contained in
+    column {j}.  So the derived relation identifies i and j iff their
+    singleton columns are equal, and it is not built here.
+    """
+    cols = sys.rel.cols()
     n = sys.ground.size
     for i in range(n):
         for j in range(i + 1, n):
-            ci, cj = 1 << i, 1 << j
-            if vdash.rows[ci] >> cj & 1 and vdash.rows[cj] >> ci & 1:
+            if cols[1 << i] == cols[1 << j]:
                 return sys.ground.names[i], sys.ground.names[j]
     return None
 
@@ -215,7 +312,9 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
 
     Computed once per system, witnesses included, and cached on it: the
     first call (or access to ``sys.classification``) evaluates, later
-    ones return the cached classification.  With ``with_witnesses`` the
+    ones return the cached classification.  The derived relation is
+    built (and cached) only when the system is a strong idempotent,
+    whose cover check reads it.  With ``with_witnesses`` the
     cached object itself is returned, so it must not be mutated;
     without, a copy with no witnesses.
     """
@@ -226,9 +325,14 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
 
 
 def _compute_classification(sys: CoverSystem) -> Classification:
-    """One pass: each witness search and the derived relation are
-    evaluated once, and the cover check reuses the strong-idempotent
-    verdict."""
+    """One pass: each witness search is evaluated once.
+
+    Cut-transitivity and divisibility share one walk over the rows
+    (``_self_composition_witnesses``), antisymmetry reads the singleton
+    columns that ``semicut_witness`` also reads, and only the cover
+    check, which runs on strong idempotents alone, reads the derived
+    relation.
+    """
     rel = sys.rel
     up_wit = upper_witness(rel)
     lo_wit = lower_witness(rel)
@@ -241,17 +345,16 @@ def _compute_classification(sys: CoverSystem) -> Classification:
     one_refl = refl_wit is None
     entailment = monotone and cut
     scott = entailment and one_refl
-    ct_wit = cut_transitive_witness(sys)
-    div_wit = divisibility_witness(sys)
+    ct_wit, div_wit = _self_composition_witnesses(rel)
     cut_transitive = ct_wit is None
     divisible = div_wit is None
     strong = monotone and divisible and cut_transitive
     semicut_wit = semicut_witness(sys)
-    vdash = derive_vdash(sys)
     # a cover is a strong idempotent auxiliary to its derived relation
-    cov_wit = composition_excess_witness(vdash, rel, rel) if strong else None
+    cov_wit = (composition_excess_witness(derive_vdash(sys), rel, rel)
+               if strong else None)
     cover = strong and cov_wit is None
-    anti_wit = vdash_antisymmetry_witness(sys, vdash)
+    anti_wit = antisymmetry_witness(sys)
     cls = Classification(
         is_upper=upper,
         is_lower=lower,

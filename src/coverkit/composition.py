@@ -70,14 +70,3 @@ def composition_excess_witness(rel_a: Relation, rel_b: Relation, target: Relatio
             return r, (bad & -bad).bit_length() - 1
     return None
 
-
-def composition_deficit_witness(rel_a: Relation, rel_b: Relation, target: Relation):
-    """First (r, t) in target but not in the composition, else None.
-
-    Stops at the first composed row that misses part of its target row.
-    """
-    for r, (row, own) in enumerate(zip(_composed_rows(rel_a, rel_b), target.rows)):
-        bad = own & ~row
-        if bad:
-            return r, (bad & -bad).bit_length() - 1
-    return None

@@ -433,7 +433,8 @@ class CoverSystem:
       filled by the first ``axioms.classify`` call or the first access
       to ``classification``;
     - ``_vdash``: the derived relation, filled by the first
-      ``axioms.derive_vdash`` call;
+      ``axioms.derive_vdash`` call (``axioms.classify`` makes one only
+      for the cover check of a strong idempotent);
     - ``_frame``: the quasi-ideal frame model, filled by the first
       successful ``frame.frame_model(sys)`` with the default mode and cap;
     - ``_spectrum``: the tight spectrum, filled by the first

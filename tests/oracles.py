@@ -13,7 +13,7 @@ the fully literal search is itself checked by the tests, and
 ``naive_compose_literal`` below implements that literal search by
 outright enumeration of witness subfamilies.
 
-``way_below_directed`` and ``naive_karoubi_rows`` are the two oracles
+``way_below_directed`` and ``naive_karoubi_rows`` are two oracles
 that take a package object.  The first reads the elements and the joins
 of a ``coverkit.frame.FrameModel`` and evaluates the approximation order
 pair by pair from its lattice-theoretic definition, independently of the
@@ -21,11 +21,19 @@ model's witness form and of the closed-form
 ``directed_way_below_matrix``.  The second reads the elements and the
 way-below matrix of a model and builds the Karoubi envelope's rows by
 the per-(s, g) loops, with joins as literal downsets.
+
+The last three references are the package's own earlier paths for the
+checks that ``classify`` now evaluates in closed form: the
+cut-transitivity and divisibility witnesses scanned off the composed
+relations (each composition is checked against the naive ones above),
+and the antisymmetry witness read off the derived relation.
 """
 
 from itertools import combinations
 
+from coverkit.composition import composition_excess_witness, cut_compose
 from coverkit.kernel import CapExceededError
+from coverkit.relations import one_exists
 
 
 def subset_codes(n):
@@ -485,3 +493,30 @@ def naive_karoubi_rows(fm):
         for f in subset_codes(n)
     ]
     return env, sq, sq_bar
+
+
+def composition_cut_transitive_witness(rel):
+    """First (r, t) in rel ; rel but not in rel, else None."""
+    return composition_excess_witness(rel, rel, rel)
+
+
+def composition_divisibility_witness(rel):
+    """First (r, t) in rel but not in rel ; one_exists(rel), else None."""
+    composed = cut_compose(rel, one_exists(rel))
+    for r, (own, row) in enumerate(zip(rel.rows, composed.rows)):
+        bad = own & ~row
+        if bad:
+            return r, (bad & -bad).bit_length() - 1
+    return None
+
+
+def vdash_antisymmetry_witness(sys, vdash):
+    """First pair of distinct elements that the derived relation ``vdash``
+    of ``sys`` identifies, else None."""
+    n = sys.ground.size
+    for i in range(n):
+        for j in range(i + 1, n):
+            ci, cj = 1 << i, 1 << j
+            if vdash.rows[ci] >> cj & 1 and vdash.rows[cj] >> ci & 1:
+                return sys.ground.names[i], sys.ground.names[j]
+    return None

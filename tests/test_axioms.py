@@ -1,6 +1,7 @@
 import gen
 import oracles
 from oracles import naive_classify, naive_vdash
+from coverkit import relations
 from coverkit.relations import (
     CoverSystem,
     Relation,
@@ -13,9 +14,11 @@ from coverkit.relations import (
 from coverkit import axioms, composition
 from coverkit.composition import cut_compose
 from coverkit.axioms import (
+    antisymmetry_witness,
     classify,
     cut_transitive_witness,
     derive_vdash,
+    divisibility_witness,
     is_auxiliary,
     is_cut_transitive,
     is_divisible,
@@ -25,6 +28,7 @@ from coverkit.axioms import (
 from coverkit.spectrum import Spectrum, verify_representation
 from coverkit.builders import (
     boolean4_lattice,
+    chain_lattice,
     corpus,
     diagonal_system,
     lattice_cover,
@@ -342,6 +346,73 @@ def test_classify_non_lower_at_four_elements():
     assert {(True, True), (False, True), (False, False)} <= seen
 
 
+# -- classify's closed forms against the composition-based references ------------------
+
+def _all_relations(ground):
+    size = ground.num_subsets
+    for code in range(1 << (size * size)):
+        yield Relation(ground, ground, [code >> (size * f) & ((1 << size) - 1)
+                                        for f in range(size)])
+
+
+def test_one_exists_lower_closure_closed_form():
+    def check(rel):
+        assert axioms._one_exists_lower_closure(rel) == list(
+            one_exists(rel).lower_closure()), rel.rows
+
+    for n in (0, 1, 2):
+        for rel in _all_relations(gen.ground(n)):
+            check(rel)
+    rng = gen.rng_for(909)
+    for n in (3, 4, 5):
+        ground = gen.ground(n)
+        for _ in range(30):
+            check(gen.random_relation(rng, ground))
+            check(gen.random_monotone(rng, ground))
+
+
+def _check_against_references(sys):
+    rel = sys.rel
+    expected = (oracles.composition_cut_transitive_witness(rel),
+                oracles.composition_divisibility_witness(rel))
+    assert axioms._self_composition_witnesses(rel) == expected, rel.rows
+    assert antisymmetry_witness(sys) == oracles.vdash_antisymmetry_witness(
+        sys, derive_vdash(sys)), rel.rows
+    return expected
+
+
+def test_fused_witnesses_match_references_exhaustive():
+    seen = set()
+    for rel in _all_relations(G2):
+        ct, div = _check_against_references(CoverSystem(G2, rel))
+        seen.add((ct is None, div is None))
+    assert len(seen) == 4
+
+
+def test_fused_witnesses_match_references_random():
+    rng = gen.rng_for(910)
+    samplers = (
+        lambda g: CoverSystem(g, gen.random_relation(rng, g)),
+        lambda g: CoverSystem(g, gen.random_monotone(rng, g)),
+        lambda g: gen.random_scott(rng, g),
+        lambda g: gen.random_strong_idempotent(rng, g),
+    )
+    for n in (3, 4):
+        ground = gen.ground(n)
+        for sample in samplers:
+            for _ in range(60):
+                sys = sample(ground)
+                ct, div = _check_against_references(sys)
+                assert cut_transitive_witness(sys) == ct
+                assert divisibility_witness(sys) == div
+
+
+def test_fused_witnesses_match_references_named():
+    for sys in (meet_system(3), lattice_cover(boolean4_lattice()),
+                lattice_cover(chain_lattice(4))):
+        _check_against_references(sys)
+
+
 # -- work done per classification -----------------------------------------------------
 
 def _counting(monkeypatch, module, name):
@@ -369,18 +440,47 @@ def test_building_a_system_runs_no_classification(monkeypatch):
 
 
 def test_classify_composes_at_most_three_times(monkeypatch):
-    # every composition, scanned for an excess or for a deficit, runs
-    # through the one row generator
+    # cut-transitivity and divisibility share one self-composition pass;
+    # the cover check is the one composition through the row generator,
+    # and the one reader of the derived relation
+    pass_calls = _counting(monkeypatch, axioms, "_self_composition_witnesses")
     rows_calls = _counting(monkeypatch, composition, "_composed_rows")
-    cut_calls = _counting(monkeypatch, axioms, "composition_deficit_witness")
     vdash_calls = _counting(monkeypatch, axioms, "derive_vdash")
     systems = (meet_system(3), lattice_cover(boolean4_lattice()),
                topology_cover(sierpinski_space()), gen.random_scott(gen.rng_for(606), G3))
     for sys in systems:
-        del rows_calls[:], cut_calls[:], vdash_calls[:]
+        del pass_calls[:], rows_calls[:], vdash_calls[:]
         cls = classify(sys, with_witnesses=True)
         assert cls.is_strong_idempotent
-        assert len(rows_calls) <= 3 and len(cut_calls) <= 3
+        assert len(pass_calls) == 1
+        assert len(rows_calls) == 1
+        assert len(vdash_calls) == 1
+
+
+def test_classify_builds_no_derived_relation_unless_strong(monkeypatch):
+    # a system that is not a strong idempotent has no cover check, so
+    # classify builds neither the derived relation nor one_exists; a
+    # later derive_vdash builds the derived relation once
+    from coverkit.builders import m3_lattice
+
+    rng = gen.rng_for(707)
+    rels = [lattice_cover(m3_lattice()).rel]
+    for ground in (G2, G3):
+        rels += [gen.random_relation(rng, ground) for _ in range(3)]
+        rels += [gen.random_monotone(rng, ground) for _ in range(3)]
+    systems = [CoverSystem(rel.left, rel) for rel in rels
+               if not CoverSystem(rel.left, rel).classification.is_strong_idempotent]
+    assert len(systems) >= 8
+    vdash_calls = _counting(monkeypatch, axioms, "_compute_vdash")
+    one_calls = _counting(monkeypatch, relations, "one_exists")
+    # counted too if axioms ever imports the name again
+    monkeypatch.setattr(axioms, "one_exists", relations.one_exists, raising=False)
+    for sys in systems:
+        del vdash_calls[:], one_calls[:]
+        assert not classify(sys, with_witnesses=True).is_strong_idempotent
+        assert vdash_calls == [] and one_calls == []
+        first = derive_vdash(sys)
+        assert derive_vdash(sys) is first
         assert len(vdash_calls) == 1
 
 
