@@ -35,7 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .kernel import GroundMismatchError, iter_bits, meets_of, tables
+from .kernel import (
+    GroundMismatchError, iter_bits, large_selections_mask, meets_of, tables,
+)
 from .relations import (
     CoverSystem,
     Relation,
@@ -154,33 +156,40 @@ def semicut_witness(sys: CoverSystem):
     """First (F, G, H) violating the semicut condition, else None.
 
     Violation: H entails G, F entails G+{h} for every h in H, but F does
-    not entail G.  Tabulated per G: ``cand[H]``, the F entailing G+{h}
-    for every h in H, is built for all H in one pass (each element
-    doubles the table), and H then walks the codes entailing G in
-    ascending order, so the first witness is the one a plain (G, H, F)
-    scan meets first.  An H that meets G has G itself among the G+{h},
-    so its ``cand[H]`` entails G: only the H disjoint from G are walked.
+    not entail G.  An H that meets G has G itself among the G+{h}, so
+    its F entail G: only the H disjoint from G can give a violation.
+    Tabulated per G over the elements outside it: entry k of ``cand`` is
+    the F entailing G+{h} for every h in the k-th H disjoint from G, in
+    ascending order, built in one pass (each element outside G doubles
+    the table).  So the tables cost 3**n entries over all G.  The walk
+    steps H through the subsets of the complement of G in the same
+    order, so the first witness is the one a plain (G, H, F) scan meets
+    first.
     """
     n = sys.ground.size
     t = tables(n)
     cols = sys.rel.cols()
     full = t.full
+    top = t.size - 1
     for g, col_g in enumerate(cols):
         # col_g is both the H entailing G and the F entailing G; a full
         # column, or one without an H disjoint from G, admits no violation
-        hs = col_g & t.subsets[(t.size - 1) ^ g]
+        hs = col_g & t.subsets[top ^ g]
         if hs == 0 or col_g == full:
             continue
         cand = [full]
         for i in range(n):
-            ext = cols[g | 1 << i]
-            cand += [c & ext for c in cand]
-        while hs:
-            low = hs & -hs
-            bad = cand[low.bit_length() - 1] & ~col_g
-            if bad:
-                return (bad & -bad).bit_length() - 1, g, low.bit_length() - 1
-            hs ^= low
+            if not g >> i & 1:
+                ext = cols[g | 1 << i]
+                cand += [c & ext for c in cand]
+        outside = full ^ col_g
+        free = top ^ g
+        h = 0
+        for c in cand:
+            if c & outside and hs >> h & 1:
+                c &= outside
+                return (c & -c).bit_length() - 1, g, h
+            h = (h - free) & free  # the next subset of the complement of G
     return None
 
 
@@ -226,9 +235,11 @@ def _self_composition_witnesses(rel: Relation):
     both have one.  The lower closure of one_exists(rel) comes from
     ``_one_exists_lower_closure``, without building one_exists(rel).
     """
-    t = tables(rel.left.size)
+    n = rel.left.size
+    t = tables(n)
     meets = t.meets
     full = t.full
+    loop_max = n << 1  # the largest family folded member by member
     below = rel.lower_closure()
     below_one = _one_exists_lower_closure(rel)
     excess = deficit = None
@@ -242,12 +253,15 @@ def _self_composition_witnesses(rel: Relation):
         kept = row if deficit is None else 0
         # the row's selection family (``kernel.selections_mask``, inlined
         # as in ``composition._composed_rows``)
-        sel = full
-        m = row
-        while m and sel:
-            low = m & -m
-            sel &= meets[low.bit_length() - 1]
-            m ^= low
+        if row.bit_count() > loop_max:
+            sel = large_selections_mask(n, row)
+        else:
+            sel = full
+            m = row
+            while m and sel:
+                low = m & -m
+                sel &= meets[low.bit_length() - 1]
+                m ^= low
         while sel and (out or kept):
             low = sel & -sel
             x = low.bit_length() - 1

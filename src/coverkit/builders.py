@@ -46,17 +46,24 @@ def _closure_pairs(n: int, pairs) -> list[int]:
     return rows
 
 
-def _is_partial_order(rows) -> bool:
-    n = len(rows)
-    for i in range(n):
-        if not rows[i] >> i & 1:
-            return False
-        for j in iter_bits(rows[i]):
+def _order_fault(elements, rows):
+    """Why ``rows`` (row i: the mask of the j with i <= j) is not a
+    partial order on ``elements``, else None."""
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
+            return f"{elements[i]} is not below itself"
+        for j in iter_bits(row):
             if i != j and rows[j] >> i & 1:
-                return False
-            if rows[j] & ~rows[i]:
-                return False
-    return True
+                return f"{elements[i]} and {elements[j]} lie below each other"
+            if rows[j] & ~row:
+                return f"{elements[i]} <= {elements[j]} is not transitive"
+    return None
+
+
+def _check_order(elements, rows):
+    fault = _order_fault(elements, rows)
+    if fault is not None:
+        raise ValueError(f"leq is not a partial order: {fault}")
 
 
 def _bound_table(elements, cones, what: str) -> list[list[int]]:
@@ -88,17 +95,17 @@ class FiniteLattice:
     leq: tuple[int, ...]  # leq[i] = mask of j with i <= j
 
     def __post_init__(self):
-        if not _is_partial_order(list(self.leq)):
-            raise ValueError("leq is not a partial order")
+        _check_order(self.elements, self.leq)
         self.meet_table, self.join_table  # force existence checks
 
     @staticmethod
     def from_pairs(elements, pairs) -> "FiniteLattice":
+        """The lattice ordered by the reflexive-transitive closure of
+        ``pairs``; a cycle among the pairs raises ValueError naming two
+        elements on it."""
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
         rows = _closure_pairs(len(elements), [(idx[a], idx[b]) for a, b in pairs])
-        if not _is_partial_order(rows):
-            raise ValueError("pairs do not close to a partial order")
         return FiniteLattice(elements, tuple(rows))
 
     @property
@@ -167,8 +174,7 @@ class JoinSemilattice:
     leq: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_partial_order(list(self.leq)):
-            raise ValueError("leq is not a partial order")
+        _check_order(self.elements, self.leq)
         if self.bottom is None:
             raise ValueError("semilattice must have a minimum")
         self.join_table  # force totality check

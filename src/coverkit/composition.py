@@ -19,7 +19,7 @@ witness families lives in the test oracles.
 
 from __future__ import annotations
 
-from .kernel import GroundMismatchError, tables
+from .kernel import GroundMismatchError, large_selections_mask, tables
 from .relations import Relation
 
 
@@ -29,20 +29,27 @@ def _composed_rows(rel_a: Relation, rel_b: Relation):
         raise GroundMismatchError("inner grounds do not match")
     rows_b = rel_b.lower_closure()
     full = (1 << rel_b.right.num_subsets) - 1
-    t = tables(rel_a.right.size)
+    n = rel_a.right.size
+    t = tables(n)
     meets = t.meets
+    loop_max = n << 1  # the largest family folded member by member
     # a composed row depends only on its row of rel_a, so equal rows
     # (common in lower relations) are composed once
     done = {}
     for row_a in rel_a.rows:
         out = done.get(row_a)
         if out is None:
-            sel = t.full
-            m = row_a
-            while m and sel:
-                low = m & -m
-                sel &= meets[low.bit_length() - 1]
-                m ^= low
+            # the row's selection family (``kernel.selections_mask``, with
+            # its member loop inline for the small families)
+            if row_a.bit_count() > loop_max:
+                sel = large_selections_mask(n, row_a)
+            else:
+                sel = t.full
+                m = row_a
+                while m and sel:
+                    low = m & -m
+                    sel &= meets[low.bit_length() - 1]
+                    m ^= low
             out = full
             while sel and out:
                 low = sel & -sel

@@ -10,10 +10,12 @@ the family of codes related to f.
 
 The operators below work on whole masks rather than member by member.
 Adding element i to every code lacking it is a shift of the family mask
-by 2**i, so the upper closure (``supersets_mask``) and the minimal
-members take n shifts and masks each, and the lower closure of a
-matrix's rows (``lower_closure_rows``) is the one zeta pass over the
-subset lattice.
+by 2**i, so the upper closure (``supersets_mask``) takes n shifts and
+masks, and the lower closure of a matrix's rows (``lower_closure_rows``)
+is the one zeta pass over the subset lattice.  Complementing every
+member reverses the order of the 2**n bits of a family mask
+(``complements_mask``), so the selections of a large family are its
+upper closure, complemented and reversed (``selections_mask``).
 
 A whole bit matrix is one integer too (``pack_rows``): row f sits at bit
 f * 2**s, each row padded to 2**s bits, s = max(n_left, n_right, 3), so
@@ -127,7 +129,7 @@ class GroundSet:
         return f"GroundSet({','.join(self.names)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinSubset:
     """A subset of a ground set, coded as an n-bit integer."""
 
@@ -149,7 +151,7 @@ class FinSubset:
         return self.bits == 0
 
     def __len__(self):
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def __contains__(self, name: str) -> bool:
         return bool(self.bits >> self.ground.index(name) & 1)
@@ -174,7 +176,7 @@ class FinSubset:
         return "{" + ",".join(self.names()) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Family:
     """A set of finite subsets, coded as a bitmask over subset codes.
 
@@ -200,7 +202,7 @@ class Family:
         return self.mask == 0
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, subset: FinSubset) -> bool:
         _same_ground(self, subset)
@@ -278,6 +280,8 @@ class SubsetTables:
     and for each element i:
       contains_elem[i] -- family mask of the codes containing i
       lacks_elem[i]    -- family mask of the codes without i
+      grow[i]          -- (lacks_elem[i], 2**i): adding i to each code
+                          lacking it moves that code's bit up by 2**i
     full is the family mask containing every subset code.
     """
 
@@ -297,6 +301,7 @@ class SubsetTables:
         self.meets = [self.full & ~subsets[comp ^ f] for f in range(size)]
         self.contains_elem = [_codes_with(i, size) for i in range(n)]
         self.lacks_elem = [self.full ^ c for c in self.contains_elem]
+        self.grow = tuple(zip(self.lacks_elem, [1 << i for i in range(n)]))
 
 
 @lru_cache(maxsize=None)
@@ -398,7 +403,16 @@ def lower_closure_rows(n: int, rows) -> list[int]:
 # -- family-level operators on raw masks ------------------------------------
 
 def selections_mask(n: int, fam_mask: int) -> int:
-    """Codes of all G meeting every member of the family (its transversals)."""
+    """Codes of all G meeting every member of the family (its transversals).
+
+    G meets every member iff its complement contains none, that is, iff
+    the complement of G lies outside the family's upper closure.  A
+    family with more than 2n members takes that whole-mask form (n
+    shifts and one reversal, ``large_selections_mask``); a smaller one
+    ANDs one ``meets`` mask per member.
+    """
+    if fam_mask.bit_count() > n << 1:
+        return large_selections_mask(n, fam_mask)
     t = tables(n)
     out = t.full
     m = fam_mask
@@ -409,14 +423,41 @@ def selections_mask(n: int, fam_mask: int) -> int:
     return out
 
 
+def large_selections_mask(n: int, fam_mask: int) -> int:
+    """``selections_mask`` by whole masks whatever the family's size:
+    every code whose complement is not in the upper closure.  A family
+    with the empty set as a member, such as a full row, selects nothing."""
+    if fam_mask & 1:
+        return 0
+    return tables(n).full & ~complements_mask(n, supersets_mask(n, fam_mask))
+
+
+# entry b is the byte b with its eight bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def complements_mask(n: int, fam_mask: int) -> int:
+    """The family of the complements of the members: code c becomes
+    2**n - 1 - c, so the 2**n bits of the mask come in reverse order.
+
+    At n >= 3 the mask is whole bytes: each byte is reversed by one
+    ``translate`` and the byte order by reading the bytes big-endian.
+    Below, one lookup reverses eight bits and a shift drops the padding.
+    """
+    if n < 3:
+        return _REVERSED_BYTES[fam_mask] >> (8 - (1 << n))
+    data = fam_mask.to_bytes(1 << (n - 3), "little").translate(_REVERSED_BYTES)
+    return _from_bytes(data, "big")
+
+
 def supersets_mask(n: int, fam_mask: int) -> int:
     """Upper closure: codes of all G containing a member of the family.
 
     n steps; step i adds element i to every code lacking it, which moves
     that code's bit up by 2**i.
     """
-    for i, lacks in enumerate(tables(n).lacks_elem):
-        fam_mask |= (fam_mask & lacks) << (1 << i)
+    for lacks, step in tables(n).grow:
+        fam_mask |= (fam_mask & lacks) << step
     return fam_mask
 
 
@@ -450,21 +491,6 @@ def wedge_mask(n: int, a_mask: int, b_mask: int) -> int:
 
 def diagonal_masks(n: int, a_mask: int, b_mask: int) -> bool:
     return selections_mask(n, a_mask) & ~supersets_mask(n, b_mask) == 0
-
-
-def minimal_members_mask(n: int, fam_mask: int) -> int:
-    """The members of the family with no proper subset in it.
-
-    Selections are unchanged by this reduction, since a transversal of the
-    minimal members already meets every superset of one of them.  One
-    shift per element gives the members with one element added, their
-    upper closure is every proper superset of a member, and the minimal
-    members are what it leaves: 2n shifts and masks.
-    """
-    grown = 0
-    for i, lacks in enumerate(tables(n).lacks_elem):
-        grown |= (fam_mask & lacks) << (1 << i)
-    return fam_mask & ~supersets_mask(n, grown)
 
 
 # -- public Family-level API -------------------------------------------------

@@ -329,7 +329,19 @@ class SpaceProperties:
 
 
 def space_properties(space: FiniteSpace) -> SpaceProperties:
-    """Literal checks of the separation/compactness properties."""
+    """Literal checks of the separation/compactness properties.
+
+    Made once per space and kept on it, outside its fields as
+    ``FiniteSpace.cover_system`` is: the spectrum report, the
+    representation check, recovery and the duality checks share them.
+    """
+    props = vars(space).get("_properties")
+    if props is None:
+        props = vars(space)["_properties"] = _check_space_properties(space)
+    return props
+
+
+def _check_space_properties(space: FiniteSpace) -> SpaceProperties:
     calc = _calc(space)
     n = len(space.points)
     full = space.full_mask

@@ -101,7 +101,7 @@ def random_strong_idempotent(rng, ground: GroundSet, tries: int = 80) -> CoverSy
         dice = rng.random()
         if dice < 0.35:
             sys = random_scott(rng, ground)
-        elif dice < 0.6:
+        elif dice < 0.6 and n:  # an anchor needs a non-empty ground set
             anchor = rng.randrange(1, 1 << n)
             sys = anchored_system(ground, anchor)
         elif dice < 0.7:

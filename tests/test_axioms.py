@@ -105,6 +105,13 @@ def test_vdash_scott_and_absorbed_for_strong_idempotents():
     assert count == 200
 
 
+def test_strong_idempotent_sampler_on_the_empty_ground():
+    # the sampler's anchored branch needs an element; at |S| = 0 it is skipped
+    for seed in range(40):
+        sys = gen.random_strong_idempotent(gen.rng_for(seed), gen.ground(0))
+        assert sys.classification.is_strong_idempotent
+
+
 def test_vdash_matches_naive():
     for _ in range(60):
         rel = gen.random_relation(RNG, G2)
@@ -186,6 +193,20 @@ def test_semicut_witness_matches_naive_random():
         assert wit == oracles.naive_semicut_witness(ground.size, rel.rows)
         seen.add(None if wit is None else wit[1] > 0)
     assert seen == {None, False, True}
+
+
+def test_semicut_witness_matches_naive_at_five():
+    # the tables are built over the elements outside G; at |S| = 5 the
+    # H disjoint from G range over up to 32 codes in their own order
+    rng = gen.rng_for(405)
+    ground = gen.ground(5)
+    seen = set()
+    for density in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4):
+        rel = gen.random_monotone(rng, ground, density)
+        wit = semicut_witness(CoverSystem(ground, rel))
+        assert wit == oracles.naive_semicut_witness(5, rel.rows)
+        seen.add(wit is None)
+    assert seen == {True, False}
 
 
 # -- cut-transitivity -----------------------------------------------------------------

@@ -80,6 +80,16 @@ def test_non_lattice_rejected():
         FiniteLattice.from_pairs(("a", "b"), [])  # two incomparable tops
 
 
+def test_cyclic_pairs_rejected_naming_the_cycle():
+    # a <= b <= c <= a closes to an order in which a and b lie below each other
+    with pytest.raises(ValueError, match="not a partial order: a and b lie below each other"):
+        FiniteLattice.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(ValueError, match="not a partial order: x is not below itself"):
+        FiniteLattice(("x",), (0,))
+    with pytest.raises(ValueError, match="not a partial order: p <= q is not transitive"):
+        JoinSemilattice(("p", "q", "r"), (0b011, 0b110, 0b100))
+
+
 def _first_missing(names, table, what):
     """The error naming the first pair without an entry, row by row."""
     for i, row in enumerate(table):

@@ -214,6 +214,25 @@ def test_dot_graph_built_only_with_dot_flag(tmp_path, capsys, monkeypatch):
     assert dot.read_text().startswith("graph")
 
 
+def test_spectrum_checks_the_space_properties_once(tmp_path, capsys, monkeypatch):
+    # the report and verify_representation read the same spectrum space
+    import coverkit.spectrum
+
+    checked = []
+    literal = coverkit.spectrum._check_space_properties
+
+    def counted(space):
+        checked.append(space)
+        return literal(space)
+
+    monkeypatch.setattr(coverkit.spectrum, "_check_space_properties", counted)
+    for data in (BOOLEAN4, M3, SIERPINSKI):
+        checked.clear()
+        code, rep = run(capsys, "spectrum", write(tmp_path, "in.json", data))
+        assert code == 0 and "properties" in rep["space"]
+        assert len(checked) == 1
+
+
 def test_frame_command_reports_non_divisible(tmp_path, capsys):
     gap = {
         "format_version": "1",

@@ -8,12 +8,12 @@ from coverkit.kernel import (
     GroundMismatchError,
     GroundSet,
     all_groundsets_named,
+    complements_mask,
     diagonal,
     iter_bits,
     joins_of,
     lower_closure_rows,
     meets_of,
-    minimal_members_mask,
     pack_rows,
     selections,
     selections_mask,
@@ -23,7 +23,8 @@ from coverkit.kernel import (
     upsets,
     wedge,
 )
-from oracles import naive_supersets
+from gen import rng_for
+from oracles import naive_selections, naive_supersets
 
 G2 = all_groundsets_named(2)
 G3 = all_groundsets_named(3)
@@ -50,6 +51,31 @@ def test_selections_of_pair_set():
 
 def test_selections_with_empty_member_is_empty():
     assert selections(fam(G2, "")).is_empty
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_selections_mask_matches_naive_on_both_sides_of_the_size_switch(n):
+    # a family with more than 2n members takes the whole-mask form; the
+    # sizes straddle that switch, and each side also gets random sizes
+    rng = rng_for(4100 + n)
+    size = 1 << n
+    counts = {0, 1, size} | {k for k in (2 * n - 1, 2 * n, 2 * n + 1) if 0 <= k <= size}
+    counts |= {rng.randint(0, min(2 * n, size)), rng.randint(min(2 * n, size), size)}
+    for count in sorted(counts):
+        for _ in range(6):
+            members = rng.sample(range(size), count)
+            mask = sum(1 << f for f in members)
+            want = sum(1 << g for g in naive_selections(n, members))
+            assert selections_mask(n, mask) == want, (n, members)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_complements_mask_complements_every_member(n):
+    rng = rng_for(4200 + n)
+    size = 1 << n
+    for mask in (0, (1 << size) - 1, 1, 1 << (size - 1), rng.getrandbits(size)):
+        want = sum(1 << (size - 1 - c) for c in iter_bits(mask))
+        assert complements_mask(n, mask) == want
 
 
 # -- supersets ----------------------------------------------------------------
@@ -157,7 +183,8 @@ def test_wedge_associative(a, b, c):
 
 @given(family_masks3)
 def test_minimal_member_prefilter_preserves_selections(mask):
-    reduced = minimal_members_mask(3, mask)
+    # a transversal of the minimal members meets every superset of one
+    reduced = literal_minimal_members(mask)
     assert selections_mask(3, reduced) == selections_mask(3, mask)
 
 
@@ -219,7 +246,7 @@ def test_supersets_and_minimal_members_exhaustive(n):
     for mask in range(1 << (1 << n)):
         members = list(iter_bits(mask))
         assert supersets_mask(n, mask) == sum(1 << g for g in naive_supersets(n, members))
-        assert minimal_members_mask(n, mask) == literal_minimal_members(mask)
+        assert supersets_mask(n, literal_minimal_members(mask)) == supersets_mask(n, mask)
 
 
 @pytest.mark.parametrize("n, count", [(0, 2), (1, 3), (2, 6), (3, 20), (4, 168)])
@@ -238,7 +265,7 @@ def test_supersets_and_minimal_members_random(case):
     n, mask = case
     members = list(iter_bits(mask))
     assert supersets_mask(n, mask) == sum(1 << g for g in naive_supersets(n, members))
-    assert minimal_members_mask(n, mask) == literal_minimal_members(mask)
+    assert supersets_mask(n, literal_minimal_members(mask)) == supersets_mask(n, mask)
 
 
 @given(st.integers(0, 4).flatmap(
