@@ -239,7 +239,7 @@ def _self_composition_witnesses(rel: Relation):
     t = tables(n)
     meets = t.meets
     full = t.full
-    loop_max = n << 1  # the largest family folded member by member
+    loop_max = t.loop_max
     below = rel.lower_closure()
     below_one = _one_exists_lower_closure(rel)
     excess = deficit = None

@@ -305,9 +305,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .spectrum import (
-        specialization_dot, space_properties, spectrum, verify_representation,
-    )
+    from .spectrum import specialization_dot, spectrum, verify_representation
 
     sys = _input_system(args)
     spec = spectrum(sys)
@@ -319,7 +317,7 @@ def cmd_spectrum(args) -> int:
     report["space"] = {
         "points": list(spec.space.points),
         "num_opens": len(spec.space.opens),
-        "properties": space_properties(spec.space).to_dict(),
+        "properties": spec.space.properties.to_dict(),
     }
     report["representation"] = rep.to_dict()
     _emit(report, args)
@@ -359,7 +357,6 @@ def cmd_frame(args) -> int:
 
 def cmd_dualize(args) -> int:
     from .category import verify_duality_space, verify_duality_system
-    from .spectrum import space_properties
 
     path = args.inputs[0]
     data = load_json(path)
@@ -377,7 +374,7 @@ def cmd_dualize(args) -> int:
         # payload: it fills the space's cover cache, so both sides share
         # one classification and one spectrum
         vars(space)["cover_system"] = sys
-        _expect(space_properties(space).t0,
+        _expect(space.properties.t0,
                 f"{path}: space-side duality requires a T0 space")
         space_rep = verify_duality_space(space)
         report["space_side"] = space_rep.to_dict()

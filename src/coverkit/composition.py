@@ -32,7 +32,7 @@ def _composed_rows(rel_a: Relation, rel_b: Relation):
     n = rel_a.right.size
     t = tables(n)
     meets = t.meets
-    loop_max = n << 1  # the largest family folded member by member
+    loop_max = t.loop_max
     # a composed row depends only on its row of rel_a, so equal rows
     # (common in lower relations) are composed once
     done = {}

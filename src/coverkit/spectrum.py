@@ -127,6 +127,13 @@ class FiniteSpace:
 
         return topology_cover(self)
 
+    @cached_property
+    def properties(self) -> SpaceProperties:
+        """``space_properties(self)``, checked on first use and kept on this
+        object as ``cover_system`` is: the spectrum report, the
+        representation check, recovery and the duality checks share it."""
+        return space_properties(self)
+
     def point_names(self, mask: int) -> list[str]:
         return [self.points[i] for i in iter_bits(mask)]
 
@@ -329,19 +336,7 @@ class SpaceProperties:
 
 
 def space_properties(space: FiniteSpace) -> SpaceProperties:
-    """Literal checks of the separation/compactness properties.
-
-    Made once per space and kept on it, outside its fields as
-    ``FiniteSpace.cover_system`` is: the spectrum report, the
-    representation check, recovery and the duality checks share them.
-    """
-    props = vars(space).get("_properties")
-    if props is None:
-        props = vars(space)["_properties"] = _check_space_properties(space)
-    return props
-
-
-def _check_space_properties(space: FiniteSpace) -> SpaceProperties:
+    """Literal checks of the separation/compactness properties."""
     calc = _calc(space)
     n = len(space.points)
     full = space.full_mask
@@ -704,7 +699,7 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
     vdash = derive_vdash(sys)
     witnesses: dict = {}
 
-    props = space_properties(spec.space)
+    props = spec.space.properties
     empty_tight = is_round(sys, 0) and is_prime(sys, 0)
 
     # When the empty set is tight, the excluded empty point is the only
@@ -886,7 +881,7 @@ def recovery(space: FiniteSpace) -> RecoveryReport:
     a very dense subspace; surjectivity failures are raised, not merely
     reported, because finite T0 spaces are sober and core coherent.
     """
-    props = space_properties(space)
+    props = space.properties
     if not props.t0:
         raise ValueError("recovery requires a T0 space")
     spec = spectrum(space.cover_system)

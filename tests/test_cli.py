@@ -219,13 +219,13 @@ def test_spectrum_checks_the_space_properties_once(tmp_path, capsys, monkeypatch
     import coverkit.spectrum
 
     checked = []
-    literal = coverkit.spectrum._check_space_properties
+    literal = coverkit.spectrum.space_properties
 
     def counted(space):
         checked.append(space)
         return literal(space)
 
-    monkeypatch.setattr(coverkit.spectrum, "_check_space_properties", counted)
+    monkeypatch.setattr(coverkit.spectrum, "space_properties", counted)
     for data in (BOOLEAN4, M3, SIERPINSKI):
         checked.clear()
         code, rep = run(capsys, "spectrum", write(tmp_path, "in.json", data))

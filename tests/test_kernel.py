@@ -12,6 +12,7 @@ from coverkit.kernel import (
     diagonal,
     iter_bits,
     joins_of,
+    large_selections_mask,
     lower_closure_rows,
     meets_of,
     pack_rows,
@@ -19,6 +20,7 @@ from coverkit.kernel import (
     selections_mask,
     supersets,
     supersets_mask,
+    tables,
     transpose,
     upsets,
     wedge,
@@ -55,18 +57,21 @@ def test_selections_with_empty_member_is_empty():
 
 @pytest.mark.parametrize("n", range(9))
 def test_selections_mask_matches_naive_on_both_sides_of_the_size_switch(n):
-    # a family with more than 2n members takes the whole-mask form; the
-    # sizes straddle that switch, and each side also gets random sizes
+    # a family with more than loop_max members takes the whole-mask form;
+    # the sizes straddle that switch, each side also gets random sizes,
+    # and the whole-mask form is checked on its own at every size
     rng = rng_for(4100 + n)
     size = 1 << n
-    counts = {0, 1, size} | {k for k in (2 * n - 1, 2 * n, 2 * n + 1) if 0 <= k <= size}
-    counts |= {rng.randint(0, min(2 * n, size)), rng.randint(min(2 * n, size), size)}
+    switch = min(tables(n).loop_max, size)
+    counts = {0, 1, size} | {k for k in (switch - 1, switch, switch + 1) if 0 <= k <= size}
+    counts |= {rng.randint(0, switch), rng.randint(switch, size)}
     for count in sorted(counts):
         for _ in range(6):
             members = rng.sample(range(size), count)
             mask = sum(1 << f for f in members)
             want = sum(1 << g for g in naive_selections(n, members))
             assert selections_mask(n, mask) == want, (n, members)
+            assert large_selections_mask(n, mask) == want, (n, members)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -246,7 +251,6 @@ def test_supersets_and_minimal_members_exhaustive(n):
     for mask in range(1 << (1 << n)):
         members = list(iter_bits(mask))
         assert supersets_mask(n, mask) == sum(1 << g for g in naive_supersets(n, members))
-        assert supersets_mask(n, literal_minimal_members(mask)) == supersets_mask(n, mask)
 
 
 @pytest.mark.parametrize("n, count", [(0, 2), (1, 3), (2, 6), (3, 20), (4, 168)])
@@ -265,7 +269,6 @@ def test_supersets_and_minimal_members_random(case):
     n, mask = case
     members = list(iter_bits(mask))
     assert supersets_mask(n, mask) == sum(1 << g for g in naive_supersets(n, members))
-    assert supersets_mask(n, literal_minimal_members(mask)) == supersets_mask(n, mask)
 
 
 @given(st.integers(0, 4).flatmap(
