@@ -28,22 +28,28 @@ from .spectrum import FiniteSpace, compact_rows
 # order-theoretic input types
 # ---------------------------------------------------------------------------
 
+def _transitive_close(rows: list[int]) -> list[int]:
+    """Close the row masks ``rows`` (row i: the mask of the j related to
+    i) under transitivity, in place, and return them."""
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            acc = row
+            for j in iter_bits(row):
+                acc |= rows[j]
+            if acc != row:
+                rows[i] = acc
+                changed = True
+    return rows
+
+
 def _closure_pairs(n: int, pairs) -> list[int]:
     """Reflexive-transitive closure of index pairs, as row masks."""
     rows = [1 << i for i in range(n)]
     for a, b in pairs:
         rows[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = rows[i]
-            for j in iter_bits(rows[i]):
-                acc |= rows[j]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
-    return rows
+    return _transitive_close(rows)
 
 
 def _order_fault(elements, rows):
@@ -233,16 +239,7 @@ class TransitiveRelation:
         for a, b in pairs:
             rows[idx[a]] |= 1 << idx[b]
         if transitive_close:
-            changed = True
-            while changed:
-                changed = False
-                for i in range(len(elements)):
-                    acc = rows[i]
-                    for j in iter_bits(rows[i]):
-                        acc |= rows[j]
-                    if acc != rows[i]:
-                        rows[i] = acc
-                        changed = True
+            _transitive_close(rows)
         return TransitiveRelation(elements, tuple(rows))
 
     @property

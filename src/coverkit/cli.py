@@ -14,14 +14,16 @@ sort_keys=True)``, and a DOT graph is built only when ``--dot`` asks for
 it.
 
 Exit codes: 0 success; 1 a --require'd axiom failed; 2 unreadable or
-schema-invalid input; 3 a size cap was exceeded; 4 a theorem-backed
-invariant failed (always an internal bug or a corrupted input, never an
-expected classification outcome).
+schema-invalid input; 3 a size cap was exceeded: a ground set of more
+than ``kernel.MAX_GROUND`` (13) elements, or the cap of one computation;
+4 a theorem-backed invariant failed (always an internal bug or a
+corrupted input, never an expected classification outcome).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -83,12 +85,31 @@ def _labels(payload, key) -> tuple:
     return tuple(labels)
 
 
-def system_from_payload(kind: str, payload: dict) -> CoverSystem:
-    from . import builders
+@contextlib.contextmanager
+def _payload_faults(kind: str):
+    """Raise a KeyError, TypeError or ValueError met in the block, a fault
+    of a ``kind`` payload, as SystemFileError."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise SystemFileError(f"malformed {kind} payload: {exc}")
+    except ValueError as exc:
+        raise SystemFileError(f"invalid {kind} payload: {exc}")
+
+
+def _space(payload: dict):
+    """The finite space of a topology payload."""
     from .spectrum import FiniteSpace
 
+    return FiniteSpace.from_named_sets(
+        _labels(payload, "points"), payload["opens"], payload["subbasis"])
+
+
+def system_from_payload(kind: str, payload: dict) -> CoverSystem:
+    from . import builders
+
     _expect(isinstance(payload, dict), "payload must be an object")
-    try:
+    with _payload_faults(kind):
         if kind == "explicit":
             ground = GroundSet(_labels(payload, "ground"))
             rel = Relation.from_pairs(ground, ground, _name_pairs(payload, "pairs"))
@@ -126,49 +147,40 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
             cx = builders.Convexity(elements, tuple(sorted(set(sets))))
             return builders.convexity_entailment(cx, payload.get("name", ""))
         if kind == "topology":
-            space = FiniteSpace.from_named_sets(
-                _labels(payload, "points"), payload["opens"], payload["subbasis"])
-            return builders.topology_cover(space, name=payload.get("name", ""))
-    except SystemFileError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise SystemFileError(f"malformed {kind} payload: {exc}")
-    except CapExceededError:
-        raise
-    except ValueError as exc:
-        raise SystemFileError(f"invalid {kind} payload: {exc}")
+            return builders.topology_cover(_space(payload), name=payload.get("name", ""))
     raise SystemFileError(f"unknown system kind {kind!r}")
+
+
+def _check_format(data: dict, path: str) -> None:
+    _expect(data.get("format_version") == FORMAT_VERSION,
+            f"{path}: format_version must be {FORMAT_VERSION!r}")
 
 
 def load_system(data: dict, path: str) -> CoverSystem:
     """The cover system of the parsed system file ``data`` read from ``path``."""
-    _expect(data.get("format_version") == FORMAT_VERSION,
-            f"{path}: format_version must be {FORMAT_VERSION!r}")
+    _check_format(data, path)
     kind = data.get("kind")
     _expect(kind in SYSTEM_KINDS, f"{path}: kind must be one of {SYSTEM_KINDS}")
     return system_from_payload(kind, data.get("payload", {}))
 
 
 def load_space(data: dict, path: str):
-    """The finite space of the parsed topology file ``data`` read from ``path``."""
-    from .spectrum import FiniteSpace
-
-    _expect(data.get("kind") == "topology",
-            f"{path}: space-side analysis needs a topology file")
+    """The finite space of the parsed topology file ``data`` read from
+    ``path``, and its cover system ``space.cover_system``.  A faulty file
+    fails as ``load_system`` fails on it."""
+    _check_format(data, path)
     payload = data.get("payload", {})
-    try:
-        return FiniteSpace.from_named_sets(
-            _labels(payload, "points"), payload["opens"], payload["subbasis"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemFileError(f"malformed topology payload: {exc}")
+    _expect(isinstance(payload, dict), "payload must be an object")
+    with _payload_faults("topology"):
+        space = _space(payload)
+        return space, space.cover_system
 
 
 def load_morphism(path: str):
     from .category import CoverMorphism
 
     data = load_json(path)
-    _expect(data.get("format_version") == FORMAT_VERSION,
-            f"{path}: format_version must be {FORMAT_VERSION!r}")
+    _check_format(data, path)
     _expect(data.get("kind") == "morphism", f"{path}: kind must be 'morphism'")
     try:
         src = data["source_system"]
@@ -360,7 +372,12 @@ def cmd_dualize(args) -> int:
 
     path = args.inputs[0]
     data = load_json(path)
-    sys = load_system(data, path)
+    if data.get("kind") == "topology":
+        # the system is the space's cover system, so both sides share one
+        # classification and one spectrum
+        space, sys = load_space(data, path)
+    else:
+        space, sys = None, load_system(data, path)
     report = _base_report(args, "dualize")
     violations = []
     report["classification"] = sys.classification.to_dict()
@@ -368,12 +385,7 @@ def cmd_dualize(args) -> int:
     report["system_side"] = sys_rep.to_dict()
     if sys.classification.is_cover:
         violations += sys_rep.violations()
-    if data.get("kind") == "topology":
-        space = load_space(data, path)
-        # the loaded system is topology_cover(space), built from the same
-        # payload: it fills the space's cover cache, so both sides share
-        # one classification and one spectrum
-        vars(space)["cover_system"] = sys
+    if space is not None:
         _expect(space.properties.t0,
                 f"{path}: space-side duality requires a T0 space")
         space_rep = verify_duality_space(space)
@@ -420,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", help="also write the JSON report to this path")
         p.add_argument("--dot", help="write a DOT graph to this path")
         p.add_argument("--require", help="exit 1 unless this axiom holds")
-        p.add_argument("--cap", type=int, help="override the ground-set cap")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for any randomized search")
 
@@ -444,31 +455,8 @@ COMMANDS = {
 }
 
 
-def _check_cap(args) -> str | None:
-    """Why the ground-set cap (``--cap``, else ``COVERKIT_CAP``) is
-    invalid, or None when it is a positive integer or unset."""
-    if args.cap is not None:
-        return None if args.cap > 0 else f"--cap must be a positive integer, got {args.cap}"
-    env = os.environ.get("COVERKIT_CAP")
-    if not env:
-        return None
-    try:
-        if int(env) > 0:
-            return None
-    except ValueError:
-        pass
-    return f"COVERKIT_CAP must be a positive integer, got {env!r}"
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    bad_cap = _check_cap(args)
-    if bad_cap:
-        print(f"error: {bad_cap}", file=_sys.stderr)
-        return EXIT_PARSE
-    saved_cap = os.environ.get("COVERKIT_CAP")
-    if args.cap:
-        os.environ["COVERKIT_CAP"] = str(args.cap)
     try:
         return COMMANDS[args.command](args)
     except SystemFileError as exc:
@@ -480,12 +468,6 @@ def main(argv=None) -> int:
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=_sys.stderr)
         return EXIT_THEOREM
-    finally:
-        if args.cap:
-            if saved_cap is None:
-                os.environ.pop("COVERKIT_CAP", None)
-            else:
-                os.environ["COVERKIT_CAP"] = saved_cap
 
 
 if __name__ == "__main__":

@@ -197,14 +197,6 @@ class FrameModel:
             raise self.escaped()
         return j
 
-    def meet_all(self, masks) -> int:
-        out = self.top
-        for m in masks:
-            out &= m
-        if out not in self.index:
-            raise TheoremViolationError("meet of quasi-ideals escaped the model")
-        return out
-
     def way_below(self, q: int, r: int) -> bool:
         qi, ri = self.index[q], self.index[r]
         return bool(self.way_below_matrix[qi] >> ri & 1)
@@ -722,9 +714,9 @@ def karoubi_envelope(sys: CoverSystem, cap: int = KAROUBI_DEFAULT_CAP) -> Karoub
             sq_row |= by_principal[j]
         env_at.append(env_row)
         sq_at.append(sq_row)
-    env_rel = Relation(ground_q, ground_q, [env_at[m] for m in meet_idx], allow_large=True)
+    env_rel = Relation(ground_q, ground_q, [env_at[m] for m in meet_idx])
     target = CoverSystem(ground_q, env_rel, f"envelope({sys.name or 'system'})")
-    sq = Relation(ground_q, sys.ground, [sq_at[m] for m in meet_idx], allow_large=True)
+    sq = Relation(ground_q, sys.ground, [sq_at[m] for m in meet_idx])
 
     sq_bar_rows = []
     for f in range(size_s):
@@ -733,7 +725,7 @@ def karoubi_envelope(sys: CoverSystem, cap: int = KAROUBI_DEFAULT_CAP) -> Karoub
             if element >> f & 1:
                 row |= by_join[j]
         sq_bar_rows.append(row)
-    sq_bar = Relation(sys.ground, ground_q, sq_bar_rows, allow_large=True)
+    sq_bar = Relation(sys.ground, ground_q, sq_bar_rows)
 
     equations = {
         "sq_after_base": cut_compose(sq, sys.rel) == sq,

@@ -36,18 +36,17 @@ All values here are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-DEFAULT_GROUND_CAP = 16
-# A dense endorelation is 2**n x 2**n bits; refuse above this many bits
-# unless explicitly overridden (n = 13 for an endorelation).
-DEFAULT_MATRIX_BITS = 1 << 26
+# The largest ground set: a relation between two such grounds is a
+# 2**13 x 2**13 bit matrix, 2**26 bits.
+MAX_GROUND = 13
 
 
 class CapExceededError(Exception):
-    """Raised when an operation would exceed the configured size cap."""
+    """Raised when a size cap is exceeded: the ground-set limit
+    ``MAX_GROUND`` or the cap of one computation."""
 
 
 class GroundMismatchError(ValueError):
@@ -58,14 +57,10 @@ class TheoremViolationError(Exception):
     """A verified mathematical invariant failed; indicates an internal bug."""
 
 
-def ground_cap() -> int:
-    env = os.environ.get("COVERKIT_CAP")
-    return int(env) if env else DEFAULT_GROUND_CAP
-
-
 @dataclass(frozen=True)
 class GroundSet:
-    """An ordered tuple of distinct element labels; indices are stable."""
+    """An ordered tuple of at most ``MAX_GROUND`` distinct element labels;
+    indices are stable."""
 
     names: tuple[str, ...]
     # derived from ``names`` once; left out of equality, hashing and repr
@@ -76,9 +71,9 @@ class GroundSet:
         size = len(self.names)
         if len(set(self.names)) != size:
             raise ValueError("ground set labels must be distinct")
-        if size > ground_cap():
+        if size > MAX_GROUND:
             raise CapExceededError(
-                f"ground set of size {size} exceeds cap {ground_cap()}"
+                f"ground set of size {size} exceeds cap {MAX_GROUND}"
             )
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "num_subsets", 1 << size)

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .kernel import (
-    DEFAULT_MATRIX_BITS,
-    CapExceededError,
     Family,
     FinSubset,
     GroundMismatchError,
@@ -72,15 +70,11 @@ class Relation:
 
     __slots__ = ("left", "right", "rows", "_memo")
 
-    def __init__(self, left: GroundSet, right: GroundSet, rows, allow_large=False):
+    def __init__(self, left: GroundSet, right: GroundSet, rows):
         rows = tuple(rows)
         if len(rows) != left.num_subsets:
             raise ValueError("row count must be 2**|left|")
         width = right.num_subsets
-        if not allow_large and left.num_subsets * width > DEFAULT_MATRIX_BITS:
-            raise CapExceededError(
-                f"relation matrix {left.num_subsets}x{width} exceeds the size cap"
-            )
         if rows and (min(rows) < 0 or max(rows) >> width):
             raise ValueError("row mask out of range")
         _set(self, "left", left)

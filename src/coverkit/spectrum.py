@@ -141,21 +141,17 @@ class FiniteSpace:
         return f"FiniteSpace({len(self.points)} points, {len(self.opens)} opens)"
 
 
+def _unions(gens) -> set[int]:
+    """Every union of members of ``gens``, the empty union 0 included."""
+    out = {0}
+    for g in gens:
+        out |= {a | g for a in out}
+    return out
+
+
 def generated_opens(npoints: int, subbasis) -> frozenset[int]:
     """All unions of non-empty finite intersections of subbasis members."""
-    basics = set(meets_of((1 << npoints) - 1, subbasis)[1:])
-    opens = {0} | basics
-    frontier = set(opens)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in basics:
-                u = a | b
-                if u not in opens:
-                    new.add(u)
-        opens |= new
-        frontier = new
-    return frozenset(opens)
+    return frozenset(_unions(set(meets_of((1 << npoints) - 1, subbasis)[1:])))
 
 
 class _SpaceCalc:
@@ -265,19 +261,7 @@ def saturated_sets(space: FiniteSpace) -> list[int]:
     n = len(space.points)
     if n > PATCH_POINT_CAP:
         raise CapExceededError("too many points for saturated-set enumeration")
-    gens = [saturation(space, 1 << y) for y in range(n)]
-    sats = {0}
-    frontier = {0}
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in gens:
-                u = a | g
-                if u not in sats:
-                    new.add(u)
-        sats |= new
-        frontier = new
-    return sorted(sats)
+    return sorted(_unions({saturation(space, 1 << y) for y in range(n)}))
 
 
 def patch_opens(space: FiniteSpace) -> list[int]:

@@ -95,6 +95,19 @@ def test_cap_exceeded_exit_three(tmp_path, capsys):
     }
     path = write(tmp_path, "big.json", big)
     assert main(["classify", path]) == 3
+    capsys.readouterr()
+    # one past the limit; a 14-element chain used to pass the ground-set
+    # cap and be refused by a second, matrix-size cap
+    chain = [f"c{i}" for i in range(14)]
+    chain14 = {
+        "format_version": "1",
+        "kind": "lattice",
+        "payload": {"elements": chain, "leq": [list(p) for p in zip(chain, chain[1:])]},
+    }
+    assert main(["classify", write(tmp_path, "chain14.json", chain14)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ground set of size 14 exceeds cap 13" in captured.err
 
 
 def test_classify_four_element_non_lower_exits_zero(tmp_path, capsys):
@@ -142,40 +155,6 @@ def test_label_string_is_not_a_label_list(tmp_path, capsys):
     space["payload"]["points"] = "x0"
     assert main(["dualize", write(tmp_path, "space.json", space)]) == 2
     assert "points must be a list of strings" in capsys.readouterr().err
-
-
-def test_cap_flag_lowers_the_limit(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("COVERKIT_CAP", raising=False)
-    path = write(tmp_path, "b4.json", BOOLEAN4)
-    assert main(["classify", path, "--cap", "3"]) == 3
-    monkeypatch.delenv("COVERKIT_CAP", raising=False)
-    assert main(["classify", path]) == 0
-
-
-def _bad_cap(capsys, argv, source):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"{source} must be a positive integer" in captured.err
-
-
-def test_non_integer_cap_variable_exits_two_naming_it(tmp_path, capsys, monkeypatch):
-    # used to be reported as "invalid lattice payload: invalid literal for int()"
-    monkeypatch.setenv("COVERKIT_CAP", "abc")
-    _bad_cap(capsys, ["classify", write(tmp_path, "m3.json", M3)], "COVERKIT_CAP")
-
-
-def test_zero_cap_flag_exits_two(tmp_path, capsys, monkeypatch):
-    # used to be ignored silently (exit 0)
-    monkeypatch.delenv("COVERKIT_CAP", raising=False)
-    _bad_cap(capsys, ["classify", write(tmp_path, "m3.json", M3), "--cap", "0"], "--cap")
-
-
-def test_negative_cap_flag_exits_two(tmp_path, capsys, monkeypatch):
-    # used to be reported as "ground set of size 2 exceeds cap -3" (exit 3)
-    monkeypatch.delenv("COVERKIT_CAP", raising=False)
-    path = write(tmp_path, "s.json", SIERPINSKI)
-    _bad_cap(capsys, ["classify", path, "--cap", "-3"], "--cap")
 
 
 def test_spectrum_command(tmp_path, capsys):

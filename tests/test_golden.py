@@ -14,7 +14,9 @@ with a 10-element frame) and ``strong4.json`` (``gen.rng_for(22)`` at
 explicit relation that fails most axioms: ``arbitrary3.json``
 (``gen.random_relation(gen.rng_for(31), gen.ground(3))``), whose report
 carries the upper, lower, cut, 1-reflexive, cut-transitive, divisible,
-semicut and antisymmetric witnesses.  Reports name their inputs by base
+semicut and antisymmetric witnesses; and ``classify`` of a 14-element
+chain lattice (``chain14.json``), one element past the ground-set limit,
+which exits 3 with empty stdout.  Reports name their inputs by base
 name, so the bytes do not depend on where the repository lives.
 
 The reports were recorded before the one-pass front end (single read,
@@ -52,6 +54,7 @@ def _cases():
         cases += [(f"{c}-{stem}", [c, path]) for c in ("frame", "dualize")]
     cases.append(("classify-arbitrary3",
                   ["classify", "tests/golden/inputs/arbitrary3.json"]))
+    cases.append(("classify-chain14", ["classify", "tests/golden/inputs/chain14.json"]))
     return cases
 
 

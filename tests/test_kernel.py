@@ -7,6 +7,7 @@ from coverkit.kernel import (
     Family,
     GroundMismatchError,
     GroundSet,
+    MAX_GROUND,
     all_groundsets_named,
     complements_mask,
     diagonal,
@@ -25,6 +26,7 @@ from coverkit.kernel import (
     upsets,
     wedge,
 )
+from coverkit.relations import Relation
 from gen import rng_for
 from oracles import naive_selections, naive_supersets
 
@@ -294,10 +296,14 @@ def test_ground_labels_distinct():
         GroundSet(("a", "a"))
 
 
-def test_ground_cap(monkeypatch):
-    monkeypatch.setenv("COVERKIT_CAP", "3")
-    with pytest.raises(CapExceededError):
-        GroundSet(tuple(f"e{i}" for i in range(4)))
+def test_ground_cap():
+    ground = GroundSet(tuple(f"e{i}" for i in range(MAX_GROUND)))
+    with pytest.raises(CapExceededError, match=f"size {MAX_GROUND + 1} exceeds cap {MAX_GROUND}"):
+        GroundSet(tuple(f"e{i}" for i in range(MAX_GROUND + 1)))
+    # the largest relation, 2**13 x 2**13 bits, still builds
+    other = GroundSet(tuple(f"f{i}" for i in range(MAX_GROUND)))
+    rel = Relation(ground, other, [0] * (1 << MAX_GROUND))
+    assert len(rel.rows) == ground.num_subsets == other.num_subsets == 1 << MAX_GROUND
 
 
 def test_subset_roundtrip():
