@@ -16,7 +16,9 @@ explicit relation that fails most axioms: ``arbitrary3.json``
 carries the upper, lower, cut, 1-reflexive, cut-transitive, divisible,
 semicut and antisymmetric witnesses; and ``classify`` of a 14-element
 chain lattice (``chain14.json``), one element past the ground-set limit,
-which exits 3 with empty stdout.  Reports name their inputs by base
+which exits 3 with empty stdout; and ``classify`` of M3 topped by a
+3-element chain (``m3chain8.json``, |S| = 8), a lower relation whose
+report carries a semicut witness.  Reports name their inputs by base
 name, so the bytes do not depend on where the repository lives.
 
 The reports were recorded before the one-pass front end (single read,
@@ -55,6 +57,7 @@ def _cases():
     cases.append(("classify-arbitrary3",
                   ["classify", "tests/golden/inputs/arbitrary3.json"]))
     cases.append(("classify-chain14", ["classify", "tests/golden/inputs/chain14.json"]))
+    cases.append(("classify-m3chain8", ["classify", "tests/golden/inputs/m3chain8.json"]))
     return cases
 
 
