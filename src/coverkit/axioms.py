@@ -12,14 +12,27 @@ Terminology used throughout the package:
   cover relation      strong idempotent auxiliary to its derived
                       1-reflexive relation
 
-Every predicate is a literal quantifier evaluation, except for three
+Every predicate is a literal quantifier evaluation, except for these
 closed forms, each checked by the tests against the literal definition:
-cut-composition evaluates its witness search by the maximal witness pair
-(see ``composition``); the lower closure of the singleton-existential
-strengthening ``one_exists(rel)`` is read off the lower closure of the
-relation itself (see ``_self_composition_witnesses``); and antisymmetry
-compares the relation's singleton columns instead of rows of the derived
-relation (see ``antisymmetry_witness``).  ``classify`` evaluates each
+
+- cut-composition evaluates its witness search by the maximal witness
+  pair (see ``composition``);
+- the lower closure of the singleton-existential strengthening
+  ``one_exists(rel)`` is read off the lower closure of the relation
+  itself, once per distinct row of it (see ``_one_exists_lower_closure``);
+- antisymmetry compares the relation's singleton columns instead of rows
+  of the derived relation (see ``antisymmetry_witness``);
+- semicut tests, per G, only the H with no smaller H-{i} that entails G:
+  a violating H stays violating when shrunk among those that entail G,
+  so the first one is among them (the minimal ones, for a lower
+  relation; see ``semicut_witness``);
+- a fold of the rows that a mask selects ANDs each distinct row value
+  once when there are fewer of them than selected codes
+  (``kernel.RowFold``, in the derived relation and in composition);
+- a lower relation is its own lower closure: once its lower scan has
+  found it lower, no zeta pass is run (``Relation.lower_closure``).
+
+``classify`` evaluates each
 predicate once, deciding cut-transitivity and divisibility in one walk
 over the relation's rows.  The classification and the derived relation
 are each computed at most once per system and cached on it (see
@@ -44,6 +57,7 @@ from .relations import (
     cut_witness,
     lower_witness,
     one_reflexive_witness,
+    row_fold,
     upper_witness,
 )
 from .composition import composition_excess_witness
@@ -105,19 +119,14 @@ def _compute_vdash(sys: CoverSystem) -> Relation:
     cols = rel.cols()
     deps_of = meets_of(
         full, [cols[1 << i] for i in range(sys.ground.size)])
+    fold = row_fold(rel).fold
     # equal dependency families give equal rows, so each is folded once
     done = {}
     rows = []
     for deps in deps_of:
         out = done.get(deps)
         if out is None:
-            out = full
-            m = deps
-            while m and out:
-                low = m & -m
-                out &= rel.rows[low.bit_length() - 1]
-                m ^= low
-            done[deps] = out
+            out = done[deps] = fold(deps, full)
         rows.append(out)
     return Relation(sys.ground, sys.ground, rows)
 
@@ -153,43 +162,56 @@ def is_semicut(sys: CoverSystem) -> bool:
 
 
 def semicut_witness(sys: CoverSystem):
-    """First (F, G, H) violating the semicut condition, else None.
+    """First (F, G, H) violating the semicut condition, else None: first
+    by G, then by H, then by F, in subset-code order.
 
     Violation: H entails G, F entails G+{h} for every h in H, but F does
     not entail G.  An H that meets G has G itself among the G+{h}, so
-    its F entail G: only the H disjoint from G can give a violation.
-    Tabulated per G over the elements outside it: entry k of ``cand`` is
-    the F entailing G+{h} for every h in the k-th H disjoint from G, in
-    ascending order, built in one pass (each element outside G doubles
-    the table).  So the tables cost 3**n entries over all G.  The walk
-    steps H through the subsets of the complement of G in the same
-    order, so the first witness is the one a plain (G, H, F) scan meets
-    first.
+    its F entail G: only the members of ``hs``, the H disjoint from G
+    that entail G, can give a violation.
+
+    A violating H stays violating when shrunk inside ``hs``: with the
+    same F, since F entails G+{h} for every h in a part of H too.  A
+    smaller subset has a lower code, so the first violating H has no
+    member H-{i} of ``hs`` one element smaller.  The walk tests only
+    those members, in ascending order, and returns the first violating
+    one, so it meets the same H as a walk over all of ``hs``.  For a
+    lower relation, whose columns are up-sets, they are the minimal
+    members of ``hs``; a lattice cover has few.  They cost n shift-ANDs
+    per G (the members with a member one element smaller are ``hs``
+    shifted up by one element), and each tested H costs |H| column ANDs:
+    the F entailing G+{h} for every h in H, outside column G.
     """
     n = sys.ground.size
     t = tables(n)
     cols = sys.rel.cols()
     full = t.full
     top = t.size - 1
+    lacks = t.lacks_elem
     for g, col_g in enumerate(cols):
         # col_g is both the H entailing G and the F entailing G; a full
         # column, or one without an H disjoint from G, admits no violation
         hs = col_g & t.subsets[top ^ g]
         if hs == 0 or col_g == full:
             continue
-        cand = [full]
+        outside = full ^ col_g
+        above = 0
         for i in range(n):
             if not g >> i & 1:
-                ext = cols[g | 1 << i]
-                cand += [c & ext for c in cand]
-        outside = full ^ col_g
-        free = top ^ g
-        h = 0
-        for c in cand:
-            if c & outside and hs >> h & 1:
-                c &= outside
+                above |= (hs & lacks[i]) << (1 << i)
+        mins = hs ^ (hs & above)
+        while mins:
+            low = mins & -mins
+            h = low.bit_length() - 1
+            c = outside
+            m = h
+            while m and c:
+                bit = m & -m
+                c &= cols[g | bit]
+                m ^= bit
+            if c:
                 return (c & -c).bit_length() - 1, g, h
-            h = (h - free) & free  # the next subset of the complement of G
+            mins ^= low
     return None
 
 
@@ -234,6 +256,10 @@ def _self_composition_witnesses(rel: Relation):
     stops being tracked once it has its witness, and the walk stops when
     both have one.  The lower closure of one_exists(rel) comes from
     ``_one_exists_lower_closure``, without building one_exists(rel).
+    A lower relation is its own lower closure, and the walk reads its
+    rows.  Both sides are folded in one loop, which measured faster than
+    two ``kernel.RowFold`` calls per row at every size tried (|S| = 3, 5
+    and 12).
     """
     n = rel.left.size
     t = tables(n)
@@ -287,19 +313,23 @@ def _one_exists_lower_closure(rel: Relation) -> list[int]:
     it meets one of its parts), so the union of those rows over all f in
     G is ``meets[I(G)]``, with I(G) the union of J(f) over all f in G.
     That is the set of elements i whose singleton {i} lies in row G of
-    rel's lower closure.  So the table costs one list of 2**n entries,
-    with n bit tests each.
+    rel's lower closure.  Equal lower-closure rows give equal rows here,
+    so each distinct one costs n bit tests.
     """
     n = rel.left.size
     meets = tables(n).meets
     singles = [(1 << (1 << i), 1 << i) for i in range(n)]
+    done = {}
     rows = []
     for below in rel.lower_closure():
-        code = 0
-        for single, bit in singles:
-            if below & single:
-                code |= bit
-        rows.append(meets[code])
+        out = done.get(below)
+        if out is None:
+            code = 0
+            for single, bit in singles:
+                if below & single:
+                    code |= bit
+            out = done[below] = meets[code]
+        rows.append(out)
     return rows
 
 

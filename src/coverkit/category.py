@@ -24,7 +24,9 @@ from .kernel import (
     meets_of,
     tables,
 )
-from .relations import CoverSystem, Relation, is_lower, is_upper, one_exists
+from .relations import (
+    CoverSystem, Relation, is_lower, is_upper, one_exists, row_fold,
+)
 from .composition import cut_compose
 from .spectrum import (
     FiniteSpace,
@@ -58,13 +60,6 @@ class SpaceMap:
         for s in target.subbasis:
             if self.preimage(s) not in set(source.opens):
                 raise ValueError("preimages of subbasic opens must be open")
-
-    @property
-    def domain_mask(self) -> int:
-        dom = 0
-        for i in self.mapping:
-            dom |= 1 << i
-        return dom
 
     def preimage(self, mask: int) -> int:
         out = 0
@@ -198,14 +193,8 @@ def derive_proper(m: CoverMorphism):
     cols = m.rel.cols()
     deps_of = meets_of(
         full_s, [cols[1 << i] for i in range(m.target.ground.size)])
-    rows = []
-    for d in deps_of:
-        out = full_s
-        while d and out:
-            low = d & -d
-            out &= m.source.rel.rows[low.bit_length() - 1]
-            d ^= low
-        rows.append(out)
+    fold = row_fold(m.source.rel).fold
+    rows = [fold(d, full_s) for d in deps_of]
     sqsubseteq = Relation(m.target.ground, m.source.ground, rows)
     proper = m.target.rel.issubset(cut_compose(sqsubseteq, m.rel))
     return sqsubseteq, proper

@@ -11,7 +11,13 @@ A*(r) = {F : r A F} and B*(t) = {G : G B t} is optimal, and r relates
 to t iff every selection of A*(r) contains a member of B*(t), that is,
 iff every selection of A*(r) is related to t by the lower closure of B
 (G related to t iff some subset of G is B-related to t).  For a lower B
-the closure is B itself.
+the closure is B itself, and once B's lower scan has run
+(``relations.lower_witness``) no closure is computed.  Each composed
+row is then one fold of those rows over a selection family
+(``kernel.RowFold``), which ANDs once per distinct row when there are
+fewer of them than selections.  B keeps that fold
+(``Relation.lower_fold``), so every composition with B on the right,
+and B's derived relation when B is lower, share it.
 
 Every right operand takes this one path; the literal enumeration of
 witness families lives in the test oracles.
@@ -27,7 +33,7 @@ def _composed_rows(rel_a: Relation, rel_b: Relation):
     """Yield the rows of the cut-composition of rel_a and rel_b in order."""
     if rel_a.right != rel_b.left:
         raise GroundMismatchError("inner grounds do not match")
-    rows_b = rel_b.lower_closure()
+    fold = rel_b.lower_fold().fold
     full = (1 << rel_b.right.num_subsets) - 1
     n = rel_a.right.size
     t = tables(n)
@@ -50,12 +56,7 @@ def _composed_rows(rel_a: Relation, rel_b: Relation):
                     low = m & -m
                     sel &= meets[low.bit_length() - 1]
                     m ^= low
-            out = full
-            while sel and out:
-                low = sel & -sel
-                out &= rows_b[low.bit_length() - 1]
-                sel ^= low
-            done[row_a] = out
+            out = done[row_a] = fold(sel, full)
         yield out
 
 

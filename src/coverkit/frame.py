@@ -251,6 +251,11 @@ def _build_frame_model(sys: CoverSystem, mode: str, cap: int) -> FrameModel:
         seeds.add(downset_mask(sys, 1 << f))
     elements = set(seeds)
     frontier = set(seeds)
+    # the cap is checked as each element is found, not after a round: one
+    # round past the cap can cost minutes
+    room = cap - len(elements)
+    if room < 0:
+        raise CapExceededError(f"generated frame exceeded cap {cap}")
     while frontier:
         new = set()
         for a in frontier:
@@ -258,9 +263,10 @@ def _build_frame_model(sys: CoverSystem, mode: str, cap: int) -> FrameModel:
                 for c in (a & b, downset_mask(sys, a | b)):
                     if c not in elements and c not in new:
                         new.add(c)
+                        room -= 1
+                        if room < 0:
+                            raise CapExceededError(f"generated frame exceeded cap {cap}")
         elements |= new
-        if len(elements) > cap:
-            raise CapExceededError(f"generated frame exceeded cap {cap}")
         frontier = new
     complete = sys.classification.is_divisible
     return FrameModel(sys, elements, "generated", complete=complete)

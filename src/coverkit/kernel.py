@@ -16,6 +16,8 @@ is the one zeta pass over the subset lattice.  Complementing every
 member reverses the order of the 2**n bits of a family mask
 (``complements_mask``), so the selections of a large family are its
 upper closure, complemented and reversed (``selections_mask``).
+``RowFold`` is the one fold of the rows that a mask selects: a relation
+with few distinct rows (a lower one) is folded once per distinct row.
 
 A whole bit matrix is one integer too (``pack_rows``): row f sits at bit
 f * 2**s, each row padded to 2**s bits, s = max(n_left, n_right, 3), so
@@ -381,6 +383,56 @@ def transpose(packed: int, n_left: int, n_right: int) -> tuple[int, ...]:
         m ^= t | t << shift
     data = m.to_bytes(nbytes << s, "little")
     return tuple([_from_bytes(data[sl], "little") for sl in slices])
+
+
+class RowFold:
+    """The AND of the rows that a mask selects, for one list of rows.
+
+    ``fold(sel, out)`` is ``out`` ANDed with rows[x] for every bit x of
+    ``sel``.  AND is idempotent, so equal rows add nothing after the
+    first: grouping the codes by their row value (``classes``, each
+    distinct value with the mask of the codes holding it), the fold is
+    also ``out`` ANDed with every value whose codes meet ``sel``.  Each
+    call takes the shorter loop: one AND per distinct value when there
+    are fewer of them than bits of ``sel``, else one per bit.  Lower
+    relations have few distinct rows (a lattice cover's row depends only
+    on the meet of its subset), so their folds take the first loop; an
+    arbitrary relation's rows are mostly distinct, and never build the
+    classes.
+    """
+
+    __slots__ = ("rows", "distinct", "_classes")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.distinct = len(set(rows))
+        self._classes = None
+
+    @property
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        """Each distinct row value with the mask of the codes holding it,
+        in order of first occurrence; built on first use."""
+        if self._classes is None:
+            codes = {}
+            for f, row in enumerate(self.rows):
+                codes[row] = codes.get(row, 0) | 1 << f
+            self._classes = tuple(codes.items())
+        return self._classes
+
+    def fold(self, sel: int, out: int) -> int:
+        if out and self.distinct < sel.bit_count():
+            for row, codes in self._classes or self.classes:
+                if codes & sel:
+                    out &= row
+                    if not out:
+                        break
+            return out
+        rows = self.rows
+        while sel and out:
+            low = sel & -sel
+            out &= rows[low.bit_length() - 1]
+            sel ^= low
+        return out
 
 
 def lower_closure_rows(n: int, rows) -> list[int]:

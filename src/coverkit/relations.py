@@ -36,6 +36,7 @@ from .kernel import (
     FinSubset,
     GroundMismatchError,
     GroundSet,
+    RowFold,
     iter_bits,
     lower_closure_rows,
     matrix_plan,
@@ -47,7 +48,7 @@ from .kernel import (
 
 
 _set = object.__setattr__
-_PACKED, _COLS, _BELOW, _HASH = range(4)
+_PACKED, _COLS, _BELOW, _HASH, _LOWER, _FOLD = range(6)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,10 @@ class Relation:
     """A relation between F(left) and F(right) as a dense boolean matrix.
 
     ``rows[f]`` is the bitmask of right-hand codes g with f related to g.
-    The packed matrix, the columns, the lower closure and the hash are
+    The packed matrix, the columns, the lower closure, the hash, the
+    result of the lower scan and the fold of the lower closure are
     derived from the rows on first use and kept in ``_memo`` (entries
-    ``_PACKED``, ``_COLS``, ``_BELOW``, ``_HASH``).
+    ``_PACKED``, ``_COLS``, ``_BELOW``, ``_HASH``, ``_LOWER``, ``_FOLD``).
     """
 
     __slots__ = ("left", "right", "rows", "_memo")
@@ -80,7 +82,7 @@ class Relation:
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "rows", rows)
-        _set(self, "_memo", [None, None, None, None])
+        _set(self, "_memo", [None, None, None, None, None, None])
 
     def __setattr__(self, *a):
         raise AttributeError("Relation is immutable")
@@ -165,11 +167,29 @@ class Relation:
         """Rows of the lower closure: entry f is the union of the rows of
         all subsets of f (``kernel.lower_closure_rows``).  Computed once
         per relation; every composition with this relation on the right,
-        and the tight sets of its system, read it."""
+        and the tight sets of its system, read it.
+
+        A lower relation is its own lower closure: its rows only grow
+        with f (rows[g] is contained in rows[f] for every g contained in
+        f), so the union over the subsets of f is rows[f].  When the
+        lower scan (``lower_witness``, which ``classify`` runs) has
+        already found the relation lower, the rows are returned and the
+        zeta pass is skipped.
+        """
         memo = self._memo
         if memo[_BELOW] is None:
-            memo[_BELOW] = tuple(lower_closure_rows(self.left.size, self.rows))
+            memo[_BELOW] = (self.rows if memo[_LOWER] is False
+                            else tuple(lower_closure_rows(self.left.size, self.rows)))
         return memo[_BELOW]
+
+    def lower_fold(self) -> RowFold:
+        """The ``kernel.RowFold`` of the lower closure's rows, built once
+        per relation: each composition with this relation on the right
+        is one fold of it per composed row."""
+        memo = self._memo
+        if memo[_FOLD] is None:
+            memo[_FOLD] = RowFold(self.lower_closure())
+        return memo[_FOLD]
 
     def transpose(self) -> "Relation":
         return Relation(self.right, self.left, self.cols())
@@ -289,8 +309,18 @@ def lower_witness(rel: Relation):
 
     Per element i, on the whole packed matrix M: M >> 2**(s+i) moves row
     f | {i} to row f, so the violations are M & ~(M >> 2**(s+i)) on the
-    rows lacking i.
+    rows lacking i.  The result is kept on the relation (False for a
+    lower one), so later calls, ``Relation.lower_closure`` and
+    ``row_fold`` read it without a scan.
     """
+    memo = rel._memo
+    known = memo[_LOWER]
+    if known is None:
+        known = memo[_LOWER] = _lower_scan(rel) or False
+    return known or None
+
+
+def _lower_scan(rel: Relation):
     s, _, rounds, _ = matrix_plan(rel.left.size, rel.right.size)
     w = 1 << s
     m = rel.packed
@@ -307,6 +337,13 @@ def lower_witness(rel: Relation):
         return None
     pos, i = best
     return pos >> s, pos & (w - 1), rel.left.names[i]
+
+
+def row_fold(rel: Relation) -> RowFold:
+    """A ``kernel.RowFold`` of the relation's own rows.  A lower relation
+    is its own lower closure, so it shares the fold the relation keeps
+    (``Relation.lower_fold``); any other relation gets a new one."""
+    return rel.lower_fold() if lower_witness(rel) is None else RowFold(rel.rows)
 
 
 def is_cut(rel: Relation) -> bool:

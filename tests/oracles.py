@@ -190,6 +190,35 @@ def naive_semicut_witness(n, rows):
     return None
 
 
+def table_semicut_witness(n, rows):
+    """``naive_semicut_witness`` by one table per G, the form the package
+    used before its walk over the least members: entry k of ``cand`` is
+    the set of F entailing G+{h} for every h in the k-th H disjoint from
+    G, built by doubling once per element outside G (3**n entries over
+    all G), and H steps through the subsets of the complement of G in
+    ascending order.  Within reach where the literal search is not."""
+    size = 1 << n
+    full = (1 << size) - 1
+    cols = [sum(1 << f for f in subset_codes(n) if rows[f] >> g & 1)
+            for g in subset_codes(n)]
+    for g, col_g in enumerate(cols):
+        if col_g == full:
+            continue
+        cand = [full]
+        for i in range(n):
+            if not g >> i & 1:
+                ext = cols[g | 1 << i]
+                cand += [c & ext for c in cand]
+        free = (size - 1) ^ g
+        h = 0
+        for c in cand:
+            bad = c & ~col_g
+            if bad and col_g >> h & 1:
+                return (bad & -bad).bit_length() - 1, g, h
+            h = (h - free) & free  # the next subset of the complement of G
+    return None
+
+
 def naive_one_exists(n, rows):
     out = []
     for f in subset_codes(n):

@@ -196,8 +196,7 @@ def test_semicut_witness_matches_naive_random():
 
 
 def test_semicut_witness_matches_naive_at_five():
-    # the tables are built over the elements outside G; at |S| = 5 the
-    # H disjoint from G range over up to 32 codes in their own order
+    # at |S| = 5 the H disjoint from G range over up to 32 codes
     rng = gen.rng_for(405)
     ground = gen.ground(5)
     seen = set()
@@ -207,6 +206,86 @@ def test_semicut_witness_matches_naive_at_five():
         assert wit == oracles.naive_semicut_witness(5, rel.rows)
         seen.add(wit is None)
     assert seen == {True, False}
+
+
+def _check_minimal_member_semicut(sys, naive=True):
+    # the walk over the members of hs with no member one element smaller
+    # (its minimal members when the relation is lower) against the table
+    # walk and, where it is in reach, the literal search
+    n, rows = sys.ground.size, sys.rel.rows
+    wit = semicut_witness(sys)
+    assert wit == oracles.table_semicut_witness(n, rows), rows
+    if naive:
+        assert wit == oracles.naive_semicut_witness(n, rows), rows
+    return wit
+
+
+def test_minimal_member_semicut_exhaustive_on_lower_relations():
+    # the 6**4 lower relations at |S| = 2, each column an up-set, where
+    # the members tested are the minimal ones
+    seen = set()
+    for rel in _all_relations(G2):
+        if relations.lower_witness(rel) is None:
+            wit = _check_minimal_member_semicut(CoverSystem(G2, rel))
+            seen.add(None if wit is None else wit[2])
+    assert len(seen) > 3 and None in seen
+
+
+def _m3_topped_by_chain(k):
+    from coverkit.builders import FiniteLattice
+
+    els = ("0", "x", "y", "z", "1") + tuple(f"t{i}" for i in range(1, k + 1))
+    pairs = [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")]
+    pairs += list(zip(els[4:], els[5:]))
+    return FiniteLattice.from_pairs(els, pairs)
+
+
+def test_minimal_member_semicut_random_relations():
+    # lattice covers, lower closures of random relations and strong
+    # idempotents at |S| = 3-6; the literal search where it is in reach
+    from coverkit.kernel import lower_closure_rows
+
+    rng = gen.rng_for(406)
+    systems = [lattice_cover(chain_lattice(k)) for k in (3, 4, 5, 6)]
+    systems += [lattice_cover(_m3_topped_by_chain(k)) for k in (0, 1)]
+    while len(systems) < 30:
+        lat = gen.random_lattice(rng, 6)
+        if lat.size >= 3:
+            systems.append(lattice_cover(lat))
+    for k in range(120):
+        ground = gen.ground(3 + k % 4)
+        rows = gen.random_relation(rng, ground).rows
+        if k % 3:  # sparser rows leave room for a violation
+            rows = [r & gen.random_relation(rng, ground).rows[f] for f, r in enumerate(rows)]
+        rows = lower_closure_rows(ground.size, rows)
+        systems.append(CoverSystem(ground, Relation(ground, ground, rows)))
+    for k in range(40):
+        systems.append(gen.random_strong_idempotent(rng, gen.ground(3 + k % 3)))
+    assert all(relations.lower_witness(sys.rel) is None for sys in systems)
+    # and relations that are not lower, sparse ones among them
+    for k in range(60):
+        ground = gen.ground(3 + k % 4)
+        rel = gen.random_relation(rng, ground)
+        if k % 2:
+            rel = rel.intersection(gen.random_relation(rng, ground)).intersection(
+                gen.random_relation(rng, ground))
+        systems.append(CoverSystem(ground, rel))
+    seen = set()
+    for sys in systems:
+        wit = _check_minimal_member_semicut(sys, naive=sys.ground.size <= 5)
+        seen.add(None if wit is None else bin(wit[2]).count("1"))
+    # an H of any size can be first (the empty one only when the relation
+    # is not lower: a lower relation whose empty set entails G has a full
+    # column G)
+    assert None in seen and {0, 1, 2, 3} <= seen
+
+
+def test_m3_topped_by_chain_semicut_at_scale():
+    # |S| = 10: the witness comes early, and the table walk agrees
+    sys = lattice_cover(_m3_topped_by_chain(5))
+    assert sys.ground.size == 10
+    wit = _check_minimal_member_semicut(sys, naive=False)
+    assert wit is not None
 
 
 # -- cut-transitivity -----------------------------------------------------------------

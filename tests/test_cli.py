@@ -315,6 +315,50 @@ def test_dualize_non_t0_space_exits_two(tmp_path, capsys):
     assert "requires a T0 space" in captured.err
 
 
+def _comma_space(opens, subbasis):
+    return {"format_version": "1", "kind": "topology",
+            "payload": {"points": ["a,b", "a", "b"], "opens": opens,
+                        "subbasis": subbasis}}
+
+
+# the subbasis members {"a,b"} and {"a", "b"} both joined to "{a,b}" once
+COMMA_POINTS = _comma_space([[], ["a,b"], ["a", "b"], ["a,b", "a", "b"]],
+                            [["a,b"], ["a", "b"]])
+# the same with {"a"} added to opens and subbasis, which makes it T0
+COMMA_POINTS_T0 = _comma_space(
+    [[], ["a"], ["a,b"], ["a", "b"], ["a,b", "a"], ["a,b", "a", "b"]],
+    [["a,b"], ["a", "b"], ["a"]])
+
+
+def test_commas_in_point_names_keep_subbasis_labels_distinct(tmp_path, capsys):
+    path = write(tmp_path, "commas.json", COMMA_POINTS)
+    for command in ("classify", "spectrum"):
+        assert main([command, path]) == 0
+    assert "{a\\\\,b}" in capsys.readouterr().out
+    # a and b lie in the same opens: dualize refuses for that, not for labels
+    assert main(["dualize", path]) == 2
+    assert "requires a T0 space" in capsys.readouterr().err
+    path = write(tmp_path, "commas_t0.json", COMMA_POINTS_T0)
+    for command in ("classify", "spectrum", "dualize"):
+        code, rep = run(capsys, command, path)
+        assert code == 0, command
+    assert rep["violations"] == []
+
+
+def test_subbasis_labels_escape_backslashes_and_commas():
+    from coverkit.spectrum import FiniteSpace
+
+    # the discrete space on these points, with the singletons and two
+    # pairs for subbasis: unescaped, the labels {a,b} of one point and of
+    # two collide, and so do {c\,d} of one point and of two
+    names = ("a,b", "a", "b", "c\\", "c\\,d", "d")
+    opens = [[n for i, n in enumerate(names) if m >> i & 1] for m in range(64)]
+    subbasis = [[n] for n in names] + [["a", "b"], ["c\\", "d"]]
+    labels = topology_cover(FiniteSpace.from_named_sets(names, opens, subbasis)).ground.names
+    assert len(set(labels)) == len(labels) == 8
+    assert {"{a\\,b}", "{a,b}", "{c\\\\}", "{c\\\\\\,d}", "{c\\\\,d}", "{a}", "{d}"} <= set(labels)
+
+
 POINTS = ("x", "y", "z")
 
 

@@ -154,6 +154,27 @@ def test_frame_cap():
         frame_model(sys, mode="generated", cap=2)
 
 
+def test_generated_frame_stops_at_the_first_element_past_its_cap(monkeypatch):
+    # the cap is checked as each element is found: the generated frame of
+    # meet_system(4) has 168 elements, and a capped build raises before it
+    # has computed more than cap + 1 distinct downsets (each one an element)
+    found = set()
+    inner = frame.downset_mask
+
+    def recorded(sys, mask):
+        found.add(inner(sys, mask))
+        return inner(sys, mask)
+
+    monkeypatch.setattr(frame, "downset_mask", recorded)
+    for cap in (20, 60, 100):
+        found.clear()
+        with pytest.raises(CapExceededError, match=f"exceeded cap {cap}"):
+            frame_model(meet_system(4), mode="generated", cap=cap)
+        assert len(found) <= cap + 1
+    found.clear()
+    assert len(frame_model(meet_system(4), mode="generated", cap=168)) == 168
+
+
 # -- way-below --------------------------------------------------------------------
 
 def test_way_below_bottom_and_order():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from coverkit.kernel import (
     CapExceededError,
+    RowFold,
     Family,
     GroundMismatchError,
     GroundSet,
@@ -287,6 +288,47 @@ def test_lower_closure_rows_match_literal_scan(case):
                 out |= rows[g]
         literal.append(out)
     assert lower_closure_rows(n, rows) == literal
+
+
+# -- one fold of selected rows ----------------------------------------------------
+
+def _literal_fold(rows, sel, out):
+    for x in iter_bits(sel):
+        out &= rows[x]
+    return out
+
+
+def test_row_fold_equals_bit_by_bit_fold():
+    # rows with one value, a few, and all distinct; both loops are taken
+    rng = rng_for(77)
+    taken = set()
+    for n in (0, 1, 2, 3, 5, 8):
+        size = 1 << n
+        width = 1 << rng.randrange(1, 9)
+        few = [rng.randrange(width) for _ in range(3)]
+        for rows in ([rng.randrange(width)] * size,
+                     [rng.choice(few) for _ in range(size)],
+                     rng.sample(range(max(width, size)), size)):
+            fold = RowFold(tuple(rows))
+            assert fold.distinct == len(set(rows))
+            loops = set()
+            for _ in range(40):
+                sel = rng.randrange(1 << size)
+                out = rng.choice([0, (1 << width) - 1, rng.randrange(1 << width)])
+                assert fold.fold(sel, out) == _literal_fold(rows, sel, out)
+                loops.add(fold.distinct < sel.bit_count())
+            assert fold.fold(0, 5) == 5 and fold.fold((1 << size) - 1, 0) == 0
+            # the classes are built only once a call takes their loop
+            assert (fold._classes is not None) == (True in loops)
+            taken |= loops
+            if fold._classes is not None:
+                assert {row for row, _ in fold.classes} == set(rows)
+                covered = 0
+                for row, codes in fold.classes:
+                    assert all(rows[x] == row for x in iter_bits(codes))
+                    covered |= codes
+                assert covered == (1 << size) - 1
+    assert taken == {True, False}
 
 
 # -- ground set hygiene -----------------------------------------------------------

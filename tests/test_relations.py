@@ -278,23 +278,44 @@ def test_cut_witness_needs_an_endorelation():
 def test_lower_closure_computed_once_per_system(monkeypatch):
     # classify (two compositions with sys.rel on the right), a further
     # self-composition and the tight sets of the spectrum all read the
-    # one lower closure kept on the relation
+    # one lower closure kept on the relation: one zeta pass for a relation
+    # that is not lower, none for a lower one that classify has scanned
     from coverkit import relations
     from coverkit.axioms import classify
     from coverkit.composition import cut_compose
     from coverkit.spectrum import spectrum
 
-    sys = lattice_cover(boolean4_lattice())
     closed = []
     inner = relations.lower_closure_rows
 
     def counted(n, rows):
-        if tuple(rows) == sys.rel.rows:
-            closed.append(n)
+        closed.append(tuple(rows))
         return inner(n, rows)
 
     monkeypatch.setattr(relations, "lower_closure_rows", counted)
-    assert classify(sys).is_strong_idempotent
-    cut_compose(sys.rel, sys.rel)
-    spectrum(sys)
-    assert closed == [sys.ground.size]
+    rng = gen.rng_for(5)
+    rel = gen.random_relation(rng, G3)
+    while lower_witness(rel) is None:
+        rel = gen.random_relation(rng, G3)
+    for sys in (CoverSystem(G3, rel), lattice_cover(boolean4_lattice())):
+        closed.clear()
+        classify(sys)
+        cut_compose(sys.rel, sys.rel)
+        spectrum(sys)
+        want = [] if sys.rel.lower_closure() == sys.rel.rows else [sys.rel.rows]
+        assert closed == want
+    assert classify(sys).is_strong_idempotent and sys.rel.lower_closure() is sys.rel.rows
+
+
+def test_lower_closure_of_a_lower_relation_is_its_rows():
+    # the rows are returned only once the lower scan has found the
+    # relation lower; before, and for a relation that is not lower, the
+    # zeta pass runs, and the two agree on every relation at |S| = 2
+    for code in range(1 << 16):
+        rows = tuple(code >> (4 * f) & 15 for f in range(4))
+        literal = tuple(rows[0] | rows[f] | rows[f & 1] | rows[f & 2] for f in range(4))
+        assert Relation(G2, G2, rows).lower_closure() == literal
+        rel = Relation(G2, G2, rows)
+        lower = lower_witness(rel) is None
+        assert rel.lower_closure() == literal
+        assert (rel.lower_closure() is rel.rows) == lower
