@@ -18,8 +18,17 @@ semicut and antisymmetric witnesses; and ``classify`` of a 14-element
 chain lattice (``chain14.json``), one element past the ground-set limit,
 which exits 3 with empty stdout; and ``classify`` of M3 topped by a
 3-element chain (``m3chain8.json``, |S| = 8), a lower relation whose
-report carries a semicut witness.  Reports name their inputs by base
-name, so the bytes do not depend on where the repository lives.
+report carries a semicut witness; and ``classify`` of three explicit
+relations at |S| = 3 that sit between the levels of the axiom hierarchy:
+``onerefl3.json`` (``gen.random_relation(gen.rng_for(0), gen.ground(3))``),
+1-reflexive but not an entailment, with a cut-transitivity witness;
+``entail3.json`` (``gen.random_monotone(gen.rng_for(1), gen.ground(3))``),
+an entailment that is neither 1-reflexive nor divisible, with a
+divisibility witness; and ``lowercut3.json`` (the lower closure,
+``kernel.lower_closure_rows``, of ``gen.random_relation(gen.rng_for(22),
+gen.ground(3))``), lower and cut but not upper.  Reports name their
+inputs by base name, so the bytes do not depend on where the repository
+lives.
 
 The reports were recorded before the one-pass front end (single read,
 direct subset codes, hand-written JSON emitter) and must not change with
@@ -58,6 +67,8 @@ def _cases():
                   ["classify", "tests/golden/inputs/arbitrary3.json"]))
     cases.append(("classify-chain14", ["classify", "tests/golden/inputs/chain14.json"]))
     cases.append(("classify-m3chain8", ["classify", "tests/golden/inputs/m3chain8.json"]))
+    for stem in ("onerefl3", "entail3", "lowercut3"):
+        cases.append((f"classify-{stem}", ["classify", f"tests/golden/inputs/{stem}.json"]))
     return cases
 
 
