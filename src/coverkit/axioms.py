@@ -30,18 +30,58 @@ closed forms, each checked by the tests against the literal definition:
   once when there are fewer of them than selected codes
   (``kernel.RowFold``, in the derived relation and in composition);
 - a lower relation is its own lower closure: once its lower scan has
-  found it lower, no zeta pass is run (``Relation.lower_closure``).
+  found it lower, no zeta pass is run (``Relation.lower_closure``);
+- ``classify`` reads four implications of the hierarchy off the upper,
+  lower, cut and 1-reflexive scans, and skips the searches they settle.
+  Below, F |- G is the relation; cut-composition is read in its closed
+  form: r is related to t iff every selection of {F : r |- F} contains a
+  member of {G : G |- t} (``composition``).
+
+  * 1-reflexive => divisible.  Let r |- t.  A selection X of
+    {F : r |- F} meets its member t, at x say, so X contains {x}, which
+    one_exists(rel) relates to t, as {x} |- {x}.  So r is related to t
+    by rel ; one_exists(rel).
+  * Entailment (upper, lower and cut) => cut-transitive.  Multi-cut:
+    for a family P, a left context A and a right context C, if
+    A |- K+C for every member K of P, and A+X |- C for every selection
+    X of P, then A |- C.  By induction on the total size of P's
+    members: an empty P has the selection X = {}, and a P with the
+    empty member has A |- C among its hypotheses.  Otherwise cut out
+    one element s of a member K0.  With K0-{s} in place of K0 and the
+    right context C+{s}, the hypotheses still hold (upper), so
+    A |- C+{s}; with K0 dropped and the left context A+{s}, they hold
+    too (lower, and X+{s} is a selection of P), so A+{s} |- C; the cut
+    rule gives A |- C.  Now let r be related to t by rel ; rel.  Every
+    selection X of P = {F : r |- F} contains some G |- t, so r+X |- t
+    (lower), and the lemma with A = r and C = t gives r |- t.
+  * Lower and cut => semicut.  Let H |- G and F |- G+{h} for every h in
+    H.  Weakening gives F+H |- G, and F+H' |- G+{h} for every H'; cut
+    out the h in H one at a time, each with F+H' |- G+{h}, down to
+    F |- G.  So no violation exists.
+  * Scott => the derived relation is rel.  If F |- G and H |- {f} for
+    every f in F, the multi-cut lemma with P = {{f} : f in F}, A = H
+    and C = G gives H |- G (upper for H |- {f}+G, lower for H+X |- G,
+    as X contains F).  Conversely H = F entails each {f} in F, by
+    {f} |- {f} and weakening, so F |- G whenever F is derived-related
+    to G.  So ``classify`` keeps a Scott relation as the system's
+    derived relation, and its cover check, vdash ; rel contained in
+    rel, is its cut-transitivity: a Scott relation, a strong idempotent
+    by the first two implications, is a cover, with no derived relation
+    built and no composition.
 
 ``classify`` evaluates each
 predicate once, deciding cut-transitivity and divisibility in one walk
-over the relation's rows.  The classification and the derived relation
-are each computed at most once per system and cached on it (see
-``CoverSystem``), so ``classify``, the spectrum and frame checks and
-library callers share them; the derived relation is built on first
-need, which in ``classify`` is only the cover check of a strong
-idempotent.  All predicates can produce a minimal counterexample
-witness, minimised by subset-code order, for debuggability of generated
-systems.
+over the relation's rows, a side of which is skipped when the hierarchy
+settles it.  The classification and the derived relation are each
+computed at most once per system and cached on it (see ``CoverSystem``),
+so ``classify``, the spectrum and frame checks and library callers share
+them; the derived relation is built on first need, which in ``classify``
+is only the cover check of a strong idempotent that is not a Scott
+relation.  The standalone ``cut_transitive_witness``,
+``divisibility_witness`` and ``semicut_witness`` always run the full
+search, and so does ``derive_vdash`` when no derived relation is cached.
+All predicates can produce a minimal counterexample witness, minimised
+by subset-code order, for debuggability of generated systems.
 """
 
 from __future__ import annotations
@@ -104,9 +144,12 @@ def derive_vdash(sys: CoverSystem) -> Relation:
     singleton of F also entails G.
 
     Always lower and 1-reflexive; upper whenever the base relation is.
-    For Scott relations it coincides with the base relation.  Built on
-    the first call and cached on the system; ``classify`` makes that
-    call only for the cover check of a strong idempotent.
+    For Scott relations it coincides with the base relation (module
+    docstring).  Built on the first call and cached on the system;
+    ``classify`` makes that call only for the cover check of a strong
+    idempotent that is not a Scott relation, and caches the relation
+    itself as the derived relation of a Scott relation.  Called before
+    ``classify``, it always builds by the full fold.
     """
     if sys._vdash is None:
         sys._vdash = _compute_vdash(sys)
@@ -240,7 +283,8 @@ def divisibility_witness(sys: CoverSystem):
     return _self_composition_witnesses(sys.rel)[1]
 
 
-def _self_composition_witnesses(rel: Relation):
+def _self_composition_witnesses(rel: Relation, cut_transitive: bool = False,
+                                divisible: bool = False):
     """The cut-transitivity and divisibility witnesses of ``rel``, in one
     walk over its distinct rows.
 
@@ -260,23 +304,35 @@ def _self_composition_witnesses(rel: Relation):
     rows.  Both sides are folded in one loop, which measured faster than
     two ``kernel.RowFold`` calls per row at every size tried (|S| = 3, 5
     and 12).
+
+    A side passed as already known to hold (``cut_transitive`` or
+    ``divisible`` true, as ``classify`` reads them off the hierarchy) is
+    not tracked, its witness is None, and its lower closure is not built;
+    with both known nothing is walked.
     """
+    track_out = not cut_transitive
+    track_kept = not divisible
+    excess = deficit = None
+    if not (track_out or track_kept):
+        return excess, deficit
     n = rel.left.size
     t = tables(n)
     meets = t.meets
     full = t.full
     loop_max = t.loop_max
-    below = rel.lower_closure()
-    below_one = _one_exists_lower_closure(rel)
-    excess = deficit = None
+    # an untracked side's row stays 0, so the other side's table serves it
+    below = rel.lower_closure() if track_out else None
+    below_one = _one_exists_lower_closure(rel) if track_kept else below
+    if below is None:
+        below = below_one
     seen = set()
     for r, row in enumerate(rel.rows):
         if row in seen:
             continue
         seen.add(row)
         # the composed rows' part outside row r, and their part of row r
-        out = full ^ row if excess is None else 0
-        kept = row if deficit is None else 0
+        out = full ^ row if track_out else 0
+        kept = row if track_kept else 0
         # the row's selection family (``kernel.selections_mask``, inlined
         # as in ``composition._composed_rows``)
         if row.bit_count() > loop_max:
@@ -296,10 +352,12 @@ def _self_composition_witnesses(rel: Relation):
             sel ^= low
         if out:
             excess = r, (out & -out).bit_length() - 1
-        if deficit is None and kept != row:
+            track_out = False
+        if track_kept and kept != row:
             lost = row ^ kept
             deficit = r, (lost & -lost).bit_length() - 1
-        if excess is not None and deficit is not None:
+            track_kept = False
+        if not (track_out or track_kept):
             break
     return excess, deficit
 
@@ -356,11 +414,16 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
 
     Computed once per system, witnesses included, and cached on it: the
     first call (or access to ``sys.classification``) evaluates, later
-    ones return the cached classification.  The derived relation is
-    built (and cached) only when the system is a strong idempotent,
-    whose cover check reads it.  With ``with_witnesses`` the
-    cached object itself is returned, so it must not be mutated;
-    without, a copy with no witnesses.
+    ones return the cached classification.  The searches that the
+    upper, lower, cut and 1-reflexive flags settle are skipped (module
+    docstring): no cut-transitivity walk for an entailment, no
+    divisibility walk for a 1-reflexive relation, no semicut search for
+    a lower relation with the cut rule.  A Scott relation is cached as
+    its own derived relation; otherwise the derived relation is built
+    (and cached) only when the system is a strong idempotent, whose
+    cover check reads it.  With ``with_witnesses`` the cached object
+    itself is returned, so it must not be mutated; without, a copy with
+    no witnesses.
     """
     cls = sys._classification
     if cls is None:
@@ -369,13 +432,14 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
 
 
 def _compute_classification(sys: CoverSystem) -> Classification:
-    """One pass: each witness search is evaluated once.
+    """One pass: each witness search is evaluated at most once.
 
     Cut-transitivity and divisibility share one walk over the rows
-    (``_self_composition_witnesses``), antisymmetry reads the singleton
-    columns that ``semicut_witness`` also reads, and only the cover
-    check, which runs on strong idempotents alone, reads the derived
-    relation.
+    (``_self_composition_witnesses``), which skips the side the flags
+    settle, antisymmetry reads the singleton columns that
+    ``semicut_witness`` also reads, and only the cover check, which runs
+    on strong idempotents that are not Scott relations, reads the
+    derived relation.
     """
     rel = sys.rel
     up_wit = upper_witness(rel)
@@ -389,14 +453,24 @@ def _compute_classification(sys: CoverSystem) -> Classification:
     one_refl = refl_wit is None
     entailment = monotone and cut
     scott = entailment and one_refl
-    ct_wit, div_wit = _self_composition_witnesses(rel)
+    # the searches the flags above settle are skipped (module docstring):
+    # an entailment is cut-transitive, a 1-reflexive relation divisible,
+    # and a lower relation with the cut rule semicut
+    ct_wit, div_wit = _self_composition_witnesses(
+        rel, cut_transitive=entailment, divisible=one_refl)
     cut_transitive = ct_wit is None
     divisible = div_wit is None
     strong = monotone and divisible and cut_transitive
-    semicut_wit = semicut_witness(sys)
-    # a cover is a strong idempotent auxiliary to its derived relation
-    cov_wit = (composition_excess_witness(derive_vdash(sys), rel, rel)
-               if strong else None)
+    semicut_wit = None if lower and cut else semicut_witness(sys)
+    # a cover is a strong idempotent auxiliary to its derived relation,
+    # that is, with vdash ; rel contained in rel; a Scott relation is its
+    # own derived relation, so its cut-transitivity makes it a cover
+    cov_wit = None
+    if scott:
+        if sys._vdash is None:
+            sys._vdash = rel
+    elif strong:
+        cov_wit = composition_excess_witness(derive_vdash(sys), rel, rel)
     cover = strong and cov_wit is None
     anti_wit = antisymmetry_witness(sys)
     cls = Classification(

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .kernel import GroundSet, iter_bits, joins_of, meets_of, tables
 from .relations import CoverSystem, Relation
-from .spectrum import FiniteSpace, compact_rows
+from .spectrum import FiniteSpace, compact_rows, escaped_name
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +609,12 @@ def convexity_entailment(cx: Convexity, name: str = "") -> CoverSystem:
     return CoverSystem(ground, Relation(ground, ground, rows), name or "convexity")
 
 
-def _escaped(point: str) -> str:
-    """A point name as it appears in a subbasis label: a backslash goes
-    before each backslash and each comma, so the names of a label are
-    told apart at its unescaped commas, and a name with neither keeps
-    its characters."""
-    return point.replace("\\", "\\\\").replace(",", "\\,")
-
-
 def topology_cover(space: FiniteSpace, subbasis=None, name: str = "") -> CoverSystem:
     """Compact-containment cover of a space's subbasis: the intersection
     of F compactly contained in the union of G.  Each member is labelled
-    "{" + its point names, escaped (``_escaped``), joined by "," + "}", so
-    distinct members get distinct labels whatever their points are named.
+    "{" + its point names, escaped (``spectrum.escaped_name``), joined by
+    "," + "}", so distinct members get distinct labels whatever their
+    points are named.
 
     Tabulated: the intersection and the union of every subset of the
     subbasis are folded once, and the rows are ``compact_rows`` of the
@@ -636,7 +629,7 @@ def topology_cover(space: FiniteSpace, subbasis=None, name: str = "") -> CoverSy
         space = FiniteSpace(space.points, space.opens, tuple(sorted(set(subbasis))))
     sub = space.subbasis
     labels = tuple(
-        "{" + ",".join(map(_escaped, space.point_names(s))) + "}" for s in sub
+        "{" + ",".join(map(escaped_name, space.point_names(s))) + "}" for s in sub
     )
     ground = GroundSet(labels)
     inters, unions = meets_of(space.full_mask, sub), joins_of(sub)

@@ -59,9 +59,12 @@ def _require_cut_idempotent(sys: CoverSystem):
     cls = sys.classification
     if not cls.is_monotone:
         raise ValueError("quasi-ideal machinery requires a monotone relation")
-    # cut-idempotence: the self-composition equals the relation
-    composed = cut_compose(sys.rel, sys.rel)
-    if composed != sys.rel:
+    # cut-idempotence: the self-composition equals the relation.  A strong
+    # idempotent R has it: R is in R ; one_exists(R) (divisible), which is
+    # in R ; R (one_exists(R) is in R for an upper R, and composition grows
+    # with its right operand), which is in R (cut-transitive)
+    if (not cls.is_strong_idempotent
+            and cut_compose(sys.rel, sys.rel) != sys.rel):
         raise ValueError("quasi-ideal machinery requires a cut-idempotent relation")
 
 
@@ -760,21 +763,21 @@ def frame_hasse_dot(fm: FrameModel, name: str = "frame") -> str:
     """Quasi-ideal lattice as a Hasse diagram."""
     els = fm.elements
     labels = {}
-    from .spectrum import subset_label
+    from .spectrum import dot_id, subset_label
 
     for m in els:
         parts = [subset_label(fm.system.ground, f) for f in iter_bits(m)]
-        labels[m] = "[" + " ".join(parts) + "]"
+        labels[m] = dot_id("[" + " ".join(parts) + "]")
     lines = [f"graph {name} {{"]
     for m in els:
-        lines.append(f'  "{labels[m]}";')
+        lines.append(f"  {labels[m]};")
     for a in els:
         for b in els:
             if a == b or a & ~b:
                 continue
             if any(c != a and c != b and a & ~c == 0 and c & ~b == 0 for c in els):
                 continue
-            lines.append(f'  "{labels[a]}" -- "{labels[b]}";')
+            lines.append(f"  {labels[a]} -- {labels[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -465,7 +465,9 @@ class CoverSystem:
       to ``classification``;
     - ``_vdash``: the derived relation, filled by the first
       ``axioms.derive_vdash`` call (``axioms.classify`` makes one only
-      for the cover check of a strong idempotent);
+      for the cover check of a strong idempotent that is not a Scott
+      relation), or by ``axioms.classify`` with the relation itself,
+      which is the derived relation of a Scott relation;
     - ``_frame``: the quasi-ideal frame model, filled by the first
       successful ``frame.frame_model(sys)`` with the default mode and cap;
     - ``_spectrum``: the tight spectrum, filled by the first

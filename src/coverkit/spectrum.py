@@ -18,6 +18,10 @@ the single-pair form.  Each space builds its topology cover once
 (``FiniteSpace.cover_system``, or the first ``topology_cover(space)``
 with the defaults, which fills that cache), and recovery and the duality
 checks share it.
+
+Spectrum points and subbasis members are named by their subsets' labels
+(``subset_label``), which escape names so that distinct subsets get
+distinct labels, and the DOT exports quote every id with ``dot_id``.
 """
 
 from __future__ import annotations
@@ -527,8 +531,53 @@ def tight_sets(sys: CoverSystem) -> tuple[FinSubset, ...]:
     return tuple(FinSubset(sys.ground, c) for c in tight_codes(sys))
 
 
+def escaped_name(name: str) -> str:
+    """A name as it appears in a label, "{" + names joined by "," + "}".
+
+    A name without a backslash, a comma or a brace keeps its characters,
+    and so does a braced name: one that opens with "{" closed only by its
+    last character, as a label itself is (``_braced``).  Any other name
+    gets a backslash before each backslash, comma and brace.  So a label
+    splits back into its names at the commas outside braces that no
+    backslash escapes, and distinct subsets get distinct labels.
+    """
+    if not any(c in name for c in "\\,{}") or _braced(name):
+        return name
+    return (name.replace("\\", "\\\\").replace(",", "\\,")
+            .replace("{", "\\{").replace("}", "\\}"))
+
+
+def _braced(name: str) -> bool:
+    """Whether ``name`` opens with "{" and the brace that closes it,
+    skipping characters after a backslash, is its last character."""
+    if not name.startswith("{"):
+        return False
+    depth = 0
+    chars = iter(enumerate(name))
+    for i, c in chars:
+        if c == "\\":
+            next(chars, None)
+        elif c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return i == len(name) - 1
+    return False
+
+
 def subset_label(ground: GroundSet, code: int) -> str:
-    return "{" + ",".join(ground.names[i] for i in iter_bits(code)) + "}"
+    """"{" + the names of the subset's elements, escaped
+    (``escaped_name``), joined by "," + "}": distinct subsets get
+    distinct labels whatever their elements are named, and a ground of
+    plain or braced names (a topology cover's) keeps its characters."""
+    return "{" + ",".join(escaped_name(ground.names[i]) for i in iter_bits(code)) + "}"
+
+
+def dot_id(label: str) -> str:
+    """``label`` as a quoted DOT id: a backslash goes before each
+    backslash and each double quote, so any label reads back from it."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 class Spectrum:
@@ -919,15 +968,16 @@ def specialization_dot(space: FiniteSpace, name: str = "specialization") -> str:
     n = len(space.points)
     arrow = [[calc.arrow(x, y) and x != y for y in range(n)] for x in range(n)]
     lines = [f"digraph {name} {{"]
-    for p in space.points:
-        lines.append(f'  "{p}";')
+    ids = [dot_id(p) for p in space.points]
+    for p in ids:
+        lines.append(f"  {p};")
     for x in range(n):
         for y in range(n):
             if not arrow[x][y]:
                 continue
             if any(arrow[x][z] and arrow[z][y] for z in range(n)):
                 continue
-            lines.append(f'  "{space.points[x]}" -> "{space.points[y]}";')
+            lines.append(f"  {ids[x]} -> {ids[y]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -936,15 +986,18 @@ def opens_hasse_dot(space: FiniteSpace, name: str = "opens") -> str:
     """Open-set lattice as a Hasse diagram (edges point upward)."""
     opens = sorted(space.opens, key=lambda m: (bin(m).count("1"), m))
     lines = [f"graph {name} {{"]
-    labels = {o: "{" + ",".join(space.point_names(o)) + "}" for o in opens}
+    labels = {
+        o: dot_id("{" + ",".join(map(escaped_name, space.point_names(o))) + "}")
+        for o in opens
+    }
     for o in opens:
-        lines.append(f'  "{labels[o]}";')
+        lines.append(f"  {labels[o]};")
     for a in opens:
         for b in opens:
             if a == b or a & ~b:
                 continue
             if any(c != a and c != b and a & ~c == 0 and c & ~b == 0 for c in opens):
                 continue
-            lines.append(f'  "{labels[a]}" -- "{labels[b]}";')
+            lines.append(f"  {labels[a]} -- {labels[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -322,6 +322,17 @@ def test_monotone_one_reflexive_divisible():
         rel = gen.random_monotone(RNG, G3)
         if is_one_reflexive(rel):
             assert is_divisible(CoverSystem(G3, rel))
+    # monotone or not: every 1-reflexive relation at |S| = 2, and random
+    # ones at |S| = 3 made 1-reflexive
+    reflexive = [rel for rel in _all_relations(G2) if is_one_reflexive(rel)]
+    assert len(reflexive) == 1 << 14
+    for _ in range(150):
+        rows = list(gen.random_relation(RNG, G3).rows)
+        for s in range(3):
+            rows[1 << s] |= 1 << (1 << s)
+        reflexive.append(Relation(G3, G3, rows))
+    for rel in reflexive:
+        assert is_divisible(CoverSystem(rel.left, rel)), rel.rows
 
 
 def test_empty_relation_divisible():
@@ -513,6 +524,157 @@ def test_fused_witnesses_match_references_named():
         _check_against_references(sys)
 
 
+# -- hierarchy implications that classify reads off the structural flags ---------------
+
+def _rule_closure(n, rows, upper):
+    """The least relation containing ``rows`` that is lower and has the
+    cut rule (and is upper, with ``upper``): each rule applied to every
+    pair, again until nothing is added."""
+    rows = list(rows)
+    size = 1 << n
+    grown = True
+    while grown:
+        grown = False
+        for f in range(size):
+            for s in range(n):
+                bit = 1 << s
+                if f & bit:
+                    continue
+                add = rows[f] & ~rows[f | bit]  # F |- G gives F+{s} |- G
+                for g in range(size):
+                    if (not g & bit and rows[f | bit] >> g & 1
+                            and rows[f] >> (g | bit) & 1):
+                        add_f = 1 << g  # cut on s
+                        if not rows[f] & add_f:
+                            rows[f] |= add_f
+                            grown = True
+                    if upper and rows[f] >> g & 1 and not rows[f] >> (g | bit) & 1:
+                        rows[f] |= 1 << (g | bit)
+                        grown = True
+                if add:
+                    rows[f | bit] |= add
+                    grown = True
+    return rows
+
+
+def _implication_samples():
+    """Every relation at |S| = 2, then random ones at |S| = 3 and 4 drawn
+    to meet each hypothesis: random relations made 1-reflexive, the
+    lower cut closures and the entailment closures of random relations,
+    and Scott relations."""
+    for code in range(1 << 16):
+        yield 2, [(code >> (4 * f)) & 15 for f in range(4)]
+    rng = gen.rng_for(1414)
+    for n, count in ((3, 12), (4, 3)):
+        ground = gen.ground(n)
+        for _ in range(count):
+            rows = list(gen.random_relation(rng, ground).rows)
+            for s in range(n):
+                rows[1 << s] |= 1 << (1 << s)
+            yield n, rows
+            sparse = [row & rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+                      for row in gen.random_relation(rng, ground).rows]
+            yield n, _rule_closure(n, sparse, upper=False)
+            yield n, _rule_closure(n, sparse, upper=True)
+            yield n, list(gen.random_scott(rng, ground).rel.rows)
+
+
+def test_hierarchy_implications_hold_for_the_naive_oracles():
+    # classify reads these off its structural flags instead of searching:
+    # 1-reflexive => divisible, lower and cut => semicut, entailment =>
+    # cut-transitive, Scott => its own derived relation
+    hits = {}
+    for n, rows in _implication_samples():
+        if n == 2:
+            divisible = oracles.naive_divisible
+            cut_transitive = oracles.naive_cut_transitive
+        else:
+            # the literal family tables are out of reach at |S| = 4
+            def divisible(n, rows):
+                composed = oracles.naive_compose_maximal(
+                    n, rows, oracles.naive_one_exists(n, rows))
+                return all(a & ~b == 0 for a, b in zip(rows, composed))
+
+            def cut_transitive(n, rows):
+                composed = oracles.naive_compose_maximal(n, rows, rows)
+                return all(a & ~b == 0 for a, b in zip(composed, rows))
+        one_refl = oracles.naive_one_reflexive(n, rows)
+        lower_cut = oracles.naive_lower(n, rows) and oracles.naive_cut(n, rows)
+        entailment = lower_cut and oracles.naive_upper(n, rows)
+        if one_refl:
+            assert divisible(n, rows), rows
+        if lower_cut:
+            assert oracles.naive_semicut(n, rows), rows
+        if entailment:
+            assert cut_transitive(n, rows), rows
+        if entailment and one_refl:
+            assert oracles.naive_vdash(n, rows) == list(rows), rows
+        for name, held in (("one_refl", one_refl), ("lower_cut", lower_cut),
+                           ("entailment", entailment),
+                           ("lower_cut_not_upper", lower_cut and not entailment),
+                           ("entailment_not_scott", entailment and not one_refl),
+                           ("scott", entailment and one_refl)):
+            if held:
+                hits[name, n] = hits.get((name, n), 0) + 1
+    assert len(hits) == 18, sorted(hits)
+
+
+def _check_classify_against_full_searches(sys):
+    """classify's flags, witnesses and derived relation equal the ones the
+    full searches give on a fresh system over the same relation."""
+    rel = sys.rel
+    cls = classify(sys, with_witnesses=True)
+    fresh = CoverSystem(sys.ground, rel)
+    ct = cut_transitive_witness(fresh)
+    div = divisibility_witness(fresh)
+    semi = semicut_witness(fresh)
+    vdash = axioms._compute_vdash(fresh)
+    strong = cls.is_monotone and ct is None and div is None
+    cov = composition.composition_excess_witness(vdash, rel, rel) if strong else None
+    assert derive_vdash(sys) == vdash, rel.rows
+    assert (cls.is_cut_transitive, cls.is_divisible, cls.is_semicut,
+            cls.is_strong_idempotent, cls.is_cover) == (
+        ct is None, div is None, semi is None, strong, strong and cov is None), rel.rows
+    wit = cls.witnesses
+    assert wit.get("cut_transitive") == (ct and axioms._named_pair(sys, ct))
+    assert wit.get("divisible") == (div and axioms._named_pair(sys, div))
+    assert wit.get("semicut") == (semi and dict(
+        zip("FGH", (axioms._names(sys, code) for code in semi))))
+    assert wit.get("cover") == (cov and axioms._named_pair(sys, cov))
+    return cls
+
+
+def test_classify_equals_full_searches_exhaustive():
+    # at |S| = 2 the covers are the 16 Scott relations; the 25 other
+    # strong idempotents (17 of them entailments) keep the cover check
+    seen = set()
+    for rel in _all_relations(G2):
+        cls = _check_classify_against_full_searches(CoverSystem(G2, rel))
+        seen.add((cls.is_one_reflexive, cls.is_entailment,
+                  cls.is_strong_idempotent, cls.is_cover))
+    assert len(seen) == 6
+
+
+def test_classify_equals_full_searches_random():
+    rng = gen.rng_for(1515)
+    samplers = (
+        lambda g: CoverSystem(g, gen.random_relation(rng, g)),
+        lambda g: CoverSystem(g, gen.random_monotone(rng, g)),
+        lambda g: gen.random_scott(rng, g),
+        lambda g: gen.random_strong_idempotent(rng, g),
+    )
+    scott = 0
+    for n, count in ((3, 40), (4, 15), (5, 4)):
+        ground = gen.ground(n)
+        for sample in samplers:
+            for _ in range(count):
+                # a fresh system, so classify runs here
+                sys = sample(ground)
+                cls = _check_classify_against_full_searches(CoverSystem(ground, sys.rel))
+                scott += cls.is_scott
+    assert scott >= 80
+
+
 # -- work done per classification -----------------------------------------------------
 
 def _counting(monkeypatch, module, name):
@@ -542,19 +704,29 @@ def test_building_a_system_runs_no_classification(monkeypatch):
 def test_classify_composes_at_most_three_times(monkeypatch):
     # cut-transitivity and divisibility share one self-composition pass;
     # the cover check is the one composition through the row generator,
-    # and the one reader of the derived relation
+    # and the one reader of the derived relation.  A Scott relation is
+    # its own derived relation and a cover, so it has neither, and its
+    # pass builds no lower closure of one_exists(rel); the non-Scott
+    # strong idempotent (the golden input strong4.json, not 1-reflexive)
+    # keeps all three
     pass_calls = _counting(monkeypatch, axioms, "_self_composition_witnesses")
+    one_calls = _counting(monkeypatch, axioms, "_one_exists_lower_closure")
     rows_calls = _counting(monkeypatch, composition, "_composed_rows")
     vdash_calls = _counting(monkeypatch, axioms, "derive_vdash")
-    systems = (meet_system(3), lattice_cover(boolean4_lattice()),
-               topology_cover(sierpinski_space()), gen.random_scott(gen.rng_for(606), G3))
-    for sys in systems:
-        del pass_calls[:], rows_calls[:], vdash_calls[:]
+    scott = (meet_system(3), lattice_cover(boolean4_lattice()),
+             topology_cover(sierpinski_space()), gen.random_scott(gen.rng_for(606), G3))
+    # a fresh system: the generator classified its own
+    strong = gen.random_strong_idempotent(gen.rng_for(22), gen.ground(4))
+    strong = CoverSystem(strong.ground, strong.rel)
+    for sys, composed in [(sys, 0) for sys in scott] + [(strong, 1)]:
+        del pass_calls[:], one_calls[:], rows_calls[:], vdash_calls[:]
         cls = classify(sys, with_witnesses=True)
         assert cls.is_strong_idempotent
+        assert cls.is_scott == (composed == 0)
         assert len(pass_calls) == 1
-        assert len(rows_calls) == 1
-        assert len(vdash_calls) == 1
+        assert len(one_calls) == composed
+        assert len(rows_calls) == composed
+        assert len(vdash_calls) == composed
 
 
 def test_classify_builds_no_derived_relation_unless_strong(monkeypatch):
@@ -585,17 +757,24 @@ def test_classify_builds_no_derived_relation_unless_strong(monkeypatch):
 
 
 def test_lattice_path_classifies_and_derives_once(monkeypatch):
+    # the derived relation is built at most once; a Scott relation (the
+    # Boolean lattice's cover) is its own, taken by classify with no build
+    from coverkit.builders import m3_lattice
+
     classify_calls = _counting(monkeypatch, axioms, "_compute_classification")
     vdash_calls = _counting(monkeypatch, axioms, "_compute_vdash")
-    sys = lattice_cover(boolean4_lattice())
-    assert sys.ground.size == 4
-    cls = classify(sys, with_witnesses=True)
-    Spectrum(sys)
-    verify_representation(sys)
-    derive_vdash(sys)
-    assert sys.classification is cls
-    assert len(classify_calls) == 1
-    assert len(vdash_calls) == 1
+    for lattice, builds in ((boolean4_lattice(), 0), (m3_lattice(), 1)):
+        del classify_calls[:], vdash_calls[:]
+        sys = lattice_cover(lattice)
+        cls = classify(sys, with_witnesses=True)
+        assert cls.is_scott == (builds == 0)
+        Spectrum(sys)
+        verify_representation(sys)
+        vdash = derive_vdash(sys)
+        assert sys.classification is cls
+        assert len(classify_calls) == 1
+        assert len(vdash_calls) == builds
+        assert (vdash is sys.rel) == (builds == 0)
 
 
 def test_cached_classification_serves_both_witness_modes():

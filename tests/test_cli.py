@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 from hypothesis import example, given, settings
@@ -357,6 +358,72 @@ def test_subbasis_labels_escape_backslashes_and_commas():
     labels = topology_cover(FiniteSpace.from_named_sets(names, opens, subbasis)).ground.names
     assert len(set(labels)) == len(labels) == 8
     assert {"{a\\,b}", "{a,b}", "{c\\\\}", "{c\\\\\\,d}", "{c\\\\,d}", "{a}", "{d}"} <= set(labels)
+
+
+def _meeting(ground):
+    """An explicit file on ``ground`` in which F entails G iff they meet."""
+    subsets = [[x for i, x in enumerate(ground) if m >> i & 1]
+               for m in range(1 << len(ground))]
+    pairs = [[f, g] for i, f in enumerate(subsets)
+             for j, g in enumerate(subsets) if i & j]
+    return {"format_version": "1", "kind": "explicit",
+            "payload": {"ground": ground, "pairs": pairs}}
+
+
+def test_commas_in_element_names_keep_spectrum_points_distinct(tmp_path, capsys):
+    # unescaped, the tight sets {"a,b"} and {"a", "b"} are both "{a,b}"
+    path = write(tmp_path, "commas.json", _meeting(["a,b", "a", "b"]))
+    code, rep = run(capsys, "spectrum", path)
+    assert code == 0
+    points = rep["space"]["points"]
+    assert len(points) == len(set(points)) == len(rep["tight_sets"]) == 7
+    assert {"{a\\,b}", "{a,b}"} <= set(points)
+
+
+DOT_ID = r'"(?:[^"\\]|\\.)*"'
+DOT_LINE = re.compile(rf"  ({DOT_ID})(?: (?:->|--) ({DOT_ID}))?;")
+
+
+def _dot_nodes(text):
+    """The node ids of a DOT graph, read back: each line between the
+    header and the closing brace is one quoted node or one edge."""
+    lines = text.splitlines()
+    assert lines[0].endswith(" {") and lines[-1] == "}"
+    nodes, ends = [], set()
+    for line in lines[1:-1]:
+        match = DOT_LINE.fullmatch(line)
+        assert match, line
+        ids = [re.sub(r"\\(.)", r"\1", g[1:-1]) for g in match.groups() if g]
+        if len(ids) == 1:
+            nodes += ids
+        else:
+            ends.update(ids)
+    assert ends <= set(nodes)
+    return nodes
+
+
+def test_dot_ids_parse_back_to_their_labels(tmp_path, capsys):
+    from coverkit.frame import frame_model
+    from coverkit.kernel import GroundSet, iter_bits
+    from coverkit.relations import CoverSystem, Relation
+    from coverkit.spectrum import opens_hasse_dot, spectrum, subset_label
+
+    names = ['a"b', "c\\", "d,e"]
+    path = write(tmp_path, "quotes.json", _meeting(names))
+    spec_dot, frame_dot = tmp_path / "spec.dot", tmp_path / "frame.dot"
+    assert main(["spectrum", path, "--dot", str(spec_dot)]) == 0
+    assert main(["frame", path, "--dot", str(frame_dot)]) == 0
+    ground = GroundSet(names)
+    sys = CoverSystem(ground, Relation.from_predicate(ground, ground,
+                                                      lambda f, g: bool(f & g)))
+    space = spectrum(sys).space
+    assert _dot_nodes(spec_dot.read_text()) == list(space.points)
+    assert '{a"b}' in space.points and "{c\\\\}" in space.points
+    labels = ["[" + " ".join(subset_label(ground, f) for f in iter_bits(m)) + "]"
+              for m in frame_model(sys).elements]
+    assert _dot_nodes(frame_dot.read_text()) == labels
+    opens = _dot_nodes(opens_hasse_dot(space))
+    assert len(opens) == len(set(opens)) == len(space.opens)
 
 
 POINTS = ("x", "y", "z")

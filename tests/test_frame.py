@@ -91,6 +91,36 @@ def test_downset_requires_cut_idempotent():
         downset(sysm, Family(sysm.ground, 0))
 
 
+def test_strong_idempotents_are_cut_idempotent_without_a_composition(monkeypatch):
+    # a strong idempotent's classification settles cut-idempotence, so the
+    # quasi-ideal machinery composes only monotone systems that are not
+    # strong idempotents
+    from coverkit.composition import cut_compose
+
+    g2 = gen.ground(2)
+    strong = []
+    for code in range(1 << 16):
+        rel = Relation(g2, g2, [(code >> (4 * f)) & 15 for f in range(4)])
+        if CoverSystem(g2, rel).classification.is_strong_idempotent:
+            strong.append(rel)
+    assert len(strong) == 41
+    assert all(cut_compose(rel, rel) == rel for rel in strong)
+    calls = []
+    monkeypatch.setattr(frame, "cut_compose",
+                        lambda a, b: calls.append(a) or cut_compose(a, b))
+    for rel in strong:
+        downset(CoverSystem(g2, rel), Family(g2, 0))
+    assert calls == []
+    gap = interpolation_gap_system()  # cut-idempotent, not divisible
+    assert not gap.classification.is_strong_idempotent
+    downset(gap, Family(gap.ground, 0))
+    sysm = lattice_cover(m3_lattice())
+    assert sysm.classification.is_monotone
+    with pytest.raises(ValueError, match="requires a cut-idempotent relation"):
+        downset(sysm, Family(sysm.ground, 0))
+    assert len(calls) == 2
+
+
 # -- frame model ------------------------------------------------------------------
 
 def test_empty_relation_has_two_quasi_ideals():

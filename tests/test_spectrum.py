@@ -1,11 +1,14 @@
 import logging
+import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from oracles import naive_prime, naive_round, naive_selections, naive_tight_sets
-from coverkit.kernel import Family, iter_bits
+from coverkit.kernel import Family, GroundSet, iter_bits
 from coverkit.relations import CoverSystem, Relation
 from coverkit.axioms import derive_vdash
 from coverkit.builders import (
@@ -27,6 +30,7 @@ from coverkit.spectrum import (
     birkhoff_stone_families,
     compact_contained,
     compact_rows,
+    escaped_name,
     homeomorphic,
     is_prime,
     is_round,
@@ -531,6 +535,37 @@ def test_whole_space_very_dense():
 def test_specialization_pairs_sierpinski():
     got = set(specialization_pairs(sierpinski_space()))
     assert got == {("x0", "x0"), ("x1", "x1"), ("x1", "x0")}
+
+
+def _split_label(label):
+    """The names of a non-empty subset's label, read back: split at the
+    commas outside braces that no backslash escapes; a name that opens
+    with a brace is braced and taken as it is, any other unescaped."""
+    names, cur, depth = [], "", 0
+    chars = iter(label[1:-1])
+    for c in chars:
+        if c == "\\":
+            cur += c + next(chars)
+        elif c == "," and depth == 0:
+            names.append(cur)
+            cur = ""
+        else:
+            depth += (c == "{") - (c == "}")
+            cur += c
+    names.append(cur)
+    return [n if n.startswith("{") else re.sub(r"\\(.)", r"\1", n) for n in names]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.text("a,\\{}", max_size=5), min_size=1, max_size=4, unique=True))
+def test_subset_labels_split_back_into_their_names(names):
+    ground = GroundSet(tuple(names))
+    for code in range(1, 1 << len(names)):
+        assert _split_label(subset_label(ground, code)) == [
+            names[i] for i in iter_bits(code)]
+    for name in names:
+        if not set(name) & set(",\\{}") or name in ("{}", "{a,b}", "{{a},{a\\,b}}"):
+            assert escaped_name(name) == name
 
 
 def test_dot_exports_deterministic():
