@@ -14,7 +14,6 @@ the induced maps compose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .kernel import (
     GroundMismatchError,
@@ -204,21 +203,18 @@ def derive_proper(m: CoverMorphism):
 # the abstraction functor: spaces -> systems
 # ---------------------------------------------------------------------------
 
-def ab_functor(phi: SpaceMap, source_sys: CoverSystem | None = None,
-               target_sys: CoverSystem | None = None) -> CoverMorphism:
+def ab_functor(phi: SpaceMap) -> CoverMorphism:
     """Abstract a partial continuous map to the morphism relating F to G
     when the intersection of F is compactly contained in the preimage of
-    the union of G.  The systems default to the spaces' cached cover
+    the union of G.  The morphism runs between the spaces' own cover
     systems (``FiniteSpace.cover_system``).
 
     The preimage of a union is the union of the preimages, so the
     preimage of each subbasic open is taken once; the rows are
     ``compact_rows`` of the intersections in those preimage unions.
     """
-    if source_sys is None:
-        source_sys = phi.source.cover_system
-    if target_sys is None:
-        target_sys = phi.target.cover_system
+    source_sys = phi.source.cover_system
+    target_sys = phi.target.cover_system
     inters = meets_of(phi.source.full_mask, phi.source.subbasis)
     pre_unions = joins_of([phi.preimage(s) for s in phi.target.subbasis])
     rows = compact_rows(phi.source, inters, pre_unions)
@@ -304,13 +300,6 @@ def spectral_square_holds(m: CoverMorphism, phi: SpaceMap | None = None) -> bool
 # natural isomorphisms and duality verification
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _abstracted_spectrum_system(sys: CoverSystem) -> CoverSystem:
-    from .builders import topology_cover
-
-    return topology_cover(spectrum(sys).space)
-
-
 def _subbasis_preimages(sys: CoverSystem) -> list[int]:
     """For each subset code over the spectrum's dedup'd subbasis, the
     ground subset of the least element realising each selected
@@ -341,7 +330,7 @@ def angle_morphism(sys: CoverSystem) -> CoverMorphism:
     ok, wit = angle_well_defined(sys)
     if not ok:
         raise ValueError("comparison relation is not well defined for this system")
-    ab_sys = _abstracted_spectrum_system(sys)
+    ab_sys = spectrum(sys).space.cover_system
     pres = _subbasis_preimages(sys)
     rows = [sys.rel.rows[pre] for pre in pres]
     return CoverMorphism(ab_sys, sys,
@@ -349,7 +338,7 @@ def angle_morphism(sys: CoverSystem) -> CoverMorphism:
 
 
 def angle_inverse_morphism(sys: CoverSystem) -> CoverMorphism:
-    ab_sys = _abstracted_spectrum_system(sys)
+    ab_sys = spectrum(sys).space.cover_system
     pres = _subbasis_preimages(sys)
     rows = []
     for own in sys.rel.rows:
@@ -362,21 +351,10 @@ def angle_inverse_morphism(sys: CoverSystem) -> CoverMorphism:
 
 
 def lambda_map(space: FiniteSpace) -> SpaceMap:
-    """The point map of a space into the spectrum of its cover system."""
-    return _lambda_map(space, space.cover_system)
-
-
-def _lambda_map(space: FiniteSpace, sys: CoverSystem) -> SpaceMap:
-    """``lambda_map`` given the space's cover system ``sys``, whose cached
-    spectrum it uses."""
-    spec = spectrum(sys)
-    from .spectrum import _calc
-
-    calc = _calc(space)
-    mapping = {}
-    for x in range(len(space.points)):
-        code = calc.profiles[x]
-        mapping[x] = spec.index[code]
+    """The point map of a space into the spectrum of its cover system:
+    a point goes to its subbasis profile (``FiniteSpace.profiles``)."""
+    spec = spectrum(space.cover_system)
+    mapping = {x: spec.index[code] for x, code in enumerate(space.profiles)}
     return SpaceMap(space, spec.space, mapping)
 
 
@@ -463,15 +441,11 @@ def verify_duality_system(sys: CoverSystem, test_morphisms=()) -> DualityReport:
                      and round_to_ab.rel == fwd.source.rel)
         phi = sp_functor(fwd, check=False)
         space = spectrum(sys).space
-        lam = _lambda_map(space, fwd.source)
+        lam = lambda_map(space)
         zig = lam.compose(phi) == SpaceMap.identity(space)
         for k, m in enumerate(test_morphisms):
             lhs = compose_morphisms(angle_morphism(m.source), m)
-            ab_of_sp = ab_functor(
-                sp_functor(m),
-                source_sys=_abstracted_spectrum_system(m.source),
-                target_sys=_abstracted_spectrum_system(m.target),
-            )
+            ab_of_sp = ab_functor(sp_functor(m))
             rhs = compose_morphisms(ab_of_sp, angle_morphism(m.target))
             naturality[f"angle_square_{k}"] = lhs.rel == rhs.rel
     return DualityReport(
@@ -496,23 +470,19 @@ def verify_duality_space(space: FiniteSpace, test_maps=()) -> DualityReport:
 
     rec = recovery(space)
     sys = space.cover_system
-    lam = _lambda_map(space, sys)
+    lam = lambda_map(space)
     lam_iso = (rec.passed() and rec.surjective and lam.is_total()
                and lam.is_injective())
 
-    m_lam = ab_functor(lam, source_sys=sys,
-                       target_sys=_abstracted_spectrum_system(sys))
+    m_lam = ab_functor(lam)
     m_angle = angle_morphism(sys)
     zig = compose_morphisms(m_lam, m_angle).rel == sys.rel
 
     naturality = {}
     for k, phi in enumerate(test_maps):
-        sys_src = phi.source.cover_system
-        sys_tgt = phi.target.cover_system
-        m_phi = ab_functor(phi, source_sys=sys_src, target_sys=sys_tgt)
-        phi_spec = sp_functor(m_phi, check=False)
-        lhs = phi.compose(_lambda_map(phi.target, sys_tgt))
-        rhs = _lambda_map(phi.source, sys_src).compose(phi_spec)
+        phi_spec = sp_functor(ab_functor(phi), check=False)
+        lhs = phi.compose(lambda_map(phi.target))
+        rhs = lambda_map(phi.source).compose(phi_spec)
         naturality[f"lambda_square_{k}"] = lhs == rhs
     return DualityReport(
         side="space",

@@ -14,7 +14,8 @@ sort_keys=True)``, and a DOT graph is built only when ``--dot`` asks for
 it.
 
 Exit codes: 0 success; 1 a --require'd axiom failed; 2 unreadable or
-schema-invalid input; 3 a size cap was exceeded: a ground set of more
+schema-invalid input, or a ``--json`` or ``--dot`` path that cannot be
+written; 3 a size cap was exceeded: a ground set of more
 than ``kernel.MAX_GROUND`` (13) elements, or the cap of one computation;
 4 a theorem-backed invariant failed (always an internal bug or a
 corrupted input, never an expected classification outcome).
@@ -58,10 +59,13 @@ def _expect(cond, msg):
 
 
 def load_json(path: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``.  A file that cannot be
+    opened, is not UTF-8, is not JSON or nests too deeply to parse raises
+    SystemFileError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SystemFileError(f"cannot read {path}: {exc}")
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
     return data
@@ -270,8 +274,11 @@ def _dumps(value, indent: str = "\n") -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SystemFileError(f"cannot write {path}: {exc}")
 
 
 def _emit(report: dict, args) -> None:

@@ -17,7 +17,9 @@ decides it through one matrix, ``compact_rows``; ``compact_contained`` is
 the single-pair form.  Each space builds its topology cover once
 (``FiniteSpace.cover_system``, or the first ``topology_cover(space)``
 with the defaults, which fills that cache), and recovery and the duality
-checks share it.
+checks share it.  The tables these read (subbasis profiles, subfamily
+unions and meets, the covering mask of each open) are likewise kept on
+the space that owns them, not in any process-wide memo.
 
 Spectrum points and subbasis members are named by their subsets' labels
 (``subset_label``), which escape names so that distinct subsets get
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations
 
 from .kernel import (
@@ -138,6 +140,58 @@ class FiniteSpace:
         representation check, recovery and the duality checks share it."""
         return space_properties(self)
 
+    @cached_property
+    def profiles(self) -> tuple[int, ...]:
+        """Each point's subbasis profile: bit j of entry x is set iff
+        point x lies in subbasis member j."""
+        return tuple(
+            sum(1 << j for j, s in enumerate(self.subbasis) if s >> x & 1)
+            for x in range(len(self.points))
+        )
+
+    def converges(self, x: int, y: int) -> bool:
+        """Point x converges to y (y is in the closure of x): every
+        subbasic open around y contains x."""
+        prof = self.profiles
+        return prof[y] & ~prof[x] == 0
+
+    @cached_property
+    def cover_unions(self) -> list[int]:
+        """The union of each subfamily of the subbasis, by its subset code
+        over the subbasis.  Raises ``CapExceededError`` on first use when
+        the subbasis has more than ``SUBBASIS_COVER_CAP`` members."""
+        if len(self.subbasis) > SUBBASIS_COVER_CAP:
+            raise CapExceededError("subbasis too large for covering computations")
+        return joins_of(self.subbasis)
+
+    @cached_property
+    def meet_basis(self) -> list[int]:
+        """The distinct intersections of non-empty subfamilies of the
+        subbasis, ascending: a meet-closed basis of the opens."""
+        return sorted(set(meets_of(self.full_mask, self.subbasis)[1:]))
+
+    @cached_property
+    def _covermasks(self) -> dict:
+        """The memo of ``covermask``: every open, mapped to its mask once
+        it is computed and to None before."""
+        return dict.fromkeys(self.opens)
+
+    def covermask(self, region: int) -> int:
+        """Bitmask of the subbasis subfamilies (by index into
+        ``cover_unions``) whose union covers the open ``region``, computed
+        once per region.  Raises ``ValueError`` if ``region`` is not open."""
+        memo = self._covermasks
+        got = memo.get(region)
+        if got is None:
+            if region not in memo:
+                raise ValueError("compact containment applies to open sets")
+            got = 0
+            for ci, u in enumerate(self.cover_unions):
+                if region & ~u == 0:
+                    got |= 1 << ci
+            memo[region] = got
+        return got
+
     def point_names(self, mask: int) -> list[str]:
         return [self.points[i] for i in iter_bits(mask)]
 
@@ -158,53 +212,9 @@ def generated_opens(npoints: int, subbasis) -> frozenset[int]:
     return frozenset(_unions(set(meets_of((1 << npoints) - 1, subbasis)[1:])))
 
 
-class _SpaceCalc:
-    """Cached derived data for one finite space."""
-
-    def __init__(self, space: FiniteSpace):
-        self.space = space
-        self.open_set = frozenset(space.opens)
-        n_sub = len(space.subbasis)
-        if n_sub > SUBBASIS_COVER_CAP:
-            raise CapExceededError("subbasis too large for covering computations")
-        meets = meets_of(space.full_mask, space.subbasis)
-        self.cover_unions = joins_of(space.subbasis)
-        self.meet_basis = sorted(set(meets[1:]))
-        self._covermask = {}
-        # subbasis membership profile of each point
-        self.profiles = [
-            sum(1 << j for j, s in enumerate(space.subbasis) if s >> i & 1)
-            for i in range(len(space.points))
-        ]
-
-    def covermask(self, region: int) -> int:
-        """Bitmask of the subbasis subfamilies covering an open region;
-        computed once per region."""
-        got = self._covermask.get(region)
-        if got is None:
-            if region not in self.open_set:
-                raise ValueError("compact containment applies to open sets")
-            got = 0
-            for ci, u in enumerate(self.cover_unions):
-                if region & ~u == 0:
-                    got |= 1 << ci
-            self._covermask[region] = got
-        return got
-
-    def arrow(self, x: int, y: int) -> bool:
-        """x converges to y: every subbasic open around y contains x."""
-        return self.profiles[y] & ~self.profiles[x] == 0
-
-
-@lru_cache(maxsize=256)
-def _calc(space: FiniteSpace) -> _SpaceCalc:
-    return _SpaceCalc(space)
-
-
 def compact_contained(space: FiniteSpace, smaller: int, larger: int) -> bool:
     """Covering-definition compact containment between two open sets."""
-    calc = _calc(space)
-    return calc.covermask(larger) & ~calc.covermask(smaller) == 0
+    return space.covermask(larger) & ~space.covermask(smaller) == 0
 
 
 def compact_rows(space: FiniteSpace, smaller, larger) -> list[int]:
@@ -217,17 +227,17 @@ def compact_rows(space: FiniteSpace, smaller, larger) -> list[int]:
     distinct open is taken once, and each distinct open of ``smaller``
     gets its row once.  Raises ``ValueError`` if a region is not open.
     """
-    calc = _calc(space)
+    covermask = space.covermask
     by_open: dict = {}
     for g, u in enumerate(larger):
         by_open[u] = by_open.get(u, 0) | 1 << g
-    groups = [(calc.covermask(u), gs) for u, gs in by_open.items()]
+    groups = [(covermask(u), gs) for u, gs in by_open.items()]
     row_of: dict = {}
     rows = []
     for s in smaller:
         row = row_of.get(s)
         if row is None:
-            cs = calc.covermask(s)
+            cs = covermask(s)
             row = 0
             for cu, gs in groups:
                 if cu & ~cs == 0:
@@ -239,23 +249,21 @@ def compact_rows(space: FiniteSpace, smaller, larger) -> list[int]:
 
 def specialization_pairs(space: FiniteSpace) -> list[tuple[str, str]]:
     """All (x, y) with x converging to y, i.e. y in the closure of x."""
-    calc = _calc(space)
     n = len(space.points)
     return [
         (space.points[x], space.points[y])
         for x in range(n)
         for y in range(n)
-        if calc.arrow(x, y)
+        if space.converges(x, y)
     ]
 
 
 def saturation(space: FiniteSpace, region: int) -> int:
     """Intersection of all opens containing the region."""
-    calc = _calc(space)
     out = 0
     n = len(space.points)
     for x in range(n):
-        if any(region >> y & 1 and calc.arrow(x, y) for y in range(n)):
+        if any(region >> y & 1 and space.converges(x, y) for y in range(n)):
             out |= 1 << x
     return out
 
@@ -325,17 +333,16 @@ class SpaceProperties:
 
 def space_properties(space: FiniteSpace) -> SpaceProperties:
     """Literal checks of the separation/compactness properties."""
-    calc = _calc(space)
     n = len(space.points)
     full = space.full_mask
-    t0 = len({calc.profiles[i] for i in range(n)}) == n
+    t0 = len(set(space.profiles)) == n
 
     # soberness: every irreducible closed set has a unique generic point.
     # Irreducibility is tested against a meet-closed basis, which suffices.
     closure = [0] * n
     for x in range(n):
         for y in range(n):
-            if calc.arrow(x, y):
+            if space.converges(x, y):
                 closure[x] |= 1 << y
     sober = True
     for o in space.opens:
@@ -343,7 +350,7 @@ def space_properties(space: FiniteSpace) -> SpaceProperties:
         if c == 0:
             continue
         irreducible = True
-        basis = [b for b in calc.meet_basis if b & c]
+        basis = [b for b in space.meet_basis if b & c]
         for i, a in enumerate(basis):
             for b in basis[i + 1:]:
                 if a & b & c == 0:
@@ -358,7 +365,7 @@ def space_properties(space: FiniteSpace) -> SpaceProperties:
             sober = False
             break
 
-    cm = calc.covermask
+    cm = space.covermask
     core_compact = True
     for p in space.opens:
         approx = 0
@@ -375,7 +382,7 @@ def space_properties(space: FiniteSpace) -> SpaceProperties:
     # compactly containing both.  Group by covermask to avoid the cube.
     core_coherent = True
     opens = space.opens
-    width = (1 << len(calc.cover_unions)) - 1
+    width = (1 << len(space.cover_unions)) - 1
     common: dict = {}
 
     def common_of(msk):
@@ -537,10 +544,15 @@ def escaped_name(name: str) -> str:
     A name without a backslash, a comma or a brace keeps its characters,
     and so does a braced name: one that opens with "{" closed only by its
     last character, as a label itself is (``_braced``).  Any other name
-    gets a backslash before each backslash, comma and brace.  So a label
-    splits back into its names at the commas outside braces that no
-    backslash escapes, and distinct subsets get distinct labels.
+    gets a backslash before each backslash, comma and brace.  The empty
+    name is written "\\0", which no other name is: in any other escaped
+    name a backslash comes only before a backslash, comma or brace, or
+    inside a braced name.  So a label splits back into its names at the
+    commas outside braces that no backslash escapes, and distinct subsets
+    get distinct labels: the empty subset's is "{}" and {""}'s "{\\0}".
     """
+    if not name:
+        return "\\0"
     if not any(c in name for c in "\\,{}") or _braced(name):
         return name
     return (name.replace("\\", "\\\\").replace(",", "\\,")
@@ -919,7 +931,7 @@ def recovery(space: FiniteSpace) -> RecoveryReport:
         raise ValueError("recovery requires a T0 space")
     spec = spectrum(space.cover_system)
     # the subbasis profile of x is its image code over the cover's ground
-    images = _calc(space).profiles
+    images = space.profiles
     injective = len(set(images)) == len(images)
     in_spectrum = all(code in spec.index for code in images)
     image_mask = 0
@@ -964,9 +976,8 @@ def recovery(space: FiniteSpace) -> RecoveryReport:
 
 def specialization_dot(space: FiniteSpace, name: str = "specialization") -> str:
     """Specialization order as a digraph (transitive reduction, no loops)."""
-    calc = _calc(space)
     n = len(space.points)
-    arrow = [[calc.arrow(x, y) and x != y for y in range(n)] for x in range(n)]
+    arrow = [[space.converges(x, y) and x != y for y in range(n)] for x in range(n)]
     lines = [f"digraph {name} {{"]
     ids = [dot_id(p) for p in space.points]
     for p in ids:

@@ -463,11 +463,6 @@ def _maps_between(src, tgt):
 def test_criterion_09_categorical_duality():
     t0 = time.time()
     spaces = _space_corpus()
-    systems = {}
-    from coverkit.builders import topology_cover
-
-    for sp in spaces:
-        systems[sp] = topology_cover(sp)
 
     all_maps = []
     for src in spaces:
@@ -483,7 +478,7 @@ def test_criterion_09_categorical_duality():
 
     # zigzags and naturality on the system side, morphisms from total maps
     total_morphisms = [
-        ab_functor(phi, systems[phi.source], systems[phi.target])
+        ab_functor(phi)
         for phi in all_maps if phi.is_total()
     ]
     sys_checked = 0
@@ -510,10 +505,8 @@ def test_criterion_09_categorical_duality():
         for p2 in all_maps:
             if p1.target != p2.source or not (p1.is_total() and p2.is_total()):
                 continue
-            lhs = ab_functor(p1.compose(p2), systems[p1.source], systems[p2.target])
-            rhs = compose_morphisms(
-                ab_functor(p1, systems[p1.source], systems[p1.target]),
-                ab_functor(p2, systems[p2.source], systems[p2.target]))
+            lhs = ab_functor(p1.compose(p2))
+            rhs = compose_morphisms(ab_functor(p1), ab_functor(p2))
             assert lhs.rel == rhs.rel
             phi_pairs += 1
     _announce(9, f"duality: {len(spaces)} spaces, {sys_checked} cover systems, "

@@ -126,27 +126,22 @@ def test_ab_functor_partial_maps_abstract_but_are_not_morphisms():
 
 
 def test_ab_identity_is_compact_cover_relation():
-    sys = topology_cover(SIER)
-    m = ab_functor(SpaceMap.identity(SIER), sys, sys)
-    assert m.rel == sys.rel
+    m = ab_functor(SpaceMap.identity(SIER))
+    assert m.rel == SIER.cover_system.rel
 
 
 def test_ab_functoriality():
     phi = SpaceMap.constant(D2, SIER, 1)
     psi = SpaceMap(SIER, CHAIN3S, {0: 0, 1: 2})
-    sys_d2, sys_sier, sys_c3 = (
-        topology_cover(D2), topology_cover(SIER), topology_cover(CHAIN3S))
-    m_phi = ab_functor(phi, sys_d2, sys_sier)
-    m_psi = ab_functor(psi, sys_sier, sys_c3)
-    m_comp = ab_functor(phi.compose(psi), sys_d2, sys_c3)
+    m_phi, m_psi = ab_functor(phi), ab_functor(psi)
+    m_comp = ab_functor(phi.compose(psi))
     assert compose_morphisms(m_phi, m_psi).rel == m_comp.rel
 
 
 def test_morphism_composition_associative():
-    sys = topology_cover(SIER)
-    ms = [CoverMorphism.identity(sys),
-          ab_functor(SpaceMap.identity(SIER), sys, sys),
-          ab_functor(SpaceMap.constant(SIER, SIER, 1), sys, sys)]
+    ms = [CoverMorphism.identity(SIER.cover_system),
+          ab_functor(SpaceMap.identity(SIER)),
+          ab_functor(SpaceMap.constant(SIER, SIER, 1))]
     for a in ms:
         for b in ms:
             for c in ms:
@@ -165,9 +160,8 @@ def test_sp_identity_morphism_is_identity_map():
 
 
 def test_sp_functoriality():
-    sys_d2, sys_sier = topology_cover(D2), topology_cover(SIER)
-    m1 = ab_functor(SpaceMap.constant(D2, SIER, 1), sys_d2, sys_sier)
-    m2 = ab_functor(SpaceMap.identity(SIER), sys_sier, sys_sier)
+    m1 = ab_functor(SpaceMap.constant(D2, SIER, 1))
+    m2 = ab_functor(SpaceMap.identity(SIER))
     p1, p2 = sp_functor(m1), sp_functor(m2)
     pc = sp_functor(compose_morphisms(m1, m2))
     assert p1.compose(p2) == pc
@@ -189,17 +183,14 @@ def test_identity_proper_with_derived_comparison():
 
 
 def test_ab_of_total_maps_proper():
-    sys_d2, sys_sier = topology_cover(D2), topology_cover(SIER)
-    m = ab_functor(SpaceMap.constant(D2, SIER, 1), sys_d2, sys_sier)
+    m = ab_functor(SpaceMap.constant(D2, SIER, 1))
     _, proper = derive_proper(m)
     assert proper
 
 
 def test_proper_morphisms_compose_to_proper():
-    sys_sier = topology_cover(SIER)
-    sys_c3 = topology_cover(CHAIN3S)
-    m1 = ab_functor(SpaceMap(SIER, CHAIN3S, {0: 0, 1: 2}), sys_sier, sys_c3)
-    m2 = ab_functor(SpaceMap(CHAIN3S, SIER, {0: 0, 1: 0, 2: 1}), sys_c3, sys_sier)
+    m1 = ab_functor(SpaceMap(SIER, CHAIN3S, {0: 0, 1: 2}))
+    m2 = ab_functor(SpaceMap(CHAIN3S, SIER, {0: 0, 1: 0, 2: 1}))
     for a, b in ((m1, m2), (m2, m1)):
         _, pa = derive_proper(a)
         _, pb = derive_proper(b)

@@ -262,8 +262,10 @@ def test_dualize_command(tmp_path, capsys):
 
 def test_dualize_classifies_a_topology_cover_once(capsys, monkeypatch):
     # the system side and the space side share the loaded cover system:
-    # one classification for it, one for the abstracted spectrum system
-    from coverkit import axioms, category
+    # one classification for it, one for the abstracted spectrum system;
+    # no system outlives its run, so a second in-process run classifies
+    # its own two again
+    from coverkit import axioms
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     classified = []
@@ -274,11 +276,11 @@ def test_dualize_classifies_a_topology_cover_once(capsys, monkeypatch):
         return inner(sys)
 
     monkeypatch.setattr(axioms, "_compute_classification", counted)
-    # an equal abstracted system kept from an earlier test would skip one
-    category._abstracted_spectrum_system.cache_clear()
-    assert main(["dualize", os.path.join(root, "fixtures", "sierpinski.json")]) == 0
-    capsys.readouterr()
-    assert len(classified) == 2
+    for _ in range(2):
+        classified.clear()
+        assert main(["dualize", os.path.join(root, "fixtures", "sierpinski.json")]) == 0
+        capsys.readouterr()
+        assert len(classified) == 2
 
 
 EMPTY_SPACE = {
@@ -444,12 +446,17 @@ def _generated_opens(masks, full):
     return opens
 
 
+def _subsets(ground):
+    """Label lists of subsets of ``ground``, repeats allowed."""
+    return st.lists(st.sampled_from(ground), max_size=3) if ground else st.just([])
+
+
 @st.composite
 def topology_files(draw):
     """Topology payloads on at most three points with an arbitrary subbasis
     list; the opens are the ones it generates, or an arbitrary list."""
     points = POINTS[:draw(st.integers(0, 3))]
-    subset = st.lists(st.sampled_from(points), max_size=3) if points else st.just([])
+    subset = _subsets(points)
     subbasis = draw(st.lists(subset, max_size=3))
     if draw(st.booleans()):
         index = {p: i for i, p in enumerate(points)}
@@ -463,32 +470,85 @@ def topology_files(draw):
 
 
 @st.composite
-def explicit_files(draw):
-    """Explicit systems on at most two elements with arbitrary pairs."""
-    ground = ["a", "b"][:draw(st.integers(0, 2))]
-    subset = st.lists(st.sampled_from(ground), max_size=2) if ground else st.just([])
-    pairs = draw(st.lists(st.lists(subset, min_size=2, max_size=2), max_size=16))
-    return {"format_version": "1", "kind": "explicit",
-            "payload": {"ground": ground, "pairs": pairs}}
+def explicit_payloads(draw):
+    """Explicit payloads on at most three elements with arbitrary pairs."""
+    ground = ["a", "b", "c"][:draw(st.integers(0, 3))]
+    pairs = draw(st.lists(st.lists(_subsets(ground), min_size=2, max_size=2),
+                          max_size=16))
+    return {"ground": ground, "pairs": pairs}
+
+
+def explicit_files():
+    """Explicit system files of ``explicit_payloads``."""
+    return explicit_payloads().map(lambda payload: {
+        "format_version": "1", "kind": "explicit", "payload": payload})
+
+
+@st.composite
+def morphism_files(draw):
+    """Two morphism files, A -> B and B -> A, between explicit systems on
+    at most three elements, with arbitrary pairs."""
+    a, b = draw(explicit_payloads()), draw(explicit_payloads())
+
+    def morphism(src, tgt):
+        pairs = draw(st.lists(st.tuples(_subsets(src["ground"]),
+                                        _subsets(tgt["ground"])).map(list),
+                              max_size=16))
+        return {"format_version": "1", "kind": "morphism",
+                "source_system": {"kind": "explicit", "payload": src},
+                "target_system": {"kind": "explicit", "payload": tgt},
+                "pairs": pairs}
+
+    return morphism(a, b), morphism(b, a)
+
+
+def _nested(depth):
+    return b"[" * depth + b"]" * depth
+
+
+# raw bytes that are no JSON object: UTF-16 text (not UTF-8), bytes after
+# an 0xff (never in UTF-8), and arrays or objects nested up to 3,000 deep
+raw_files = st.one_of(
+    st.one_of(topology_files(), explicit_files()).map(
+        lambda data: json.dumps(data).encode("utf-16")),
+    st.binary(max_size=8).map(lambda tail: b"\xff" + tail),
+    st.integers(1, 3000).map(_nested),
+    st.integers(1, 3000).map(lambda depth: b'{"a": ' * depth + b"0" + b"}" * depth),
+)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(topology_files(), explicit_files()))
-@example(NON_T0)
-def test_every_command_exits_with_a_documented_code(data):
+@given(st.one_of(topology_files(), explicit_files(), raw_files, morphism_files()),
+       st.booleans())
+@example(NON_T0, False)
+@example(b"\xff\xfe{}", False)
+@example(_nested(2000), False)
+def test_every_command_exits_with_a_documented_code(data, unwritable):
     # without --require, every input ends in 0, 2 (parse), 3 (cap) or 4
-    # (theorem), never in an exception or exit 1
+    # (theorem), never in an exception or exit 1; with a --json path that
+    # cannot be written, in 2, or in 3 when a cap stops it before any output
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.json")
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-        for command in ("classify", "spectrum", "frame", "dualize"):
-            assert main([command, path]) in (0, 2, 3, 4), (command, data)
+        def save(name, doc):
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+            return path
+
+        if isinstance(data, tuple):
+            m1, m2 = save("m1.json", data[0]), save("m2.json", data[1])
+            runs = [["compose", m1, m2], ["compose", m2, m1]]
+        else:
+            path = save("input.json", data)
+            runs = [[c, path] for c in ("classify", "spectrum", "frame", "dualize")]
+        extra, allowed = [], (0, 2, 3, 4)
+        if unwritable:
+            extra, allowed = ["--json", os.path.join(tmp, "missing", "report.json")], (2, 3)
+        for argv in runs:
+            assert main(argv + extra) in allowed, (argv, data)
 
 
 def test_compose_command(tmp_path, capsys):
-    sys_sier = topology_cover(sierpinski_space())
-    m = ab_functor(SpaceMap.identity(sierpinski_space()), sys_sier, sys_sier)
+    m = ab_functor(SpaceMap.identity(sierpinski_space()))
     mfile = write(tmp_path, "m.json", morphism_to_payload(m))
     code, rep = run(capsys, "compose", mfile, mfile)
     assert code == 0

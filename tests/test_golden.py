@@ -26,7 +26,11 @@ relations at |S| = 3 that sit between the levels of the axiom hierarchy:
 an entailment that is neither 1-reflexive nor divisible, with a
 divisibility witness; and ``lowercut3.json`` (the lower closure,
 ``kernel.lower_closure_rows``, of ``gen.random_relation(gen.rng_for(22),
-gen.ground(3))``), lower and cut but not upper.  Reports name their
+gen.ground(3))``), lower and cut but not upper; and three files that
+exit 2 with empty stdout: ``nonutf8.json``, which opens with the bytes
+0xff 0xfe and so is not UTF-8, ``deep2000.json``, arrays nested 2,000
+deep, and ``classify`` of M3 with a ``--json`` path whose parent is a
+file and so cannot be written.  Reports name their
 inputs by base name, so the bytes do not depend on where the repository
 lives.
 
@@ -67,8 +71,10 @@ def _cases():
                   ["classify", "tests/golden/inputs/arbitrary3.json"]))
     cases.append(("classify-chain14", ["classify", "tests/golden/inputs/chain14.json"]))
     cases.append(("classify-m3chain8", ["classify", "tests/golden/inputs/m3chain8.json"]))
-    for stem in ("onerefl3", "entail3", "lowercut3"):
+    for stem in ("onerefl3", "entail3", "lowercut3", "nonutf8", "deep2000"):
         cases.append((f"classify-{stem}", ["classify", f"tests/golden/inputs/{stem}.json"]))
+    cases.append(("classify-m3-json-unwritable",
+                  ["classify", "fixtures/m3.json", "--json", "fixtures/m3.json/report.json"]))
     return cases
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gen
 from oracles import naive_prime, naive_round, naive_selections, naive_tight_sets
-from coverkit.kernel import Family, GroundSet, iter_bits
+from coverkit.kernel import CapExceededError, Family, GroundSet, iter_bits
 from coverkit.relations import CoverSystem, Relation
 from coverkit.axioms import derive_vdash
 from coverkit.builders import (
@@ -24,6 +24,7 @@ from coverkit.builders import (
     TransitiveRelation,
 )
 from coverkit.spectrum import (
+    SUBBASIS_COVER_CAP,
     FiniteSpace,
     Spectrum,
     birkhoff_stone,
@@ -171,7 +172,7 @@ def test_topology_cover_with_defaults_is_the_spaces_cover_system(monkeypatch):
     # space-side checks after it classify and build the spectrum of the
     # same system: one classification and one spectrum in all (two of
     # each when the cache held a second, equal system)
-    from coverkit import axioms, category
+    from coverkit import axioms
     from coverkit.builders import topology_cover
     from coverkit.category import verify_duality_space
 
@@ -181,7 +182,6 @@ def test_topology_cover_with_defaults_is_the_spaces_cover_system(monkeypatch):
                         lambda sys: classified.append(sys) or classify_inner(sys))
     monkeypatch.setattr(Spectrum, "__init__",
                         lambda self, sys: built.append(sys) or spectrum_inner(self, sys))
-    category._abstracted_spectrum_system.cache_clear()
     space = sierpinski_space()
     sys = topology_cover(space)
     assert space.cover_system is sys
@@ -276,6 +276,20 @@ def test_compact_rows_reject_non_open_regions():
             compact_rows(sp, smaller, larger)
 
 
+def test_subbasis_cover_cap_refuses_only_the_covering_tables():
+    # 17 nested opens on 16 points, all in the subbasis: one past
+    # SUBBASIS_COVER_CAP, which the covering tables refuse on first use
+    chain = tuple((1 << k) - 1 for k in range(17))
+    space = FiniteSpace(tuple(f"p{i}" for i in range(16)), chain, chain)
+    assert len(space.subbasis) == SUBBASIS_COVER_CAP + 1
+    # the specialization order needs no covering table: y >= x here
+    assert len(specialization_pairs(space)) == 16 * 17 // 2
+    for use in (lambda: space.cover_unions, lambda: compact_contained(space, 0, 0),
+                lambda: space.properties):
+        with pytest.raises(CapExceededError):
+            use()
+
+
 def test_t0_catalogue_properties_all_true():
     for k in (1, 2, 3):
         for space in gen.all_t0_spaces(k):
@@ -292,10 +306,7 @@ def test_indiscrete_two_points_not_sober():
 
 def test_core_coherent_matches_naive_triple_loop():
     for space in gen.all_t0_spaces(3):
-        from coverkit.spectrum import _calc
-
-        calc = _calc(space)
-        cm = calc.covermask
+        cm = space.covermask
         naive = all(
             not (cm(q) & ~cm(p) == 0 and cm(r) & ~cm(p) == 0)
             or cm(q & r) & ~cm(p) == 0
@@ -540,7 +551,8 @@ def test_specialization_pairs_sierpinski():
 def _split_label(label):
     """The names of a non-empty subset's label, read back: split at the
     commas outside braces that no backslash escapes; a name that opens
-    with a brace is braced and taken as it is, any other unescaped."""
+    with a brace is braced and taken as it is, "\\0" is the empty name,
+    and any other is unescaped."""
     names, cur, depth = [], "", 0
     chars = iter(label[1:-1])
     for c in chars:
@@ -553,19 +565,23 @@ def _split_label(label):
             depth += (c == "{") - (c == "}")
             cur += c
     names.append(cur)
-    return [n if n.startswith("{") else re.sub(r"\\(.)", r"\1", n) for n in names]
+    return [n if n.startswith("{") else "" if n == "\\0" else re.sub(r"\\(.)", r"\1", n)
+            for n in names]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.text("a,\\{}", max_size=5), min_size=1, max_size=4, unique=True))
+@given(st.lists(st.text("a0,\\{}", max_size=5), min_size=1, max_size=4, unique=True))
 def test_subset_labels_split_back_into_their_names(names):
     ground = GroundSet(tuple(names))
+    labels = [subset_label(ground, code) for code in range(1 << len(names))]
+    assert len(set(labels)) == len(labels)
     for code in range(1, 1 << len(names)):
-        assert _split_label(subset_label(ground, code)) == [
-            names[i] for i in iter_bits(code)]
+        assert _split_label(labels[code]) == [names[i] for i in iter_bits(code)]
     for name in names:
-        if not set(name) & set(",\\{}") or name in ("{}", "{a,b}", "{{a},{a\\,b}}"):
+        if name and (not set(name) & set(",\\{}")
+                     or name in ("{}", "{a,b}", "{{a},{a\\,b}}")):
             assert escaped_name(name) == name
+    assert escaped_name("") == "\\0"
 
 
 def test_dot_exports_deterministic():
