@@ -151,8 +151,6 @@ def derive_vdash(sys: CoverSystem) -> Relation:
     itself as the derived relation of a Scott relation.  Called before
     ``classify``, it always builds by the full fold.
     """
-    if sys._vdash is None:
-        sys._vdash = _compute_vdash(sys)
     return sys._vdash
 
 
@@ -426,8 +424,6 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
     no witnesses.
     """
     cls = sys._classification
-    if cls is None:
-        cls = sys._classification = _compute_classification(sys)
     return cls if with_witnesses else replace(cls, witnesses={})
 
 
@@ -467,8 +463,7 @@ def _compute_classification(sys: CoverSystem) -> Classification:
     # own derived relation, so its cut-transitivity makes it a cover
     cov_wit = None
     if scott:
-        if sys._vdash is None:
-            sys._vdash = rel
+        vars(sys).setdefault("_vdash", rel)
     elif strong:
         cov_wit = composition_excess_witness(derive_vdash(sys), rel, rel)
     cover = strong and cov_wit is None

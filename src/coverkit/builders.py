@@ -17,9 +17,8 @@ attached classification records the failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .kernel import GroundSet, iter_bits, joins_of, meets_of, tables
+from .kernel import GroundSet, iter_bits, joins_of, meets_of, memo, tables
 from .relations import CoverSystem, Relation
 from .spectrum import FiniteSpace, compact_rows, escaped_name
 
@@ -121,7 +120,7 @@ class FiniteLattice:
     def le(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
 
-    @cached_property
+    @memo
     def downs(self) -> tuple[int, ...]:
         """downs[j] = mask of i with i <= j."""
         n = self.size
@@ -129,22 +128,22 @@ class FiniteLattice:
             sum(1 << i for i in range(n) if self.le(i, j)) for j in range(n)
         )
 
-    @cached_property
+    @memo
     def meet_table(self):
         return _bound_table(self.elements, self.downs, "meet")
 
-    @cached_property
+    @memo
     def join_table(self):
         return _bound_table(self.elements, self.leq, "join")
 
-    @cached_property
+    @memo
     def bottom(self):
         for i in range(self.size):
             if all(self.le(i, j) for j in range(self.size)):
                 return i
         return None
 
-    @cached_property
+    @memo
     def top(self):
         for i in range(self.size):
             if all(self.le(j, i) for j in range(self.size)):
@@ -199,14 +198,14 @@ class JoinSemilattice:
     def le(self, i, j):
         return bool(self.leq[i] >> j & 1)
 
-    @cached_property
+    @memo
     def bottom(self):
         for i in range(self.size):
             if all(self.le(i, j) for j in range(self.size)):
                 return i
         return None
 
-    @cached_property
+    @memo
     def join_table(self):
         return _bound_table(self.elements, self.leq, "join")
 
@@ -246,7 +245,7 @@ class TransitiveRelation:
     def size(self):
         return len(self.elements)
 
-    @cached_property
+    @memo
     def below(self) -> tuple[int, ...]:
         """below[j] = mask of i with i < j (strict predecessors)."""
         n = self.size
@@ -254,7 +253,7 @@ class TransitiveRelation:
             sum(1 << i for i in range(n) if self.lt[i] >> j & 1) for j in range(n)
         )
 
-    @cached_property
+    @memo
     def rounded(self) -> bool:
         """Every element has a strict predecessor."""
         return all(self.below[j] for j in range(self.size))
@@ -284,7 +283,7 @@ class Convexity:
     def size(self):
         return len(self.elements)
 
-    @cached_property
+    @memo
     def hull(self) -> tuple[int, ...]:
         out = []
         for code in range(1 << self.size):
@@ -295,7 +294,7 @@ class Convexity:
             out.append(h)
         return tuple(out)
 
-    @cached_property
+    @memo
     def kakutani(self) -> bool:
         fam = self.convex_sets
         full = (1 << self.size) - 1
@@ -326,14 +325,14 @@ class ProximityLattice:
     def size(self):
         return len(self.elements)
 
-    @cached_property
+    @memo
     def below(self) -> tuple[int, ...]:
         n = self.size
         return tuple(
             sum(1 << i for i in range(n) if self.prox[i] >> j & 1) for j in range(n)
         )
 
-    @cached_property
+    @memo
     def derived_leq(self) -> tuple[int, ...]:
         n = self.size
         return tuple(
@@ -341,7 +340,7 @@ class ProximityLattice:
             for i in range(n)
         )
 
-    @cached_property
+    @memo
     def lattice(self) -> FiniteLattice:
         n = self.size
         # idempotence: < equals its composition with itself

@@ -338,16 +338,15 @@ def angle_morphism(sys: CoverSystem) -> CoverMorphism:
 
 
 def angle_inverse_morphism(sys: CoverSystem) -> CoverMorphism:
+    """The morphism from the system to its re-abstracted spectrum system:
+    F relates to the subbasis subfamily u iff F entails u's preimage.
+    So it is the transpose of the relation whose row u is the column of
+    that preimage, gathered from the system's columns."""
     ab_sys = spectrum(sys).space.cover_system
-    pres = _subbasis_preimages(sys)
-    rows = []
-    for own in sys.rel.rows:
-        row = 0
-        for u, pre in enumerate(pres):
-            if own >> pre & 1:
-                row |= 1 << u
-        rows.append(row)
-    return CoverMorphism(sys, ab_sys, Relation(sys.ground, ab_sys.ground, rows))
+    cols = sys.rel.cols()
+    gathered = Relation(ab_sys.ground, sys.ground,
+                        [cols[pre] for pre in _subbasis_preimages(sys)])
+    return CoverMorphism(sys, ab_sys, gathered.transpose())
 
 
 def lambda_map(space: FiniteSpace) -> SpaceMap:
@@ -386,18 +385,7 @@ class DualityReport:
         return not self.violations()
 
     def to_dict(self):
-        return {
-            "side": self.side,
-            "lambda_iso": self.lambda_iso,
-            "zigzag_space": self.zigzag_space,
-            "angle_well_defined": self.angle_well_defined,
-            "angle_is_morphism": self.angle_is_morphism,
-            "angle_iso": self.angle_iso,
-            "zigzag_system": self.zigzag_system,
-            "naturality": self.naturality,
-            "empty_set_tight": self.empty_set_tight,
-            "violations": self.violations(),
-        }
+        return dict(vars(self), violations=self.violations())
 
 
 def verify_duality_system(sys: CoverSystem, test_morphisms=()) -> DualityReport:

@@ -33,7 +33,7 @@ def _composed_rows(rel_a: Relation, rel_b: Relation):
     """Yield the rows of the cut-composition of rel_a and rel_b in order."""
     if rel_a.right != rel_b.left:
         raise GroundMismatchError("inner grounds do not match")
-    fold = rel_b.lower_fold().fold
+    fold = rel_b.lower_fold.fold
     full = (1 << rel_b.right.num_subsets) - 1
     n = rel_a.right.size
     t = tables(n)

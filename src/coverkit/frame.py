@@ -34,7 +34,6 @@ accessor ``spectrum.spectrum``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .kernel import (
     CapExceededError,
@@ -44,6 +43,7 @@ from .kernel import (
     iter_bits,
     joins_of,
     meets_of,
+    memo,
     selections_mask,
     upsets,
 )
@@ -108,12 +108,12 @@ class FrameModel:
     mode exactly when the system is divisible, since then the principal
     quasi-ideals generate).
 
-    The model keeps the downset of every selection family it has looked
-    up (``downset_of_selections``), and, built on first use, the index
-    tables of the meets and joins of two elements (``meet_table``,
-    ``join_table``; -1 where the result is not an element).  A join that
-    escapes the model raises where it is used: ``CapExceededError`` on
-    an incomplete model, ``TheoremViolationError`` on a complete one.
+    Its ``kernel.memo`` attributes are the downset of every selection
+    family looked up so far (``_downsets``), and the index tables of the
+    meets and joins of two elements (``meet_table``, ``join_table``; -1
+    where the result is not an element).  A join that escapes the model
+    raises where it is used: ``CapExceededError`` on an incomplete
+    model, ``TheoremViolationError`` on a complete one.
     """
 
     def __init__(self, sys: CoverSystem, elements, mode: str, complete: bool):
@@ -122,7 +122,6 @@ class FrameModel:
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.mode = mode
         self.complete = complete
-        self._downsets = {}
         n = sys.ground.size
         self._sel = [selections_mask(n, m) for m in self.elements]
         # goodrows[r]: the F entailing every selection of element r
@@ -140,20 +139,24 @@ class FrameModel:
             out = self._downsets[sel] = _entailing(self.system.rel.rows, sel)
         return out
 
+    @memo
+    def _downsets(self) -> dict:
+        return {}
+
     def escaped(self) -> Exception:
         """The error for a join that is not an element of the model."""
         if self.complete:
             return TheoremViolationError("join of quasi-ideals escaped the model")
         return CapExceededError("join escaped an incomplete generated model")
 
-    @cached_property
+    @memo
     def meet_table(self) -> list[list[int]]:
         """Entry [a][b]: the index of the intersection of elements a and
         b, or -1 when it is not an element."""
         index, els = self.index, self.elements
         return [[index.get(a & b, -1) for b in els] for a in els]
 
-    @cached_property
+    @memo
     def join_table(self) -> list[list[int]]:
         """Entry [a][b]: the index of the join of elements a and b, the
         downset of their union, whose selections are the AND of theirs;
@@ -227,13 +230,12 @@ def frame_model(sys: CoverSystem, mode: str = "auto",
     is not monotone and cut-idempotent raises ``ValueError`` on every call.
     """
     if mode == "auto" and cap == GENERATED_DEFAULT_CAP:
-        if sys._frame is None:
-            sys._frame = _build_frame_model(sys, mode, cap)
         return sys._frame
     return _build_frame_model(sys, mode, cap)
 
 
-def _build_frame_model(sys: CoverSystem, mode: str, cap: int) -> FrameModel:
+def _build_frame_model(sys: CoverSystem, mode: str = "auto",
+                       cap: int = GENERATED_DEFAULT_CAP) -> FrameModel:
     _require_cut_idempotent(sys)
     n = sys.ground.size
     if mode == "auto":
@@ -358,20 +360,7 @@ class FrameLawsReport:
         return out
 
     def to_dict(self):
-        return {
-            "distributive": self.distributive,
-            "continuous": self.continuous,
-            "stable": self.stable,
-            "way_below_consistent": self.way_below_consistent,
-            "divisible": self.divisible,
-            "principal_joins_hold": self.principal_joins_hold,
-            "principal_joins_witness": self.principal_joins_witness,
-            "finite_union_joins_hold": self.finite_union_joins_hold,
-            "cover": self.cover,
-            "vdash_matches_principal_order": self.vdash_matches_principal_order,
-            "entails_matches_way_below": self.entails_matches_way_below,
-            "violations": self.violations(),
-        }
+        return dict(vars(self), violations=self.violations())
 
 
 def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
@@ -557,16 +546,7 @@ class OpenIsoReport:
         return [] if self.passed() else ["quasi-ideal / open-set correspondence failed"]
 
     def to_dict(self):
-        return {
-            "bijective": self.bijective,
-            "order_isomorphism": self.order_isomorphism,
-            "meets_correspond": self.meets_correspond,
-            "frame_size": self.frame_size,
-            "opens_size": self.opens_size,
-            "empty_set_tight": self.empty_set_tight,
-            "collapsed_top": self.collapsed_top,
-            "violations": self.violations(),
-        }
+        return dict(vars(self), violations=self.violations())
 
 
 def verify_open_iso(sys: CoverSystem) -> OpenIsoReport:

@@ -34,16 +34,36 @@ predicates of ``relations`` are a few shifts and ANDs per element.
 Every enumeration stays deterministic.
 
 All values here are immutable after construction and safe to share.
+``memo`` is the one way an object keeps a value derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 # The largest ground set: a relation between two such grounds is a
 # 2**13 x 2**13 bit matrix, 2**26 bits.
 MAX_GROUND = 13
+
+
+class memo:
+    """A derived value: computed by the method on the first read and kept
+    in the instance ``__dict__``, which later reads find first.  No lock:
+    racing first reads may each compute, and the first value stored wins.
+    Another object's memo is filled only by ``vars(obj).setdefault``."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 class CapExceededError(Exception):
@@ -87,7 +107,7 @@ class GroundSet:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    @cached_property
+    @memo
     def _bit(self) -> dict:
         """Label -> its one-bit subset code, built on the first ``code``."""
         return {name: 1 << i for i, name in enumerate(self.names)}
@@ -401,27 +421,24 @@ class RowFold:
     classes.
     """
 
-    __slots__ = ("rows", "distinct", "_classes")
+    __slots__ = ("rows", "distinct", "__dict__")
 
     def __init__(self, rows):
         self.rows = rows
         self.distinct = len(set(rows))
-        self._classes = None
 
-    @property
+    @memo
     def classes(self) -> tuple[tuple[int, int], ...]:
         """Each distinct row value with the mask of the codes holding it,
         in order of first occurrence; built on first use."""
-        if self._classes is None:
-            codes = {}
-            for f, row in enumerate(self.rows):
-                codes[row] = codes.get(row, 0) | 1 << f
-            self._classes = tuple(codes.items())
-        return self._classes
+        codes = {}
+        for f, row in enumerate(self.rows):
+            codes[row] = codes.get(row, 0) | 1 << f
+        return tuple(codes.items())
 
     def fold(self, sel: int, out: int) -> int:
         if out and self.distinct < sel.bit_count():
-            for row, codes in self._classes or self.classes:
+            for row, codes in self.classes:
                 if codes & sel:
                     out &= row
                     if not out:

@@ -13,11 +13,12 @@ block) keeps the rows or columns the rule is about.  So each rule costs
 O(n) whole-integer operations, not O(n 2**n) row steps, and its witness
 is the first violation in row, element, column order.
 
-Values are immutable after construction.  A cover system carries four
-caches, each filled on first use and then reused (see ``CoverSystem``).
-Neither the ground nor the relation of a system is ever reassigned, so
-the caches cannot go stale; threads racing on a first use may each
-compute a cache, and store equal values.
+Values are immutable after construction.  Every value derived from a
+relation or a cover system is a ``kernel.memo`` attribute of the object
+it is derived from: computed on first read, kept on that object and
+never on another, equal one.  Neither the ground nor the relation of a
+system is ever reassigned, so no memo can go stale; threads racing on a
+first read may each compute a value, and the first one stored wins.
 
 For monotone relations the canonical extension to arbitrary subsets
 (some finite part of one side relating to some finite part of the other)
@@ -40,6 +41,7 @@ from .kernel import (
     iter_bits,
     lower_closure_rows,
     matrix_plan,
+    memo,
     pack_rows,
     selections_mask,
     tables,
@@ -48,7 +50,6 @@ from .kernel import (
 
 
 _set = object.__setattr__
-_PACKED, _COLS, _BELOW, _HASH, _LOWER, _FOLD = range(6)
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,11 @@ class Relation:
     ``rows[f]`` is the bitmask of right-hand codes g with f related to g.
     The packed matrix, the columns, the lower closure, the hash, the
     result of the lower scan and the fold of the lower closure are
-    derived from the rows on first use and kept in ``_memo`` (entries
-    ``_PACKED``, ``_COLS``, ``_BELOW``, ``_HASH``, ``_LOWER``, ``_FOLD``).
+    ``kernel.memo`` attributes: derived from the rows on first use and
+    kept in the relation's ``__dict__``.  Assigning any attribute raises.
     """
 
-    __slots__ = ("left", "right", "rows", "_memo")
+    __slots__ = ("left", "right", "rows", "__dict__")
 
     def __init__(self, left: GroundSet, right: GroundSet, rows):
         rows = tuple(rows)
@@ -82,7 +83,6 @@ class Relation:
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "rows", rows)
-        _set(self, "_memo", [None, None, None, None, None, None])
 
     def __setattr__(self, *a):
         raise AttributeError("Relation is immutable")
@@ -141,15 +141,12 @@ class Relation:
             for g in iter_bits(row):
                 yield f, g
 
-    @property
+    @memo
     def packed(self) -> int:
         """The whole matrix as one integer (``kernel.pack_rows``): row f
         at bit f * 2**s, each row padded to 2**s bits.  Built once per
         relation; the transpose and the structural predicates read it."""
-        memo = self._memo
-        if memo[_PACKED] is None:
-            memo[_PACKED] = pack_rows(self.rows, self.left.size, self.right.size)
-        return memo[_PACKED]
+        return pack_rows(self.rows, self.left.size, self.right.size)
 
     def cols(self):
         """Column masks: cols()[g] is the bitmask over left codes f with f ~ g.
@@ -158,10 +155,11 @@ class Relation:
         matrix (``packed``, shared with the structural predicates): one
         block swap per element of the larger side, for every shape.
         """
-        memo = self._memo
-        if memo[_COLS] is None:
-            memo[_COLS] = transpose(self.packed, self.left.size, self.right.size)
-        return memo[_COLS]
+        return self._cols
+
+    @memo
+    def _cols(self):
+        return transpose(self.packed, self.left.size, self.right.size)
 
     def lower_closure(self) -> tuple[int, ...]:
         """Rows of the lower closure: entry f is the union of the rows of
@@ -176,20 +174,25 @@ class Relation:
         already found the relation lower, the rows are returned and the
         zeta pass is skipped.
         """
-        memo = self._memo
-        if memo[_BELOW] is None:
-            memo[_BELOW] = (self.rows if memo[_LOWER] is False
-                            else tuple(lower_closure_rows(self.left.size, self.rows)))
-        return memo[_BELOW]
+        return self._below
 
+    @memo
+    def _lower_wit(self):
+        return _lower_scan(self)
+
+    @memo
+    def _below(self):
+        # () marks a lower scan not yet run; None is its lower verdict
+        if vars(self).get("_lower_wit", ()) is None:
+            return self.rows
+        return tuple(lower_closure_rows(self.left.size, self.rows))
+
+    @memo
     def lower_fold(self) -> RowFold:
-        """The ``kernel.RowFold`` of the lower closure's rows, built once
-        per relation: each composition with this relation on the right
-        is one fold of it per composed row."""
-        memo = self._memo
-        if memo[_FOLD] is None:
-            memo[_FOLD] = RowFold(self.lower_closure())
-        return memo[_FOLD]
+        """The ``kernel.RowFold`` of the lower closure's rows: each
+        composition with this relation on the right is one fold of it
+        per composed row."""
+        return RowFold(self.lower_closure())
 
     def transpose(self) -> "Relation":
         return Relation(self.right, self.left, self.cols())
@@ -217,10 +220,11 @@ class Relation:
                 and self.right == other.right and self.rows == other.rows)
 
     def __hash__(self):
-        memo = self._memo
-        if memo[_HASH] is None:
-            memo[_HASH] = hash((self.left, self.right, self.rows))
-        return memo[_HASH]
+        return self._hash
+
+    @memo
+    def _hash(self):
+        return hash((self.left, self.right, self.rows))
 
     def __repr__(self):
         n = sum(bin(r).count("1") for r in self.rows)
@@ -309,15 +313,11 @@ def lower_witness(rel: Relation):
 
     Per element i, on the whole packed matrix M: M >> 2**(s+i) moves row
     f | {i} to row f, so the violations are M & ~(M >> 2**(s+i)) on the
-    rows lacking i.  The result is kept on the relation (False for a
-    lower one), so later calls, ``Relation.lower_closure`` and
-    ``row_fold`` read it without a scan.
+    rows lacking i.  The result is kept on the relation, so later
+    calls, ``Relation.lower_closure`` and ``row_fold`` read it without a
+    scan.
     """
-    memo = rel._memo
-    known = memo[_LOWER]
-    if known is None:
-        known = memo[_LOWER] = _lower_scan(rel) or False
-    return known or None
+    return rel._lower_wit
 
 
 def _lower_scan(rel: Relation):
@@ -343,7 +343,7 @@ def row_fold(rel: Relation) -> RowFold:
     """A ``kernel.RowFold`` of the relation's own rows.  A lower relation
     is its own lower closure, so it shares the fold the relation keeps
     (``Relation.lower_fold``); any other relation gets a new one."""
-    return rel.lower_fold() if lower_witness(rel) is None else RowFold(rel.rows)
+    return rel.lower_fold if lower_witness(rel) is None else RowFold(rel.rows)
 
 
 def is_cut(rel: Relation) -> bool:
@@ -457,27 +457,20 @@ def star(rel: Relation, fam_a: Family, fam_b: Family) -> bool:
 class CoverSystem:
     """A ground set with an endorelation on its finite subsets.
 
-    Construction only checks the shape.  Four derived artefacts are
-    computed at most once per system and cached here:
-
-    - ``_classification``: the axiom classification, with its witnesses,
-      filled by the first ``axioms.classify`` call or the first access
-      to ``classification``;
-    - ``_vdash``: the derived relation, filled by the first
-      ``axioms.derive_vdash`` call (``axioms.classify`` makes one only
-      for the cover check of a strong idempotent that is not a Scott
-      relation), or by ``axioms.classify`` with the relation itself,
-      which is the derived relation of a Scott relation;
-    - ``_frame``: the quasi-ideal frame model, filled by the first
-      successful ``frame.frame_model(sys)`` with the default mode and cap;
-    - ``_spectrum``: the tight spectrum, filled by the first
-      ``spectrum.spectrum(sys)`` call or ``Spectrum(sys)`` build,
-      whichever comes first (the constructor always builds, and keeps
-      its build only on a system that has none).
+    Construction only checks the shape.  What the system determines is
+    a ``kernel.memo`` attribute, computed at most once per system by its
+    module's builder: the classification with its witnesses
+    (``classification``, ``_classification``: ``axioms.classify``), the
+    derived relation (``_vdash``: ``axioms.derive_vdash``), the frame
+    model with the defaults (``_frame``: ``frame.frame_model``) and the
+    spectrum (``_spectrum``: ``spectrum.spectrum``).  Only two other
+    fills exist, both by ``vars(sys).setdefault`` with the value the
+    body would compute: the classification of a Scott relation keeps
+    the relation as its derived relation, and ``Spectrum(sys)`` keeps
+    its build on a system that has no spectrum.
     """
 
-    __slots__ = ("ground", "rel", "name", "_classification", "_vdash",
-                 "_frame", "_spectrum")
+    __slots__ = ("ground", "rel", "name", "__dict__")
 
     def __init__(self, ground: GroundSet, rel: Relation, name: str = ""):
         if rel.left != ground or rel.right != ground:
@@ -485,19 +478,32 @@ class CoverSystem:
         self.ground = ground
         self.rel = rel
         self.name = name
-        self._classification = None
-        self._vdash = None
-        self._frame = None
-        self._spectrum = None
 
-    @property
+    @memo
     def classification(self):
-        """The cached classification, witnesses included."""
-        if self._classification is None:
-            from . import axioms
+        """``axioms.classify(self, with_witnesses=True)``: one object per
+        system, which must not be mutated."""
+        return axioms.classify(self, with_witnesses=True)
 
-            return axioms.classify(self, with_witnesses=True)
-        return self._classification
+    @memo
+    def _classification(self):
+        return axioms._compute_classification(self)
+
+    @memo
+    def _vdash(self):
+        return axioms._compute_vdash(self)
+
+    @memo
+    def _frame(self):
+        from . import frame
+
+        return frame._build_frame_model(self)
+
+    @memo
+    def _spectrum(self):
+        from . import spectrum
+
+        return spectrum.Spectrum(self)
 
     def holds(self, f, g) -> bool:
         return self.rel.holds(f, g)
@@ -512,3 +518,8 @@ class CoverSystem:
     def __repr__(self):
         label = self.name or "system"
         return f"CoverSystem({label}, |S|={self.ground.size})"
+
+
+# imported last, as it imports this module; ``import coverkit`` loads it
+# anyway, while frame and spectrum (and logging) load on first use
+from . import axioms  # noqa: E402

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 
 from .kernel import (
@@ -42,6 +41,7 @@ from .kernel import (
     iter_bits,
     joins_of,
     meets_of,
+    memo,
     selections_mask,
     supersets_mask,
     tables,
@@ -65,6 +65,9 @@ class FiniteSpace:
     ``opens`` and ``subbasis`` hold point bitmasks.  The constructor
     checks the lattice closure of the opens, that the subbasis covers the
     space, and that the subbasis actually generates the opens.
+    What the space determines is a ``kernel.memo`` attribute, outside
+    its fields: equality and hashing ignore it, and an equal space
+    computes its own.
     """
 
     points: tuple[str, ...]
@@ -122,7 +125,7 @@ class FiniteSpace:
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
-    @cached_property
+    @memo
     def cover_system(self) -> CoverSystem:
         """``topology_cover(self)``, built on first use and kept on this
         object (outside its fields, so equality and hashing ignore it):
@@ -133,14 +136,14 @@ class FiniteSpace:
 
         return topology_cover(self)
 
-    @cached_property
+    @memo
     def properties(self) -> SpaceProperties:
         """``space_properties(self)``, checked on first use and kept on this
         object as ``cover_system`` is: the spectrum report, the
         representation check, recovery and the duality checks share it."""
         return space_properties(self)
 
-    @cached_property
+    @memo
     def profiles(self) -> tuple[int, ...]:
         """Each point's subbasis profile: bit j of entry x is set iff
         point x lies in subbasis member j."""
@@ -155,7 +158,7 @@ class FiniteSpace:
         prof = self.profiles
         return prof[y] & ~prof[x] == 0
 
-    @cached_property
+    @memo
     def cover_unions(self) -> list[int]:
         """The union of each subfamily of the subbasis, by its subset code
         over the subbasis.  Raises ``CapExceededError`` on first use when
@@ -164,13 +167,13 @@ class FiniteSpace:
             raise CapExceededError("subbasis too large for covering computations")
         return joins_of(self.subbasis)
 
-    @cached_property
+    @memo
     def meet_basis(self) -> list[int]:
         """The distinct intersections of non-empty subfamilies of the
         subbasis, ascending: a meet-closed basis of the opens."""
         return sorted(set(meets_of(self.full_mask, self.subbasis)[1:]))
 
-    @cached_property
+    @memo
     def _covermasks(self) -> dict:
         """The memo of ``covermask``: every open, mapped to its mask once
         it is computed and to None before."""
@@ -322,13 +325,7 @@ class SpaceProperties:
     stably_locally_compact: bool
 
     def to_dict(self):
-        return {
-            "t0": self.t0,
-            "sober": self.sober,
-            "core_compact": self.core_compact,
-            "core_coherent": self.core_coherent,
-            "stably_locally_compact": self.stably_locally_compact,
-        }
+        return dict(vars(self))
 
 
 def space_properties(space: FiniteSpace) -> SpaceProperties:
@@ -620,8 +617,7 @@ class Spectrum:
             self.space = FiniteSpace((), (0,), ())
         else:
             self.space = FiniteSpace.from_subbasis(names, sub)
-        if sys._spectrum is None:
-            sys._spectrum = self
+        vars(sys).setdefault("_spectrum", self)
 
     @property
     def full_mask(self) -> int:
@@ -650,8 +646,6 @@ def spectrum(sys: CoverSystem) -> Spectrum:
     and kept on the system, so all callers share one build (and one
     non-strong-idempotent warning).  ``Spectrum(sys)`` always builds,
     and keeps what it built on a system that has no spectrum yet."""
-    if sys._spectrum is None:
-        Spectrum(sys)
     return sys._spectrum
 
 
@@ -711,18 +705,7 @@ class RepresentationReport:
         return out
 
     def to_dict(self):
-        return {
-            "strong_idempotent": self.strong_idempotent,
-            "is_cover": self.is_cover,
-            "empty_set_tight": self.empty_set_tight,
-            "empty_corner_consistent": self.empty_corner_consistent,
-            "stably_locally_compact": self.stably_locally_compact,
-            "derived_matches_subset": self.derived_matches_subset,
-            "entail_implies_compact": self.entail_implies_compact,
-            "compact_implies_entail": self.compact_implies_entail,
-            "witnesses": self.witnesses,
-            "violations": self.violations(),
-        }
+        return dict(vars(self), violations=self.violations())
 
 
 def verify_representation(sys: CoverSystem) -> RepresentationReport:
@@ -908,14 +891,7 @@ class RecoveryReport:
                 and self.surjective == (self.sober and self.core_coherent))
 
     def to_dict(self):
-        return {
-            "injective": self.injective,
-            "homeomorphism_onto_image": self.homeomorphism_onto_image,
-            "very_dense": self.very_dense,
-            "surjective": self.surjective,
-            "sober": self.sober,
-            "core_coherent": self.core_coherent,
-        }
+        return dict(vars(self))
 
 
 def recovery(space: FiniteSpace) -> RecoveryReport:

@@ -22,11 +22,13 @@ model's witness form and of the closed-form
 way-below matrix of a model and builds the Karoubi envelope's rows by
 the per-(s, g) loops, with joins as literal downsets.
 
-The last three references are the package's own earlier paths for the
+The next three references are the package's own earlier paths for the
 checks that ``classify`` now evaluates in closed form: the
 cut-transitivity and divisibility witnesses scanned off the composed
 relations (each composition is checked against the naive ones above),
-and the antisymmetry witness read off the derived relation.
+and the antisymmetry witness read off the derived relation.  The last,
+``angle_inverse_rows``, is the earlier per-bit loop of
+``category.angle_inverse_morphism``, which now gathers columns.
 """
 
 from itertools import combinations
@@ -549,3 +551,16 @@ def vdash_antisymmetry_witness(sys, vdash):
             if vdash.rows[ci] >> cj & 1 and vdash.rows[cj] >> ci & 1:
                 return sys.ground.names[i], sys.ground.names[j]
     return None
+
+
+def angle_inverse_rows(rows, pres):
+    """Rows of the angle inverse morphism by one bit test per (row,
+    preimage) pair: row f has bit u iff f is related to ``pres[u]``."""
+    out = []
+    for own in rows:
+        row = 0
+        for u, pre in enumerate(pres):
+            if own >> pre & 1:
+                row |= 1 << u
+        out.append(row)
+    return out

@@ -1,11 +1,13 @@
 import pytest
 
 import gen
+import oracles
 from coverkit.kernel import GroundMismatchError
 from coverkit import builders
 from coverkit.relations import Relation
 from coverkit.builders import (
     boolean4_lattice,
+    chain_lattice,
     corpus,
     lattice_cover,
     meet_system,
@@ -266,6 +268,19 @@ def test_angle_isomorphism_roundtrips():
         bwd = angle_inverse_morphism(sys)
         assert compose_morphisms(bwd, fwd).rel == sys.rel
         assert compose_morphisms(fwd, bwd).rel == fwd.source.rel
+
+
+def test_angle_inverse_morphism_equals_the_per_bit_loop():
+    # the column gather against the loop it replaced, on every topology
+    # cover of the T0 catalogue up to 4 points and chain covers to |S| = 8
+    from coverkit.category import _subbasis_preimages
+
+    systems = [topology_cover(space) for k in range(1, 5)
+               for space in gen.all_t0_spaces(k)]
+    systems += [lattice_cover(chain_lattice(k)) for k in range(1, 9)]
+    for sys in systems:
+        want = oracles.angle_inverse_rows(sys.rel.rows, _subbasis_preimages(sys))
+        assert list(angle_inverse_morphism(sys).rel.rows) == want, sys
 
 
 def test_double_dual_spaces_recovers_space():
