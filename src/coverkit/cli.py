@@ -13,7 +13,8 @@ no intermediate subset objects.  Each report is serialised once by
 sort_keys=True)``, and a DOT graph is built only when ``--dot`` asks for
 it.
 
-Exit codes: 0 success; 1 a --require'd axiom failed; 2 unreadable or
+Exit codes: 0 success; 1 a --require'd axiom failed (``classify``, the
+one command taking ``--require``); 2 a usage error, unreadable or
 schema-invalid input, or a ``--json`` or ``--dot`` path that cannot be
 written; 3 a size cap was exceeded: a ground set of more
 than ``kernel.MAX_GROUND`` (13) elements, or the cap of one computation;
@@ -354,17 +355,19 @@ def cmd_frame(args) -> int:
     report = _base_report(args, "frame")
     report["monotone_cut_idempotent"] = True
     try:
-        fm = frame_model(sys, mode=args.mode)
+        fm = frame_model(sys)
     except ValueError as exc:
         report["monotone_cut_idempotent"] = False
         report["reason"] = str(exc)
         _emit(report, args)
         return EXIT_OK
     laws = verify_frame_laws(fm)
+    # "mode" and "complete" are kept for format_version 1: the one
+    # construction reaches every quasi-ideal at every size
     report["frame"] = {
         "size": len(fm),
-        "mode": fm.mode,
-        "complete": fm.complete,
+        "mode": "exhaustive",
+        "complete": True,
         "elements": frame_elements_json(fm),
     }
     report["laws"] = laws.to_dict()
@@ -438,16 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("inputs", nargs=ninputs, metavar="FILE")
         p.add_argument("--json", help="also write the JSON report to this path")
         p.add_argument("--dot", help="write a DOT graph to this path")
-        p.add_argument("--require", help="exit 1 unless this axiom holds")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for any randomized search")
 
-    common(sub.add_parser("classify", help="axiom classification"), 1)
+    pc = sub.add_parser("classify", help="axiom classification")
+    common(pc, 1)
+    pc.add_argument("--require", help="exit 1 unless this axiom holds")
     common(sub.add_parser("spectrum", help="tight spectrum and representation"), 1)
-    pf = sub.add_parser("frame", help="quasi-ideal frame and its laws")
-    common(pf, 1)
-    pf.add_argument("--mode", choices=("auto", "exhaustive", "generated"),
-                    default="auto")
+    common(sub.add_parser("frame", help="quasi-ideal frame and its laws"), 1)
     common(sub.add_parser("dualize", help="duality round-trip verification"), 1)
     common(sub.add_parser("compose", help="compose two morphisms"), 2)
     return parser

@@ -11,9 +11,11 @@ family, and the selections of a union are the AND of the selections.
 The selection families are exactly the up-sets of the subset lattice
 (``kernel.upsets``: 6, 20 and 168 of them at |S| = 2, 3 and 4, against
 16, 256 and 65,536 families).  So every quasi-ideal is the downset of
-an up-set, and a join, a union-join law or a fold of joins is a lookup
-in a table of downsets keyed by selection family, kept on the frame
-model, which is itself cached on the system.
+an up-set, which is the intersection of the principal quasi-ideals of
+its members, and the frame is the intersection closure of the principal
+ones (``frame_model``).  A join, a union-join law or a fold of joins is
+a lookup in a table of downsets keyed by selection family, kept on the
+frame model, which is itself cached on the system.
 
 For monotone cut-idempotent systems the quasi-ideals form a complete
 lattice: meets are intersections, joins are downsets of unions, and the
@@ -25,10 +27,10 @@ on that member alone, and the cross-check is a k x k closed form in the
 frame size k; the literal per-pair search over directed sets is the
 test oracle ``way_below_directed`` in ``tests/oracles.py``.
 
-The frame model built with the defaults (``frame_model(sys)``) is cached
-on the system, so ``verify_open_iso``, ``karoubi_envelope`` and the CLI's
-``frame`` command share one build; the spectrum comes from the cached
-accessor ``spectrum.spectrum``.
+The frame model is built once per system and cached on it, so
+``verify_open_iso``, ``karoubi_envelope`` and the CLI's ``frame``
+command share one build; the spectrum comes from the cached accessor
+``spectrum.spectrum``.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ from .kernel import (
 from .relations import CoverSystem, Relation
 from .composition import cut_compose
 
-EXHAUSTIVE_MAX_GROUND = 4
-GENERATED_DEFAULT_CAP = 4096
-KAROUBI_DEFAULT_CAP = 12
+FRAME_CAP = 4096
+KAROUBI_CAP = 12
 
 
 def _require_cut_idempotent(sys: CoverSystem):
@@ -103,25 +104,19 @@ class FrameModel:
     """The lattice of quasi-ideals of one system.
 
     ``elements`` holds the quasi-ideals as family masks in ascending
-    order.  ``complete`` records whether the element list provably
-    exhausts all quasi-ideals (always in exhaustive mode; in generated
-    mode exactly when the system is divisible, since then the principal
-    quasi-ideals generate).
+    order.
 
     Its ``kernel.memo`` attributes are the downset of every selection
     family looked up so far (``_downsets``), and the index tables of the
     meets and joins of two elements (``meet_table``, ``join_table``; -1
     where the result is not an element).  A join that escapes the model
-    raises where it is used: ``CapExceededError`` on an incomplete
-    model, ``TheoremViolationError`` on a complete one.
+    raises ``TheoremViolationError`` where it is used.
     """
 
-    def __init__(self, sys: CoverSystem, elements, mode: str, complete: bool):
+    def __init__(self, sys: CoverSystem, elements):
         self.system = sys
         self.elements = tuple(sorted(elements))
         self.index = {m: i for i, m in enumerate(self.elements)}
-        self.mode = mode
-        self.complete = complete
         n = sys.ground.size
         self._sel = [selections_mask(n, m) for m in self.elements]
         # goodrows[r]: the F entailing every selection of element r
@@ -145,9 +140,7 @@ class FrameModel:
 
     def escaped(self) -> Exception:
         """The error for a join that is not an element of the model."""
-        if self.complete:
-            return TheoremViolationError("join of quasi-ideals escaped the model")
-        return CapExceededError("join escaped an incomplete generated model")
+        return TheoremViolationError("join of quasi-ideals escaped the model")
 
     @memo
     def meet_table(self) -> list[list[int]]:
@@ -208,73 +201,55 @@ class FrameModel:
         return bool(self.way_below_matrix[qi] >> ri & 1)
 
     def __repr__(self):
-        return f"FrameModel({self.system!r}, {len(self.elements)} quasi-ideals, {self.mode})"
+        return f"FrameModel({self.system!r}, {len(self.elements)} quasi-ideals)"
 
 
-def frame_model(sys: CoverSystem, mode: str = "auto",
-                cap: int = GENERATED_DEFAULT_CAP) -> FrameModel:
-    """Build the quasi-ideal lattice.
+def frame_model(sys: CoverSystem) -> FrameModel:
+    """The quasi-ideal lattice of the system, built once per system and
+    cached on it.  Only a successful build is cached, so a system that
+    is not monotone and cut-idempotent raises ``ValueError`` on every
+    call, and one whose frame has more than ``FRAME_CAP`` elements
+    raises ``CapExceededError``."""
+    return sys._frame
 
-    Exhaustive mode (ground sets of at most four elements) takes the
-    downset of every up-set of the subset lattice: a family's downset
-    depends only on its selection family, and the selection families are
-    exactly the up-sets (``kernel.upsets``), so this reaches every
-    quasi-ideal, the downset of itself, without visiting the 2**(2**n)
-    families.  Generated mode closes the principal quasi-ideals under
-    binary joins and meets, which provably reaches everything when the
-    system is divisible and is flagged incomplete otherwise.
 
-    With the defaults (``mode="auto"`` and the default cap) the model is
-    built once per system and cached on it; any other mode or cap builds
-    a fresh model.  Only a successful build is cached, so a system that
-    is not monotone and cut-idempotent raises ``ValueError`` on every call.
+def _build_frame_model(sys: CoverSystem) -> FrameModel:
+    """The intersection closure of the principal quasi-ideals, the
+    columns ``sys.rel.cols()``, with the full family as the empty
+    intersection.
+
+    On a monotone cut-idempotent system this is every quasi-ideal and
+    nothing else.  A quasi-ideal is the downset of its selection family
+    ``sel``, the F with ``sel`` in row F: the intersection of the
+    columns over the codes of ``sel``.  Conversely, the intersection of
+    the columns over any set X of codes equals the intersection over the
+    up-closure of X, since every row is an up-set (the relation is
+    upper); that up-closure is an up-set, hence the selection family of
+    some family (``kernel.upsets``), so the intersection is a downset,
+    and a downset is a quasi-ideal (the downset is idempotent on a
+    cut-idempotent system).
+
+    The closure grows by a frontier: each new element is ANDed with
+    each distinct column, and the cap is checked as each element is
+    found, not after a round (one round past the cap can cost minutes).
     """
-    if mode == "auto" and cap == GENERATED_DEFAULT_CAP:
-        return sys._frame
-    return _build_frame_model(sys, mode, cap)
-
-
-def _build_frame_model(sys: CoverSystem, mode: str = "auto",
-                       cap: int = GENERATED_DEFAULT_CAP) -> FrameModel:
     _require_cut_idempotent(sys)
-    n = sys.ground.size
-    if mode == "auto":
-        mode = "exhaustive" if n <= EXHAUSTIVE_MAX_GROUND else "generated"
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_MAX_GROUND:
-            raise CapExceededError(
-                f"exhaustive quasi-ideal enumeration is gated to |S| <= {EXHAUSTIVE_MAX_GROUND}"
-            )
-        rows = sys.rel.rows
-        elements = {_entailing(rows, up) for up in upsets(n)}
-        return FrameModel(sys, elements, "exhaustive", complete=True)
-    if mode != "generated":
-        raise ValueError(f"unknown frame mode {mode!r}")
-    size = sys.ground.num_subsets
-    seeds = {downset_mask(sys, 0), downset_mask(sys, (1 << size) - 1)}
-    for f in range(size):
-        seeds.add(downset_mask(sys, 1 << f))
-    elements = set(seeds)
-    frontier = set(seeds)
-    # the cap is checked as each element is found, not after a round: one
-    # round past the cap can cost minutes
-    room = cap - len(elements)
-    if room < 0:
-        raise CapExceededError(f"generated frame exceeded cap {cap}")
+    cols = set(sys.rel.cols())
+    full = (1 << sys.ground.num_subsets) - 1
+    elements = {full}
+    frontier = [full]
     while frontier:
-        new = set()
+        new = []
         for a in frontier:
-            for b in elements:
-                for c in (a & b, downset_mask(sys, a | b)):
-                    if c not in elements and c not in new:
-                        new.add(c)
-                        room -= 1
-                        if room < 0:
-                            raise CapExceededError(f"generated frame exceeded cap {cap}")
-        elements |= new
+            for col in cols:
+                m = a & col
+                if m not in elements:
+                    elements.add(m)
+                    new.append(m)
+                    if len(elements) > FRAME_CAP:
+                        raise CapExceededError(f"frame exceeded cap {FRAME_CAP}")
         frontier = new
-    complete = sys.classification.is_divisible
-    return FrameModel(sys, elements, "generated", complete=complete)
+    return FrameModel(sys, elements)
 
 
 def way_below(fm: FrameModel, q, r) -> bool:
@@ -428,7 +403,7 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
 
     vdash_ok = None
     entails_wb = None
-    if cls.is_divisible and fm.complete:
+    if cls.is_divisible:
         from .axioms import derive_vdash
 
         vdash = derive_vdash(sys)
@@ -637,11 +612,12 @@ class KaroubiEnvelope:
         }
 
 
-def karoubi_envelope(sys: CoverSystem, cap: int = KAROUBI_DEFAULT_CAP) -> KaroubiEnvelope:
+def karoubi_envelope(sys: CoverSystem) -> KaroubiEnvelope:
     """Build the way-below cover relation on the quasi-ideal frame and
     verify the six equations making it Karoubi isomorphic to the input.
 
-    Applies to any monotone cut-idempotent system.  Each row of the
+    Applies to any monotone cut-idempotent system whose frame has at
+    most ``KAROUBI_CAP`` elements (the envelope's ground).  Each row of the
     envelope and of ``sq`` depends on its subset s of the frame only
     through the meet of s, and each column of ``sq_bar`` on whether the
     join of the column's subset holds the row's subset.  So the meet and
@@ -655,8 +631,8 @@ def karoubi_envelope(sys: CoverSystem, cap: int = KAROUBI_DEFAULT_CAP) -> Karoub
     fm = frame_model(sys)
     els = fm.elements
     k = len(els)
-    if k > cap:
-        raise CapExceededError(f"frame has {k} quasi-ideals, cap is {cap}")
+    if k > KAROUBI_CAP:
+        raise CapExceededError(f"frame has {k} quasi-ideals, cap is {KAROUBI_CAP}")
     ground_q = GroundSet(tuple(f"Q{i}" for i in range(k)))
     size_q = 1 << k
     size_s = sys.ground.num_subsets

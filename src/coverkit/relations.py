@@ -69,6 +69,7 @@ class Relation:
     result of the lower scan and the fold of the lower closure are
     ``kernel.memo`` attributes: derived from the rows on first use and
     kept in the relation's ``__dict__``.  Assigning any attribute raises.
+    A pickled or copied relation carries its rows, not its memos.
     """
 
     __slots__ = ("left", "right", "rows", "__dict__")
@@ -86,6 +87,9 @@ class Relation:
 
     def __setattr__(self, *a):
         raise AttributeError("Relation is immutable")
+
+    def __reduce__(self):
+        return Relation, (self.left, self.right, self.rows)
 
     # -- construction helpers --
 
@@ -462,12 +466,13 @@ class CoverSystem:
     module's builder: the classification with its witnesses
     (``classification``, ``_classification``: ``axioms.classify``), the
     derived relation (``_vdash``: ``axioms.derive_vdash``), the frame
-    model with the defaults (``_frame``: ``frame.frame_model``) and the
-    spectrum (``_spectrum``: ``spectrum.spectrum``).  Only two other
-    fills exist, both by ``vars(sys).setdefault`` with the value the
-    body would compute: the classification of a Scott relation keeps
-    the relation as its derived relation, and ``Spectrum(sys)`` keeps
-    its build on a system that has no spectrum.
+    model (``_frame``: ``frame.frame_model``) and the spectrum
+    (``_spectrum``: ``spectrum.spectrum``).  Only two other fills exist,
+    both by ``vars(sys).setdefault`` with the value the body would
+    compute: the classification of a Scott relation keeps the relation
+    as its derived relation, and ``Spectrum(sys)`` keeps its build on a
+    system that has no spectrum.  A pickled or copied system carries its
+    ground, relation and name, not its memos.
     """
 
     __slots__ = ("ground", "rel", "name", "__dict__")
@@ -478,6 +483,9 @@ class CoverSystem:
         self.ground = ground
         self.rel = rel
         self.name = name
+
+    def __reduce__(self):
+        return CoverSystem, (self.ground, self.rel, self.name)
 
     @memo
     def classification(self):

@@ -1,11 +1,12 @@
 import pytest
 
 import gen
-from oracles import naive_karoubi_rows, naive_quasi_ideals, way_below_directed
+from oracles import naive_karoubi_rows, naive_quasi_ideals, principal_closure, way_below_directed
 from coverkit import frame
 from coverkit.kernel import CapExceededError, Family, TheoremViolationError, iter_bits
-from coverkit.relations import CoverSystem, Relation
+from coverkit.relations import CoverSystem, Relation, structural_flags
 from coverkit.builders import (
+    FiniteLattice,
     boolean4_lattice,
     chain_lattice,
     corpus,
@@ -129,28 +130,74 @@ def test_empty_relation_has_two_quasi_ideals():
     assert fm.elements == (0, (1 << 4) - 1)
 
 
+# frame_model generates the frame as the intersection closure of the
+# principal quasi-ideals; the per-family scan naive_quasi_ideals is the
+# exhaustive reference, and principal_closure the earlier closure under
+# binary meets and joins, which is complete on divisible systems
+
 def test_generated_equals_exhaustive_small():
-    for _ in range(25):
-        ground = gen.ground(RNG.choice([2, 3]))
-        sys = _mono_cut_idempotent(RNG, ground)
-        ex = frame_model(sys, mode="exhaustive")
-        ge = frame_model(sys, mode="generated")
-        assert ex.elements == ge.elements
-        assert ge.complete == sys.classification.is_divisible or ge.complete
+    from coverkit.composition import cut_compose
+
+    g2 = gen.ground(2)
+    count = 0
+    for code in range(1 << 16):
+        rel = Relation(g2, g2, [(code >> (4 * f)) & 15 for f in range(4)])
+        if structural_flags(rel).monotone and cut_compose(rel, rel) == rel:
+            count += 1
+            fm = frame_model(CoverSystem(g2, rel))
+            assert list(fm.elements) == naive_quasi_ideals(2, list(rel.rows))
+    assert count == 67
+    rng = gen.rng_for(617)
+    systems = [gen.random_strong_idempotent(rng, gen.ground(3)) for _ in range(20)]
+    systems += _cut_idempotent_closures(rng, 3, 20)
+    divisible = set()
+    for sys in systems:
+        divisible.add(sys.classification.is_divisible)
+        assert list(frame_model(sys).elements) == naive_quasi_ideals(3, list(sys.rel.rows))
+    assert divisible == {True, False}
 
 
 def test_generated_equals_exhaustive_boolean4():
-    ex = frame_model(B4, mode="exhaustive")
-    ge = frame_model(B4, mode="generated")
-    assert ge.complete and ex.elements == ge.elements
+    fm = frame_model(B4)
+    assert list(fm.elements) == naive_quasi_ideals(4, list(B4.rel.rows))
+    assert list(fm.elements) == principal_closure(4, list(B4.rel.rows))
 
 
-def test_generated_incomplete_flag_for_non_divisible():
-    fm = frame_model(interpolation_gap_system(), mode="generated")
-    assert not fm.complete
-    # incompleteness is a flag about provability, not an observed gap:
-    # for this fixture the closure happens to reach every quasi-ideal
-    assert set(fm.elements) <= set(frame_model(interpolation_gap_system()).elements)
+def _product_lattice(a, b):
+    """The product of an a-chain and a b-chain."""
+    els = [f"p{i}{j}" for i in range(a) for j in range(b)]
+    pairs = [(f"p{i}{j}", f"p{i + 1}{j}") for i in range(a - 1) for j in range(b)]
+    pairs += [(f"p{i}{j}", f"p{i}{j + 1}") for i in range(a) for j in range(b - 1)]
+    return FiniteLattice.from_pairs(els, pairs)
+
+
+def test_frame_equals_principal_closure_on_divisible_systems():
+    # above |S| = 4, out of the per-family scan's reach
+    systems = [lattice_cover(chain_lattice(k)) for k in range(5, 9)]
+    systems.append(lattice_cover(_product_lattice(2, 3)))
+    for sys in systems:
+        assert sys.classification.is_divisible
+        want = principal_closure(sys.ground.size, list(sys.rel.rows))
+        assert list(frame_model(sys).elements) == want
+
+
+def test_principal_closure_within_frame_on_non_divisible():
+    # on a non-divisible system the principal quasi-ideals need not
+    # generate the frame under meets and joins, but what they generate
+    # is quasi-ideals, and the frame holds them all
+    rng = gen.rng_for(618)
+    systems = [interpolation_gap_system()]
+    while len(systems) < 10:
+        sys, = _cut_idempotent_closures(rng, 3, 1)
+        if not sys.classification.is_divisible:
+            systems.append(sys)
+    short = 0
+    for sys in systems:
+        closure = principal_closure(sys.ground.size, list(sys.rel.rows))
+        elements = frame_model(sys).elements
+        assert set(closure) <= set(elements)
+        short += len(closure) < len(elements)
+    assert short >= 1
 
 
 def _frame_systems(rng):
@@ -172,37 +219,38 @@ def _frame_systems(rng):
 
 def test_exhaustive_frame_equals_per_family_scan():
     for sys in _frame_systems(gen.rng_for(614)):
-        fm = frame_model(sys, mode="exhaustive")
+        fm = frame_model(sys)
         want = naive_quasi_ideals(sys.ground.size, list(sys.rel.rows))
         assert list(fm.elements) == want
-        assert fm.complete and fm.mode == "exhaustive"
 
 
-def test_frame_cap():
-    sys = meet_system(3)
+def test_frame_cap(monkeypatch):
+    monkeypatch.setattr(frame, "FRAME_CAP", 2)
     with pytest.raises(CapExceededError):
-        frame_model(sys, mode="generated", cap=2)
+        frame_model(meet_system(3))
 
 
 def test_generated_frame_stops_at_the_first_element_past_its_cap(monkeypatch):
-    # the cap is checked as each element is found: the generated frame of
-    # meet_system(4) has 168 elements, and a capped build raises before it
-    # has computed more than cap + 1 distinct downsets (each one an element)
-    found = set()
-    inner = frame.downset_mask
+    # the cap is checked as each element is found: the frame of
+    # meet_system(4) has 168 elements, and a capped build compares the
+    # cap with the element count once per element found, raising at the
+    # count cap + 1
+    class Watched(int):
+        def __lt__(self, count):
+            counts.append(count)
+            return int.__lt__(self, count)
 
-    def recorded(sys, mask):
-        found.add(inner(sys, mask))
-        return inner(sys, mask)
-
-    monkeypatch.setattr(frame, "downset_mask", recorded)
-    for cap in (20, 60, 100):
-        found.clear()
-        with pytest.raises(CapExceededError, match=f"exceeded cap {cap}"):
-            frame_model(meet_system(4), mode="generated", cap=cap)
-        assert len(found) <= cap + 1
-    found.clear()
-    assert len(frame_model(meet_system(4), mode="generated", cap=168)) == 168
+    counts = []
+    for cap in (20, 60, 100, 167, 168):
+        counts.clear()
+        monkeypatch.setattr(frame, "FRAME_CAP", Watched(cap))
+        if cap < 168:
+            with pytest.raises(CapExceededError, match=f"exceeded cap {cap}"):
+                frame_model(meet_system(4))
+            assert counts == list(range(2, cap + 2))
+        else:
+            assert len(frame_model(meet_system(4))) == 168
+            assert counts == list(range(2, 169))
 
 
 # -- way-below --------------------------------------------------------------------
@@ -272,7 +320,7 @@ def test_one_pass_directed_matrix_matches_per_pair_oracle():
         if len(frame_model(sys)) <= 10:
             models.append(frame_model(sys))
     models += [frame_model(s) for s in _cut_idempotent_closures(rng, 2, 8)]
-    models.append(frame_model(interpolation_gap_system(), mode="generated"))
+    models.append(frame_model(interpolation_gap_system()))
     for fm in models:
         assert _outcome(directed_way_below_matrix, fm) == _outcome(_oracle_matrix, fm)
         assert directed_way_below_matrix(fm) == fm.way_below_matrix
@@ -285,10 +333,9 @@ def test_one_pass_directed_matrix_raises_where_the_oracle_raises():
     fm = frame_model(sys)
     stray = next(m for m in range(1, 1 << sys.ground.num_subsets)
                  if downset_mask(sys, m) not in (m, fm.bottom))
-    for complete, error in ((True, TheoremViolationError), (False, CapExceededError)):
-        model = FrameModel(sys, (fm.bottom, stray), "generated", complete=complete)
-        assert _outcome(_oracle_matrix, model) is error
-        assert _outcome(directed_way_below_matrix, model) is error
+    model = FrameModel(sys, (fm.bottom, stray))
+    assert _outcome(_oracle_matrix, model) is TheoremViolationError
+    assert _outcome(directed_way_below_matrix, model) is TheoremViolationError
 
 
 def test_directed_matrix_closed_form_on_twenty_element_frame():
@@ -327,9 +374,8 @@ def test_union_join_table_matches_per_pair_scan():
     for sys in systems:
         want = _union_joins_literal(sys)
         seen.add(want)
-        for mode in ("auto", "generated"):
-            rep = verify_frame_laws(frame_model(sys, mode=mode))
-            assert rep.finite_union_joins_hold == want
+        rep = verify_frame_laws(frame_model(sys))
+        assert rep.finite_union_joins_hold == want
     assert seen == {True, False}
 
 
@@ -369,13 +415,12 @@ def test_frame_structure_laws_match_per_pair_loops():
         for _ in range(4):
             kept = [m for m in fm.elements if rng.random() < 0.7] or [fm.top]
             strays = [rng.randrange(1 << sys.ground.num_subsets) for _ in range(rng.randrange(3))]
-            models.append(FrameModel(sys, set(kept + strays), "generated",
-                                     complete=rng.random() < 0.5))
+            models.append(FrameModel(sys, set(kept + strays)))
         for model in models:
             want = _outcome(_structure_literal, model)
             assert _outcome(_structure_tables, model) == want
             outcomes.add(want if isinstance(want, type) else all(want))
-    assert outcomes == {True, False, TheoremViolationError, CapExceededError}
+    assert outcomes == {True, False, TheoremViolationError}
 
 
 def test_way_below_membership_errors():
@@ -502,9 +547,10 @@ def test_karoubi_principal_column_for_empty_target():
     assert is_quasi_ideal(sys, col)  # the empty-target polar is a quasi-ideal
 
 
-def test_karoubi_cap():
+def test_karoubi_cap(monkeypatch):
+    monkeypatch.setattr(frame, "KAROUBI_CAP", 3)
     with pytest.raises(CapExceededError):
-        karoubi_envelope(meet_system(2), cap=3)
+        karoubi_envelope(meet_system(2))
 
 
 # -- exports -------------------------------------------------------------------------------
@@ -523,7 +569,7 @@ def test_frame_model_and_spectrum_built_once_per_system(monkeypatch):
     builds = []
     build = frame._build_frame_model
     monkeypatch.setattr(frame, "_build_frame_model",
-                        lambda sys, *a: builds.append(sys) or build(sys, *a))
+                        lambda sys: builds.append(sys) or build(sys))
     spectra = []
     init = Spectrum.__init__
     monkeypatch.setattr(Spectrum, "__init__",
@@ -538,5 +584,3 @@ def test_frame_model_and_spectrum_built_once_per_system(monkeypatch):
         assert frame_model(sys) is fm
         assert sum(s is sys for s in builds) == 1
         assert sum(s is sys for s in spectra) == 1
-        generated = frame_model(sys, mode="generated")
-        assert generated is not fm and sum(s is sys for s in builds) == 2

@@ -30,7 +30,12 @@ gen.ground(3))``), lower and cut but not upper; and three files that
 exit 2 with empty stdout: ``nonutf8.json``, which opens with the bytes
 0xff 0xfe and so is not UTF-8, ``deep2000.json``, arrays nested 2,000
 deep, and ``classify`` of M3 with a ``--json`` path whose parent is a
-file and so cannot be written.  Reports name their
+file and so cannot be written; and two usage errors, which also exit 2
+with empty stdout: ``frame`` with ``--require`` (only ``classify`` takes
+it) and ``frame`` with ``--mode`` (no such option); and ``frame`` of a
+6-element chain lattice (``chain6.json``), above |S| = 4, whose report
+says ``"mode": "exhaustive"`` and ``"complete": true`` as at every
+other size.  Reports name their
 inputs by base name, so the bytes do not depend on where the repository
 lives.
 
@@ -75,15 +80,22 @@ def _cases():
         cases.append((f"classify-{stem}", ["classify", f"tests/golden/inputs/{stem}.json"]))
     cases.append(("classify-m3-json-unwritable",
                   ["classify", "fixtures/m3.json", "--json", "fixtures/m3.json/report.json"]))
+    cases.append(("frame-meet2-require", ["frame", "fixtures/meet2.json", "--require", "cut"]))
+    cases.append(("frame-meet2-mode", ["frame", "fixtures/meet2.json", "--mode", "generated"]))
+    cases.append(("frame-chain6", ["frame", "tests/golden/inputs/chain6.json"]))
     return cases
 
 
 def _run(argv):
-    """Exit code and stdout of ``main`` on ``argv`` rooted at the repository."""
+    """Exit code and stdout of ``main`` on ``argv`` rooted at the repository;
+    a usage error exits through ``argparse`` with its code, 2."""
     argv = [os.path.join(ROOT, a) if a.endswith(".json") else a for a in argv]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue()
 
 

@@ -7,6 +7,8 @@ package and refuses the other ways a value used to be kept.
 """
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -191,6 +193,23 @@ def test_relation_stays_immutable():
         with pytest.raises(AttributeError):
             setattr(rel, name, value)
     assert vars(rel) == kept and rel.rows == (1, 2, 4, 8)
+
+
+def test_relation_and_system_round_trip_through_pickle_and_copy():
+    # each copy is equal, rebuilds its own memos, and stays immutable
+    sys = meet_system(2)
+    sys.classification, sys.rel.packed, sys.rel.cols(), frame_model(sys)
+    rel = sys.rel
+    for copied in (pickle.loads(pickle.dumps(rel)), copy.copy(rel), copy.deepcopy(rel)):
+        assert copied == rel and copied is not rel and vars(copied) == {}
+        with pytest.raises(AttributeError, match="immutable"):
+            copied.packed = 0
+    for copied in (pickle.loads(pickle.dumps(sys)), copy.copy(sys), copy.deepcopy(sys)):
+        assert copied == sys and copied is not sys and vars(copied) == {}
+        assert copied.name == sys.name and copied.rel.rows == rel.rows
+        with pytest.raises(AttributeError, match="immutable"):
+            copied.rel.rows = (0,) * 4
+        assert frame_model(copied).system is copied
 
 
 def test_scott_classification_fills_the_derived_relation_memo():
