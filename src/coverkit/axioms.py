@@ -155,12 +155,21 @@ def derive_vdash(sys: CoverSystem) -> Relation:
 
 
 def _compute_vdash(sys: CoverSystem) -> Relation:
-    rel = sys.rel
-    full = (1 << sys.ground.num_subsets) - 1
+    return derived_relation(sys.rel, sys.rel)
+
+
+def derived_relation(rel: Relation, base: Relation) -> Relation:
+    """The relation from the right side of ``rel`` to its left relating
+    G to F iff every H related by ``rel`` to each singleton of G is
+    related by ``base``, an endorelation on the left side, to F: the AND
+    of the rows of ``base`` over the dependency family of G.  A system's
+    derived relation takes its relation twice; a morphism's derived
+    comparison (``category.derive_proper``) takes the morphism's
+    relation and its source's."""
+    full = (1 << rel.left.num_subsets) - 1
     cols = rel.cols()
-    deps_of = meets_of(
-        full, [cols[1 << i] for i in range(sys.ground.size)])
-    fold = row_fold(rel).fold
+    deps_of = meets_of(full, [cols[1 << i] for i in range(rel.right.size)])
+    fold = row_fold(base).fold
     # equal dependency families give equal rows, so each is folded once
     done = {}
     rows = []
@@ -169,7 +178,7 @@ def _compute_vdash(sys: CoverSystem) -> Relation:
         if out is None:
             out = done[deps] = fold(deps, full)
         rows.append(out)
-    return Relation(sys.ground, sys.ground, rows)
+    return Relation(rel.right, rel.left, rows)
 
 
 def is_auxiliary(rel_a: Relation, rel_b: Relation) -> bool:

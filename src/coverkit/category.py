@@ -23,9 +23,8 @@ from .kernel import (
     meets_of,
     tables,
 )
-from .relations import (
-    CoverSystem, Relation, is_lower, is_upper, one_exists, row_fold,
-)
+from .relations import CoverSystem, Relation, is_lower, is_upper, one_exists
+from .axioms import derived_relation
 from .composition import cut_compose
 from .spectrum import (
     FiniteSpace,
@@ -186,15 +185,10 @@ def compose_morphisms(m1: CoverMorphism, m2: CoverMorphism) -> CoverMorphism:
 
 
 def derive_proper(m: CoverMorphism):
-    """The derived comparison relation of a morphism and the properness
-    test: the target relation must factor through it."""
-    full_s = (1 << m.source.ground.num_subsets) - 1
-    cols = m.rel.cols()
-    deps_of = meets_of(
-        full_s, [cols[1 << i] for i in range(m.target.ground.size)])
-    fold = row_fold(m.source.rel).fold
-    rows = [fold(d, full_s) for d in deps_of]
-    sqsubseteq = Relation(m.target.ground, m.source.ground, rows)
+    """The derived comparison relation of a morphism
+    (``axioms.derived_relation`` of its relation over its source's) and
+    the properness test: the target relation must factor through it."""
+    sqsubseteq = derived_relation(m.rel, m.source.rel)
     proper = m.target.rel.issubset(cut_compose(sqsubseteq, m.rel))
     return sqsubseteq, proper
 

@@ -464,7 +464,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error and 0 after --help
+        return exc.code
     try:
         return COMMANDS[args.command](args)
     except SystemFileError as exc:

@@ -4,7 +4,9 @@ A quasi-ideal is a family of finite subsets equal to its own downset,
 where the downset of a family collects every subset entailing all the
 selections of some finite subfamily.  Finitely, the whole family is an
 optimal subfamily witness (selections only shrink as the family grows),
-so the downset is a single bit-parallel scan.
+so the downset is the set of F entailing every selection of the family:
+the AND of the columns of the relation over its selection family
+(``downset_of_selections``, one fold of ``Relation.col_fold``).
 
 The downset of a family depends on it only through its selection
 family, and the selections of a union are the AND of the selections.
@@ -14,8 +16,8 @@ The selection families are exactly the up-sets of the subset lattice
 an up-set, which is the intersection of the principal quasi-ideals of
 its members, and the frame is the intersection closure of the principal
 ones (``frame_model``).  A join, a union-join law or a fold of joins is
-a lookup in a table of downsets keyed by selection family, kept on the
-frame model, which is itself cached on the system.
+the downset of an AND of selection families, one column fold; the frame
+model, cached on the system, keeps the selection family of each element.
 
 For monotone cut-idempotent systems the quasi-ideals form a complete
 lattice: meets are intersections, joins are downsets of unions, and the
@@ -47,6 +49,7 @@ from .kernel import (
     meets_of,
     memo,
     selections_mask,
+    tables,
     upsets,
 )
 from .relations import CoverSystem, Relation
@@ -69,18 +72,15 @@ def _require_cut_idempotent(sys: CoverSystem):
         raise ValueError("quasi-ideal machinery requires a cut-idempotent relation")
 
 
-def _entailing(rows, sel: int) -> int:
-    """The F whose row holds every code of ``sel``: the downset of any
-    family whose selection family is ``sel``."""
-    out = 0
-    for f, row in enumerate(rows):
-        if row & sel == sel:
-            out |= 1 << f
-    return out
+def downset_of_selections(sys: CoverSystem, sel: int) -> int:
+    """The downset of any family whose selection family is ``sel``: the
+    F whose row holds every code of ``sel``, the AND of the columns over
+    ``sel`` (every F when ``sel`` is 0)."""
+    return sys.rel.col_fold.fold(sel, (1 << sys.ground.num_subsets) - 1)
 
 
 def downset_mask(sys: CoverSystem, fam_mask: int) -> int:
-    return _entailing(sys.rel.rows, selections_mask(sys.ground.size, fam_mask))
+    return downset_of_selections(sys, selections_mask(sys.ground.size, fam_mask))
 
 
 def downset(sys: CoverSystem, fam: Family) -> Family:
@@ -95,22 +95,16 @@ def is_quasi_ideal(sys: CoverSystem, fam_mask: int) -> bool:
     return downset_mask(sys, fam_mask) == fam_mask
 
 
-def principal_mask(sys: CoverSystem, gcode: int) -> int:
-    """Column polar {F : F entails G}, the principal quasi-ideal of G."""
-    return sys.rel.cols()[gcode]
-
-
 class FrameModel:
     """The lattice of quasi-ideals of one system.
 
     ``elements`` holds the quasi-ideals as family masks in ascending
-    order.
+    order, and ``_sel`` the selection family of each.
 
-    Its ``kernel.memo`` attributes are the downset of every selection
-    family looked up so far (``_downsets``), and the index tables of the
-    meets and joins of two elements (``meet_table``, ``join_table``; -1
-    where the result is not an element).  A join that escapes the model
-    raises ``TheoremViolationError`` where it is used.
+    Its ``kernel.memo`` attributes are the index tables of the meets and
+    joins of two elements (``meet_table``, ``join_table``; -1 where the
+    result is not an element).  A join that escapes the model raises
+    ``TheoremViolationError`` where it is used.
     """
 
     def __init__(self, sys: CoverSystem, elements):
@@ -120,23 +114,11 @@ class FrameModel:
         n = sys.ground.size
         self._sel = [selections_mask(n, m) for m in self.elements]
         # goodrows[r]: the F entailing every selection of element r
-        goodrows = [self.downset_of_selections(sel) for sel in self._sel]
+        goodrows = [downset_of_selections(sys, sel) for sel in self._sel]
         self.way_below_matrix = [
             sum(1 << r for r, good in enumerate(goodrows) if q & ~good == 0)
             for q in self.elements
         ]
-
-    def downset_of_selections(self, sel: int) -> int:
-        """The downset of any family whose selection family is ``sel``,
-        computed once per selection family and model."""
-        out = self._downsets.get(sel)
-        if out is None:
-            out = self._downsets[sel] = _entailing(self.system.rel.rows, sel)
-        return out
-
-    @memo
-    def _downsets(self) -> dict:
-        return {}
 
     def escaped(self) -> Exception:
         """The error for a join that is not an element of the model."""
@@ -154,8 +136,9 @@ class FrameModel:
         """Entry [a][b]: the index of the join of elements a and b, the
         downset of their union, whose selections are the AND of theirs;
         -1 when it escapes the model."""
-        index, down = self.index, self.downset_of_selections
-        return [[index.get(down(sa & sb), -1) for sb in self._sel] for sa in self._sel]
+        index, sys = self.index, self.system
+        return [[index.get(downset_of_selections(sys, sa & sb), -1) for sb in self._sel]
+                for sa in self._sel]
 
     # -- lattice structure --
 
@@ -182,16 +165,10 @@ class FrameModel:
     def join(self, a: int, b: int) -> int:
         return self.join_union(a | b)
 
-    def join_all(self, masks) -> int:
-        u = 0
-        for m in masks:
-            u |= m
-        return self.join_union(u)
-
     def join_union(self, u: int) -> int:
         """The downset of the family ``u``: the join of any quasi-ideals
         whose union is ``u``.  Raises if it is not an element of the model."""
-        j = self.downset_of_selections(selections_mask(self.system.ground.size, u))
+        j = downset_mask(self.system, u)
         if j not in self.index:
             raise self.escaped()
         return j
@@ -349,13 +326,18 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
     (``directed_way_below_matrix``, k x k in the frame size k).
 
     The union-join law (the downset of a union of two families equals
-    the downset of the union of their downsets) is decided, for
-    |S| <= 3, once per pair of up-sets of the subset lattice: both sides
-    depend on the two families only through their selection families,
-    and every up-set is one, so the 210 pairs of up-sets at |S| = 3 give
-    the verdict of the 65,536 pairs of families.  Above, every pair of
-    singleton families is checked.  Nothing is cached here beyond the
-    model's own tables; ``frame_model`` caches the model on the system.
+    the downset of the union of their downsets) depends on the two
+    families only through their selection families, and both sides are
+    symmetric in them, so it is decided by one loop over the unordered
+    pairs of a list of selection families, the diagonal included.  At
+    |S| <= 3 the list is every up-set of the subset lattice, the
+    selection family of every family: the 210 pairs of up-sets at
+    |S| = 3 give the verdict of the 65,536 pairs of families.  Above, it
+    is the selection families of the singleton families, so every pair
+    of singleton families is checked.  Each downset is one column fold
+    (``downset_of_selections``); nothing is cached here beyond the
+    model's own tables, and ``frame_model`` caches the model on the
+    system.
     """
     sys = fm.system
     n = sys.ground.size
@@ -367,12 +349,11 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
     cls = sys.classification
     size = sys.ground.num_subsets
     cols = sys.rel.cols()
-    down = fm.downset_of_selections
     # meet_of[f]: the meet of the principal quasi-ideals of F's members;
     # principal_join[g]: the join of those of G's members
     singletons = [cols[1 << i] for i in range(n)]
     meet_of, unions = meets_of(fm.top, singletons), joins_of(singletons)
-    principal_join = [down(selections_mask(n, u)) for u in unions]
+    principal_join = [downset_mask(sys, u) for u in unions]
 
     principal_ok = True
     principal_witness = None
@@ -384,22 +365,17 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
             principal_witness = subset_label(sys.ground, g)
             break
 
-    if n <= 3:
-        # both sides by selection family: the downsets of U & V and of
-        # the selections of D(U) & D(V), for every pair of up-sets U, V
-        ups = upsets(n)
-        resel = [selections_mask(n, down(u)) for u in ups]
-        union_joins = all(
-            down(u & ups[j]) == down(su & resel[j])
-            for i, (u, su) in enumerate(zip(ups, resel)) for j in range(i, len(ups))
-        )
-    else:
-        # every pair of singleton families
-        single = [downset_mask(sys, 1 << f) for f in range(size)]
-        union_joins = all(
-            downset_mask(sys, 1 << f | 1 << g) == downset_mask(sys, single[f] | single[g])
-            for f in range(size) for g in range(size)
-        )
+    # both sides by selection family: the downsets of U & V and of the
+    # selections of D(U) & D(V), for every unordered pair U, V of the
+    # up-sets, or above |S| = 3 of the singleton families' selections;
+    # each downset is the column fold, bound once for the loop
+    fold, full = sys.rel.col_fold.fold, (1 << size) - 1
+    sels = tables(n).meets if n > 3 else upsets(n)
+    pairs = [(u, selections_mask(n, fold(u, full))) for u in sels]
+    union_joins = all(
+        fold(u & v, full) == fold(su & sv, full)
+        for i, (u, su) in enumerate(pairs) for v, sv in pairs[i:]
+    )
 
     vdash_ok = None
     entails_wb = None
@@ -470,7 +446,7 @@ def _continuous(fm: FrameModel) -> bool:
         for r, row in enumerate(fm.way_below_matrix):
             if row >> q & 1:
                 sel &= fm._sel[r]
-        join = fm.downset_of_selections(sel)
+        join = downset_of_selections(fm.system, sel)
         if join not in fm.index:
             raise fm.escaped()
         if join != element:

@@ -4,14 +4,15 @@ A relation here always runs between F(S) and F(T) for ground sets S, T:
 rows are indexed by left subset codes, and each row is a bitmask over
 right subset codes.  Each relation also keeps, built on first use, its
 packed matrix (all rows in one integer, ``kernel.pack_rows``), its
-columns (the block-swap transpose of the packed matrix) and its lower
-closure (the zeta pass over its rows).  The upper, lower and cut rules
-are decided on the whole packed matrix: per element i, a few shifts of
-the matrix line each entry up with the entry the rule compares it to,
-and one swap mask of ``kernel.matrix_plan`` (or its copy shifted by one
-block) keeps the rows or columns the rule is about.  So each rule costs
-O(n) whole-integer operations, not O(n 2**n) row steps, and its witness
-is the first violation in row, element, column order.
+columns (the block-swap transpose of the packed matrix), its lower
+closure (the zeta pass over its rows) and a ``kernel.RowFold`` of each
+of the last two.  The upper, lower and cut rules are decided on the
+whole packed matrix: per element i, a few shifts of the matrix line
+each entry up with the entry the rule compares it to, and one swap mask
+of ``kernel.matrix_plan`` (or its copy shifted by one block) keeps the
+rows or columns the rule is about.  So each rule costs O(n)
+whole-integer operations, not O(n 2**n) row steps, and its witness is
+the first violation in row, element, column order.
 
 Values are immutable after construction.  Every value derived from a
 relation or a cover system is a ``kernel.memo`` attribute of the object
@@ -66,10 +67,11 @@ class Relation:
 
     ``rows[f]`` is the bitmask of right-hand codes g with f related to g.
     The packed matrix, the columns, the lower closure, the hash, the
-    result of the lower scan and the fold of the lower closure are
-    ``kernel.memo`` attributes: derived from the rows on first use and
-    kept in the relation's ``__dict__``.  Assigning any attribute raises.
-    A pickled or copied relation carries its rows, not its memos.
+    result of the lower scan and the folds of the lower closure and of
+    the columns are ``kernel.memo`` attributes: derived from the rows
+    on first use and kept in the relation's ``__dict__``.  Assigning any
+    attribute raises.  A pickled or copied relation carries its rows,
+    not its memos.
     """
 
     __slots__ = ("left", "right", "rows", "__dict__")
@@ -197,6 +199,13 @@ class Relation:
         composition with this relation on the right is one fold of it
         per composed row."""
         return RowFold(self.lower_closure())
+
+    @memo
+    def col_fold(self) -> RowFold:
+        """The ``kernel.RowFold`` of the columns: the left codes related
+        to every right code of a mask are one fold of it (the downsets
+        of ``frame``)."""
+        return RowFold(self.cols())
 
     def transpose(self) -> "Relation":
         return Relation(self.right, self.left, self.cols())

@@ -36,7 +36,9 @@ and the antisymmetry witness read off the derived relation.  The last,
 ``category.angle_inverse_morphism``, which now gathers columns.
 """
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from coverkit.composition import composition_excess_witness, cut_compose
 from coverkit.kernel import CapExceededError
@@ -464,7 +466,7 @@ def way_below_directed(fm, q, r):
         )
         if not directed:
             continue
-        join = fm.join_all(members)
+        join = fm.join_union(reduce(or_, members, 0))
         if r & ~join == 0 and not any(q & ~c == 0 for c in members):
             return False
     return True

@@ -181,6 +181,7 @@ def test_identity_proper_with_derived_comparison():
     for sys in COVERS:
         sq, proper = derive_proper(CoverMorphism.identity(sys))
         assert sq == derive_vdash(sys)
+        assert list(sq.rows) == oracles.naive_vdash(sys.ground.size, sys.rel.rows)
         assert proper
 
 

@@ -88,6 +88,16 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert main(["classify", wrong]) == 2
 
 
+def test_usage_errors_return_two_without_raising(capsys):
+    fixture = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "meet2.json")
+    assert main(["frame", fixture, "--mode", "x"]) == 2
+    assert main(["classify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: coverkit" in captured.err
+    assert main(["--help"]) == 0
+    assert "usage: coverkit" in capsys.readouterr().out
+
+
 def test_cap_exceeded_exit_three(tmp_path, capsys):
     big = {
         "format_version": "1",

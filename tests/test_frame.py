@@ -1,7 +1,16 @@
+from functools import reduce
+from operator import or_
+
 import pytest
 
 import gen
-from oracles import naive_karoubi_rows, naive_quasi_ideals, principal_closure, way_below_directed
+from oracles import (
+    _literal_downset,
+    naive_karoubi_rows,
+    naive_quasi_ideals,
+    principal_closure,
+    way_below_directed,
+)
 from coverkit import frame
 from coverkit.kernel import CapExceededError, Family, TheoremViolationError, iter_bits
 from coverkit.relations import CoverSystem, Relation, structural_flags
@@ -29,7 +38,6 @@ from coverkit.frame import (
     frame_model,
     is_quasi_ideal,
     karoubi_envelope,
-    principal_mask,
     verify_frame_laws,
     verify_open_iso,
     way_below,
@@ -72,6 +80,25 @@ def test_downset_of_singleton_matches_scan():
             if all(sys.rel.holds(h, g) for g in range(4) if g & f):
                 expect |= 1 << h
         assert got == expect
+
+
+def test_downset_mask_matches_literal_row_scan():
+    # every family at |S| = 2, random families at |S| = 3 and 4; the
+    # identity holds for any relation, so random ones join the frame systems
+    rng = gen.rng_for(611)
+    for n, count in ((2, None), (3, 40), (4, 40)):
+        ground = gen.ground(n)
+        systems = [CoverSystem(ground, gen.random_relation(rng, ground)) for _ in range(4)]
+        systems += [CoverSystem(ground, gen.random_monotone(rng, ground)) for _ in range(4)]
+        systems += [meet_system(n), lattice_cover(chain_lattice(n))]
+        if n < 4:
+            systems += [gen.random_strong_idempotent(rng, ground) for _ in range(4)]
+            systems += _cut_idempotent_closures(rng, n, 4)
+        width = 1 << ground.num_subsets
+        for sys in systems:
+            fams = range(width) if count is None else [rng.randrange(width) for _ in range(count)]
+            for fam in [0, width - 1, *fams]:
+                assert downset_mask(sys, fam) == _literal_downset(n, sys.rel.rows, fam)
 
 
 def test_downset_idempotent_and_monotone():
@@ -350,18 +377,23 @@ def test_directed_matrix_closed_form_on_twenty_element_frame():
 
 
 def _union_joins_literal(sys):
-    """The union-join law by a per-pair downset_mask scan: every pair of
-    families for |S| <= 3, every pair of singleton families above."""
-    size = sys.ground.num_subsets
-    if sys.ground.size <= 3:
+    """The union-join law by the literal row scan of each downset
+    (``oracles._literal_downset``, once per family): every ordered pair
+    of families for |S| <= 3, every ordered pair of singleton families
+    above."""
+    n, rows, size = sys.ground.size, sys.rel.rows, sys.ground.num_subsets
+    scanned = {}
+
+    def down(fam):
+        if fam not in scanned:
+            scanned[fam] = _literal_downset(n, rows, fam)
+        return scanned[fam]
+
+    if n <= 3:
         pairs = [(fa, fb) for fa in range(1 << size) for fb in range(1 << size)]
     else:
         pairs = [(1 << f, 1 << g) for f in range(size) for g in range(size)]
-    return all(
-        downset_mask(sys, fa | fb)
-        == downset_mask(sys, downset_mask(sys, fa) | downset_mask(sys, fb))
-        for fa, fb in pairs
-    )
+    return all(down(fa | fb) == down(down(fa) | down(fb)) for fa, fb in pairs)
 
 
 def test_union_join_table_matches_per_pair_scan():
@@ -369,7 +401,7 @@ def test_union_join_table_matches_per_pair_scan():
     systems = [gen.random_strong_idempotent(rng, gen.ground(2)) for _ in range(34)]
     systems += [gen.random_strong_idempotent(rng, gen.ground(3)) for _ in range(6)]
     systems += _cut_idempotent_closures(rng, 2, 12) + _cut_idempotent_closures(rng, 3, 2)
-    systems += [interpolation_gap_system(), B4]
+    systems += [interpolation_gap_system(), B4, lattice_cover(chain_lattice(5))]
     seen = set()
     for sys in systems:
         want = _union_joins_literal(sys)
@@ -388,7 +420,8 @@ def _structure_literal(fm):
         c & fm.join(a, b) == fm.join(c & a, c & b) for a in els for b in els for c in els
     )
     continuous = all(
-        fm.join_all([els[r] for r in range(len(els)) if wbm[r] >> q & 1]) == els[q]
+        fm.join_union(reduce(or_, [els[r] for r in range(len(els)) if wbm[r] >> q & 1], 0))
+        == els[q]
         for q in range(len(els))
     )
     above = [[r for r in els if fm.way_below(q, r)] for q in els]
@@ -543,7 +576,7 @@ def test_karoubi_envelope_of_non_divisible():
 
 def test_karoubi_principal_column_for_empty_target():
     sys = B4
-    col = principal_mask(sys, 0)
+    col = sys.rel.cols()[0]
     assert is_quasi_ideal(sys, col)  # the empty-target polar is a quasi-ideal
 
 

@@ -87,15 +87,11 @@ def _cases():
 
 
 def _run(argv):
-    """Exit code and stdout of ``main`` on ``argv`` rooted at the repository;
-    a usage error exits through ``argparse`` with its code, 2."""
+    """Exit code and stdout of ``main`` on ``argv`` rooted at the repository."""
     argv = [os.path.join(ROOT, a) if a.endswith(".json") else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue()
 
 

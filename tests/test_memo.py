@@ -152,7 +152,8 @@ def test_relation_memos_are_built_once_per_relation(monkeypatch):
                 monkeypatch, Relation(ground, ground, rel.rows),
                 Relation(ground, ground, rel.rows),
                 {"packed": lambda r: r.packed, "_cols": lambda r: r.cols(),
-                 "_below": lambda r: r.lower_closure()})
+                 "_below": lambda r: r.lower_closure(),
+                 "col_fold": lambda r: r.col_fold.rows})
             monkeypatch.undo()
 
 
