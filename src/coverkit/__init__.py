@@ -19,7 +19,6 @@ from .kernel import (
     diagonal,
     selections,
     supersets,
-    wedge,
 )
 from .relations import CoverSystem, Relation, structural_flags
 from .composition import cut_compose
@@ -42,6 +41,5 @@ __all__ = [
     "selections",
     "structural_flags",
     "supersets",
-    "wedge",
     "__version__",
 ]

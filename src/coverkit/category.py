@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .kernel import (
     GroundMismatchError,
     TheoremViolationError,
-    iter_bits,
     joins_of,
     meets_of,
     tables,
@@ -81,20 +80,8 @@ class SpaceMap:
     def identity(space: FiniteSpace) -> "SpaceMap":
         return SpaceMap(space, space, {i: i for i in range(len(space.points))})
 
-    @staticmethod
-    def constant(source: FiniteSpace, target: FiniteSpace, point: int) -> "SpaceMap":
-        return SpaceMap(source, target,
-                        {i: point for i in range(len(source.points))})
-
-    @staticmethod
-    def inclusion(space: FiniteSpace, open_mask: int) -> "SpaceMap":
-        return SpaceMap(space, space, {i: i for i in iter_bits(open_mask)})
-
     def is_total(self) -> bool:
         return len(self.mapping) == len(self.source.points)
-
-    def is_surjective(self) -> bool:
-        return set(self.mapping.values()) == set(range(len(self.target.points)))
 
     def is_injective(self) -> bool:
         vals = list(self.mapping.values())
@@ -158,10 +145,6 @@ def cover_morphism_failure(m: CoverMorphism):
     if cut_compose(m.source.rel, strengthened) != rel:
         return "the source relation does not reconstruct the morphism"
     return None
-
-
-def is_karoubi(m: CoverMorphism) -> bool:
-    return karoubi_failure(m) is None
 
 
 def karoubi_failure(m: CoverMorphism):
@@ -476,11 +459,3 @@ def verify_duality_space(space: FiniteSpace, test_maps=()) -> DualityReport:
         zigzag_system=None,
         naturality=naturality,
     )
-
-
-def verify_duality(obj, tests=()) -> DualityReport:
-    if isinstance(obj, CoverSystem):
-        return verify_duality_system(obj, tests)
-    if isinstance(obj, FiniteSpace):
-        return verify_duality_space(obj, tests)
-    raise TypeError("expected a cover system or a finite space")

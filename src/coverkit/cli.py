@@ -1,9 +1,9 @@
 """Deterministic command-line front end.
 
 Commands read JSON system/morphism files, run the requested analysis and
-emit JSON reports (and, with ``--dot``, DOT graphs).  Outputs carry no
-timestamps and are byte-identical across reruns with the same inputs and
-seed.
+emit JSON reports (and, with ``--dot`` on ``spectrum`` and ``frame``, DOT
+graphs).  Outputs carry no timestamps and are byte-identical across
+reruns with the same inputs.
 
 The front end works in one pass.  Each input file is read and parsed
 once (``load_json``), and the loaders take the parsed document.  Subset
@@ -296,7 +296,8 @@ def _base_report(args, command: str) -> dict:
         "format_version": FORMAT_VERSION,
         "command": command,
         "input": [os.path.basename(p) for p in args.inputs],
-        "seed": args.seed,
+        # kept for format_version 1: no command draws random numbers
+        "seed": 0,
     }
 
 
@@ -440,15 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, ninputs):
         p.add_argument("inputs", nargs=ninputs, metavar="FILE")
         p.add_argument("--json", help="also write the JSON report to this path")
-        p.add_argument("--dot", help="write a DOT graph to this path")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any randomized search")
+        return p
 
-    pc = sub.add_parser("classify", help="axiom classification")
-    common(pc, 1)
+    pc = common(sub.add_parser("classify", help="axiom classification"), 1)
     pc.add_argument("--require", help="exit 1 unless this axiom holds")
-    common(sub.add_parser("spectrum", help="tight spectrum and representation"), 1)
-    common(sub.add_parser("frame", help="quasi-ideal frame and its laws"), 1)
+    for p in (sub.add_parser("spectrum", help="tight spectrum and representation"),
+              sub.add_parser("frame", help="quasi-ideal frame and its laws")):
+        common(p, 1).add_argument("--dot", help="write a DOT graph to this path")
     common(sub.add_parser("dualize", help="duality round-trip verification"), 1)
     common(sub.add_parser("compose", help="compose two morphisms"), 2)
     return parser

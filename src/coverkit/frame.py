@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from .kernel import (
     CapExceededError,
-    Family,
     GroundSet,
     TheoremViolationError,
     iter_bits,
@@ -81,14 +80,6 @@ def downset_of_selections(sys: CoverSystem, sel: int) -> int:
 
 def downset_mask(sys: CoverSystem, fam_mask: int) -> int:
     return downset_of_selections(sys, selections_mask(sys.ground.size, fam_mask))
-
-
-def downset(sys: CoverSystem, fam: Family) -> Family:
-    """The least quasi-ideal containing the family; idempotent."""
-    if fam.ground != sys.ground:
-        raise ValueError("family over a different ground set")
-    _require_cut_idempotent(sys)
-    return Family(sys.ground, downset_mask(sys, fam.mask))
 
 
 def is_quasi_ideal(sys: CoverSystem, fam_mask: int) -> bool:
@@ -174,6 +165,8 @@ class FrameModel:
         return j
 
     def way_below(self, q: int, r: int) -> bool:
+        """The finite witness form of the approximation order on two
+        elements: every member of q entails every selection of r."""
         qi, ri = self.index[q], self.index[r]
         return bool(self.way_below_matrix[qi] >> ri & 1)
 
@@ -227,18 +220,6 @@ def _build_frame_model(sys: CoverSystem) -> FrameModel:
                         raise CapExceededError(f"frame exceeded cap {FRAME_CAP}")
         frontier = new
     return FrameModel(sys, elements)
-
-
-def way_below(fm: FrameModel, q, r) -> bool:
-    """Finite witness form of the approximation order.
-
-    True iff every member of q entails every selection of r.
-    """
-    qm = q.mask if isinstance(q, Family) else q
-    rm = r.mask if isinstance(r, Family) else r
-    if qm not in fm.index or rm not in fm.index:
-        raise ValueError("arguments must be quasi-ideals of the model")
-    return fm.way_below(qm, rm)
 
 
 def directed_way_below_matrix(fm: FrameModel) -> list[int]:

@@ -113,9 +113,14 @@ class GroundSet:
         return {name: 1 << i for i, name in enumerate(self.names)}
 
     def code(self, names) -> int:
-        """The subset code of the labels ``names``.  A label outside the
-        ground set raises ValueError naming it; an unhashable one raises
-        TypeError."""
+        """The subset code of ``names``: a FinSubset over this ground set
+        or an iterable of labels.  A FinSubset over another ground set
+        raises GroundMismatchError, a label outside the ground set
+        ValueError naming it, and an unhashable one TypeError."""
+        if isinstance(names, FinSubset):
+            if names.ground != self:
+                raise GroundMismatchError("subset over a different ground set")
+            return names.bits
         bit = self._bit
         bits = 0
         try:
@@ -131,12 +136,7 @@ class GroundSet:
     def family(self, subsets=()) -> "Family":
         mask = 0
         for s in subsets:
-            if isinstance(s, FinSubset):
-                if s.ground != self:
-                    raise GroundMismatchError("subset over a different ground set")
-                mask |= 1 << s.bits
-            else:
-                mask |= 1 << self.code(s)
+            mask |= 1 << self.code(s)
         return Family(self, mask)
 
     def family_from_mask(self, mask: int) -> "Family":
@@ -160,34 +160,11 @@ class FinSubset:
     def names(self) -> tuple[str, ...]:
         return tuple(n for i, n in enumerate(self.ground.names) if self.bits >> i & 1)
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.ground.size) if self.bits >> i & 1)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
     def __len__(self):
         return self.bits.bit_count()
 
     def __contains__(self, name: str) -> bool:
         return bool(self.bits >> self.ground.index(name) & 1)
-
-    def union(self, other: "FinSubset") -> "FinSubset":
-        _same_ground(self, other)
-        return FinSubset(self.ground, self.bits | other.bits)
-
-    def intersection(self, other: "FinSubset") -> "FinSubset":
-        _same_ground(self, other)
-        return FinSubset(self.ground, self.bits & other.bits)
-
-    def issubset(self, other: "FinSubset") -> bool:
-        _same_ground(self, other)
-        return self.bits | other.bits == other.bits
-
-    def meets(self, other: "FinSubset") -> bool:
-        _same_ground(self, other)
-        return bool(self.bits & other.bits)
 
     def __repr__(self):
         return "{" + ",".join(self.names()) + "}"
@@ -214,24 +191,12 @@ class Family:
     def members(self) -> tuple[FinSubset, ...]:
         return tuple(FinSubset(self.ground, c) for c in iter_bits(self.mask))
 
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     def __len__(self):
         return self.mask.bit_count()
 
     def __contains__(self, subset: FinSubset) -> bool:
         _same_ground(self, subset)
         return bool(self.mask >> subset.bits & 1)
-
-    def union(self, other: "Family") -> "Family":
-        _same_ground(self, other)
-        return Family(self.ground, self.mask | other.mask)
-
-    def intersection(self, other: "Family") -> "Family":
-        _same_ground(self, other)
-        return Family(self.ground, self.mask & other.mask)
 
     def __repr__(self):
         return "Family(" + ", ".join(map(repr, self.members())) + ")"
@@ -549,14 +514,6 @@ def upsets(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def wedge_mask(n: int, a_mask: int, b_mask: int) -> int:
-    out = 0
-    for f in iter_bits(a_mask):
-        for g in iter_bits(b_mask):
-            out |= 1 << (f | g)
-    return out
-
-
 def diagonal_masks(n: int, a_mask: int, b_mask: int) -> bool:
     return selections_mask(n, a_mask) & ~supersets_mask(n, b_mask) == 0
 
@@ -575,12 +532,6 @@ def selections(fam: Family) -> Family:
 def supersets(fam: Family) -> Family:
     """All finite subsets containing at least one member of ``fam``."""
     return Family(fam.ground, supersets_mask(fam.ground.size, fam.mask))
-
-
-def wedge(fam_a: Family, fam_b: Family) -> Family:
-    """Pairwise unions {F | G : F in fam_a, G in fam_b}, deduplicated."""
-    _same_ground(fam_a, fam_b)
-    return Family(fam_a.ground, wedge_mask(fam_a.ground.size, fam_a.mask, fam_b.mask))
 
 
 def diagonal(fam_a: Family, fam_b: Family) -> bool:

@@ -31,7 +31,7 @@ finite parts directly where the distinction would matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .kernel import (
     Family,
@@ -108,14 +108,12 @@ class Relation:
 
     @staticmethod
     def from_pairs(left: GroundSet, right: GroundSet, pairs) -> "Relation":
-        """The relation holding on each (f, g) of ``pairs``; each side is a
-        FinSubset or an iterable of labels (``GroundSet.code``)."""
+        """The relation holding on each (f, g) of ``pairs``; each side is
+        anything ``GroundSet.code`` of its ground set takes."""
         rows = [0] * left.num_subsets
         left_code, right_code = left.code, right.code
         for f, g in pairs:
-            fc = f.bits if isinstance(f, FinSubset) else left_code(f)
-            gc = g.bits if isinstance(g, FinSubset) else right_code(g)
-            rows[fc] |= 1 << gc
+            rows[left_code(f)] |= 1 << right_code(g)
         return Relation(left, right, rows)
 
     @staticmethod
@@ -138,9 +136,13 @@ class Relation:
         return self.left == self.right
 
     def holds(self, f, g) -> bool:
-        fc = f.bits if isinstance(f, FinSubset) else f
-        gc = g.bits if isinstance(g, FinSubset) else g
-        return bool(self.rows[fc] >> gc & 1)
+        """Whether f relates to g; each is a subset code or anything
+        ``GroundSet.code`` of its side's ground set takes."""
+        if not isinstance(f, int):
+            f = self.left.code(f)
+        if not isinstance(g, int):
+            g = self.right.code(g)
+        return bool(self.rows[f] >> g & 1)
 
     def pairs(self):
         for f, row in enumerate(self.rows):
@@ -252,9 +254,7 @@ def _query_codes(rel: Relation, q) -> tuple[int, ...]:
             raise GroundMismatchError("query family over a different ground set")
         return q.member_codes()
     if isinstance(q, FinSubset):
-        if q.ground != rel.left:
-            raise GroundMismatchError("query subset over a different ground set")
-        return (q.bits,)
+        return (rel.left.code(q),)
     return tuple(q)
 
 
@@ -437,15 +437,17 @@ def one_exists(rel: Relation) -> Relation:
     return Relation(rel.left, rel.right, rows)
 
 
-def between(rel: Relation, f: Union[FinSubset, int], fam: Family) -> bool:
-    """True iff f relates to every selection of ``fam``."""
+def between(rel: Relation, f, fam: Family) -> bool:
+    """True iff f, a subset code or anything ``GroundSet.code`` takes,
+    relates to every selection of ``fam``."""
     if not rel.is_endo:
         raise GroundMismatchError("selection-extension applies to endorelations only")
     if fam.ground != rel.right:
         raise GroundMismatchError("family over a different ground set")
-    fc = f.bits if isinstance(f, FinSubset) else f
+    if not isinstance(f, int):
+        f = rel.left.code(f)
     sel = selections_mask(rel.right.size, fam.mask)
-    return rel.rows[fc] & sel == sel
+    return rel.rows[f] & sel == sel
 
 
 def star(rel: Relation, fam_a: Family, fam_b: Family) -> bool:

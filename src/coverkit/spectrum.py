@@ -250,17 +250,6 @@ def compact_rows(space: FiniteSpace, smaller, larger) -> list[int]:
     return rows
 
 
-def specialization_pairs(space: FiniteSpace) -> list[tuple[str, str]]:
-    """All (x, y) with x converging to y, i.e. y in the closure of x."""
-    n = len(space.points)
-    return [
-        (space.points[x], space.points[y])
-        for x in range(n)
-        for y in range(n)
-        if space.converges(x, y)
-    ]
-
-
 def saturation(space: FiniteSpace, region: int) -> int:
     """Intersection of all opens containing the region."""
     out = 0
@@ -460,16 +449,11 @@ class TightFlags:
     def tight(self) -> bool:
         return self.round and self.prime
 
-    def to_dict(self):
-        return {"round": self.round, "prime": self.prime, "tight": self.tight}
-
 
 def _code_of(sys: CoverSystem, t) -> int:
-    if isinstance(t, FinSubset):
-        if t.ground != sys.ground:
-            raise ValueError("subset over a different ground set")
-        return t.bits
-    return int(t)
+    """``t``, a subset code or anything ``GroundSet.code`` takes, as a
+    subset code over the system's ground set."""
+    return t if isinstance(t, int) else sys.ground.code(t)
 
 
 def is_round(sys: CoverSystem, t) -> bool:
@@ -529,10 +513,6 @@ def tight_codes(sys: CoverSystem) -> tuple[int, ...]:
     if tights & 1:
         log.info("empty subset is tight for %r; excluded from the spectrum", sys)
     return tuple(iter_bits(tights & ~1))
-
-
-def tight_sets(sys: CoverSystem) -> tuple[FinSubset, ...]:
-    return tuple(FinSubset(sys.ground, c) for c in tight_codes(sys))
 
 
 def escaped_name(name: str) -> str:
@@ -628,13 +608,6 @@ class Spectrum:
         out = self.full_mask
         for i in iter_bits(fcode):
             out &= self.point_open[i]
-        return out
-
-    def upper_open(self, gcode: int) -> int:
-        """Points meeting G."""
-        out = 0
-        for i in iter_bits(gcode):
-            out |= self.point_open[i]
         return out
 
     def __repr__(self):
@@ -965,26 +938,5 @@ def specialization_dot(space: FiniteSpace, name: str = "specialization") -> str:
             if any(arrow[x][z] and arrow[z][y] for z in range(n)):
                 continue
             lines.append(f"  {ids[x]} -> {ids[y]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def opens_hasse_dot(space: FiniteSpace, name: str = "opens") -> str:
-    """Open-set lattice as a Hasse diagram (edges point upward)."""
-    opens = sorted(space.opens, key=lambda m: (bin(m).count("1"), m))
-    lines = [f"graph {name} {{"]
-    labels = {
-        o: dot_id("{" + ",".join(map(escaped_name, space.point_names(o))) + "}")
-        for o in opens
-    }
-    for o in opens:
-        lines.append(f"  {labels[o]};")
-    for a in opens:
-        for b in opens:
-            if a == b or a & ~b:
-                continue
-            if any(c != a and c != b and a & ~c == 0 and c & ~b == 0 for c in opens):
-                continue
-            lines.append(f"  {labels[a]} -- {labels[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,10 +8,21 @@ from coverkit.relations import CoverSystem, Relation, one_exists
 from coverkit.composition import cut_compose
 from coverkit.spectrum import FiniteSpace
 from coverkit.builders import FiniteLattice
+from coverkit.category import SpaceMap
 
 
 def rng_for(seed) -> random.Random:
     return random.Random(seed)
+
+
+def constant_map(source: FiniteSpace, target: FiniteSpace, point: int) -> SpaceMap:
+    """The total map of ``source`` onto the one point ``point`` of ``target``."""
+    return SpaceMap(source, target, {i: point for i in range(len(source.points))})
+
+
+def inclusion_map(space: FiniteSpace, open_mask: int) -> SpaceMap:
+    """The partial identity of ``space`` on the open set ``open_mask``."""
+    return SpaceMap(space, space, {i: i for i in iter_bits(open_mask)})
 
 
 def random_relation(rng, ground: GroundSet) -> Relation:

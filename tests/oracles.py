@@ -34,6 +34,10 @@ relations (each composition is checked against the naive ones above),
 and the antisymmetry witness read off the derived relation.  The last,
 ``angle_inverse_rows``, is the earlier per-bit loop of
 ``category.angle_inverse_morphism``, which now gathers columns.
+
+``wedge`` (pairwise unions of the members of two families) has no use in
+the package; it is here for the family-algebra laws that relate it to
+selections.
 """
 
 from functools import reduce
@@ -41,7 +45,7 @@ from itertools import combinations
 from operator import or_
 
 from coverkit.composition import composition_excess_witness, cut_compose
-from coverkit.kernel import CapExceededError
+from coverkit.kernel import CapExceededError, Family, GroundMismatchError
 from coverkit.relations import one_exists
 
 
@@ -60,6 +64,23 @@ def naive_selections(n, members):
 
 def naive_supersets(n, members):
     return [g for g in subset_codes(n) if any(f & g == f for f in members)]
+
+
+def wedge_mask(a_mask, b_mask):
+    """The family mask of the pairwise unions of two families' members."""
+    out = 0
+    for f in bits_of(a_mask):
+        for g in bits_of(b_mask):
+            out |= 1 << (f | g)
+    return out
+
+
+def wedge(fam_a, fam_b):
+    """Pairwise unions {F | G : F in fam_a, G in fam_b} of two families
+    over one ground set, deduplicated."""
+    if fam_a.ground != fam_b.ground:
+        raise GroundMismatchError("operands live over different ground sets")
+    return Family(fam_a.ground, wedge_mask(fam_a.mask, fam_b.mask))
 
 
 class NaiveFamilyTables:

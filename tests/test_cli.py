@@ -418,7 +418,7 @@ def test_dot_ids_parse_back_to_their_labels(tmp_path, capsys):
     from coverkit.frame import frame_model
     from coverkit.kernel import GroundSet, iter_bits
     from coverkit.relations import CoverSystem, Relation
-    from coverkit.spectrum import opens_hasse_dot, spectrum, subset_label
+    from coverkit.spectrum import spectrum, subset_label
 
     names = ['a"b', "c\\", "d,e"]
     path = write(tmp_path, "quotes.json", _meeting(names))
@@ -434,8 +434,6 @@ def test_dot_ids_parse_back_to_their_labels(tmp_path, capsys):
     labels = ["[" + " ".join(subset_label(ground, f) for f in iter_bits(m)) + "]"
               for m in frame_model(sys).elements]
     assert _dot_nodes(frame_dot.read_text()) == labels
-    opens = _dot_nodes(opens_hasse_dot(space))
-    assert len(opens) == len(set(opens)) == len(space.opens)
 
 
 POINTS = ("x", "y", "z")
@@ -645,9 +643,9 @@ def test_outputs_byte_identical(tmp_path, capsys):
     path = write(tmp_path, "b4.json", BOOLEAN4)
     for cmd in (["classify", path], ["spectrum", path], ["frame", path],
                 ["dualize", path]):
-        main(cmd + ["--seed", "3"])
+        main(cmd)
         first = capsys.readouterr().out
-        main(cmd + ["--seed", "3"])
+        main(cmd)
         second = capsys.readouterr().out
         assert first == second and first
 

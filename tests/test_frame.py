@@ -12,7 +12,7 @@ from oracles import (
     way_below_directed,
 )
 from coverkit import frame
-from coverkit.kernel import CapExceededError, Family, TheoremViolationError, iter_bits
+from coverkit.kernel import CapExceededError, TheoremViolationError, iter_bits
 from coverkit.relations import CoverSystem, Relation, structural_flags
 from coverkit.builders import (
     FiniteLattice,
@@ -31,7 +31,6 @@ from coverkit.category import verify_duality_system
 from coverkit.frame import (
     FrameModel,
     directed_way_below_matrix,
-    downset,
     downset_mask,
     frame_elements_json,
     frame_hasse_dot,
@@ -40,7 +39,6 @@ from coverkit.frame import (
     karoubi_envelope,
     verify_frame_laws,
     verify_open_iso,
-    way_below,
 )
 from coverkit.spectrum import Spectrum, verify_representation
 
@@ -116,7 +114,7 @@ def test_downset_idempotent_and_monotone():
 def test_downset_requires_cut_idempotent():
     sysm = lattice_cover(m3_lattice())
     with pytest.raises(ValueError):
-        downset(sysm, Family(sysm.ground, 0))
+        frame_model(sysm)
 
 
 def test_strong_idempotents_are_cut_idempotent_without_a_composition(monkeypatch):
@@ -137,15 +135,15 @@ def test_strong_idempotents_are_cut_idempotent_without_a_composition(monkeypatch
     monkeypatch.setattr(frame, "cut_compose",
                         lambda a, b: calls.append(a) or cut_compose(a, b))
     for rel in strong:
-        downset(CoverSystem(g2, rel), Family(g2, 0))
+        frame_model(CoverSystem(g2, rel))
     assert calls == []
     gap = interpolation_gap_system()  # cut-idempotent, not divisible
     assert not gap.classification.is_strong_idempotent
-    downset(gap, Family(gap.ground, 0))
+    frame_model(gap)
     sysm = lattice_cover(m3_lattice())
     assert sysm.classification.is_monotone
     with pytest.raises(ValueError, match="requires a cut-idempotent relation"):
-        downset(sysm, Family(sysm.ground, 0))
+        frame_model(sysm)
     assert len(calls) == 2
 
 
@@ -454,12 +452,6 @@ def test_frame_structure_laws_match_per_pair_loops():
             assert _outcome(_structure_tables, model) == want
             outcomes.add(want if isinstance(want, type) else all(want))
     assert outcomes == {True, False, TheoremViolationError}
-
-
-def test_way_below_membership_errors():
-    fm = frame_model(B4)
-    with pytest.raises(ValueError):
-        way_below(fm, 12345, fm.top)
 
 
 def test_way_below_stability():

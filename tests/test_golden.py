@@ -35,7 +35,10 @@ with empty stdout: ``frame`` with ``--require`` (only ``classify`` takes
 it) and ``frame`` with ``--mode`` (no such option); and ``frame`` of a
 6-element chain lattice (``chain6.json``), above |S| = 4, whose report
 says ``"mode": "exhaustive"`` and ``"complete": true`` as at every
-other size.  Reports name their
+other size; and four more usage errors, exit 2 with empty stdout:
+``--dot`` on ``classify``, ``dualize`` and ``compose`` (only ``spectrum``
+and ``frame`` write a graph) and ``--seed`` (no command draws random
+numbers, and every report says ``"seed": 0``).  Reports name their
 inputs by base name, so the bytes do not depend on where the repository
 lives.
 
@@ -83,6 +86,12 @@ def _cases():
     cases.append(("frame-meet2-require", ["frame", "fixtures/meet2.json", "--require", "cut"]))
     cases.append(("frame-meet2-mode", ["frame", "fixtures/meet2.json", "--mode", "generated"]))
     cases.append(("frame-chain6", ["frame", "tests/golden/inputs/chain6.json"]))
+    morphism = "tests/golden/inputs/identity3.json"
+    for name, argv in (("classify-m3-dot", ["classify", "fixtures/m3.json"]),
+                       ("dualize-sierpinski-dot", ["dualize", "fixtures/sierpinski.json"]),
+                       ("compose-identity3-dot", ["compose", morphism, morphism])):
+        cases.append((name, argv + ["--dot", "x.dot"]))
+    cases.append(("classify-m3-seed", ["classify", "fixtures/m3.json", "--seed", "1"]))
     return cases
 
 

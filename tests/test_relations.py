@@ -28,7 +28,7 @@ RNG = gen.rng_for(101)
 
 def test_polar_of_empty_query():
     rel = gen.random_relation(RNG, G2)
-    assert polar_exists(rel, Family(G2, 0)).is_empty
+    assert polar_exists(rel, Family(G2, 0)).mask == 0
     assert len(polar_forall(rel, Family(G2, 0))) == 4
 
 
@@ -196,6 +196,34 @@ def test_cover_system_requires_endorelation():
     rel = Relation.empty(G2, G3)
     with pytest.raises(GroundMismatchError):
         CoverSystem(G2, rel)
+
+
+def test_subset_over_a_foreign_ground_raises():
+    # each subset argument is checked against its own side's ground set,
+    # whether the ground sizes match, the code fits or it does not
+    g2, g3 = GroundSet.of("a", "b"), GroundSet.of("x", "y", "z")
+    xy, y, z = g3.subset(["x", "y"]), g3.subset(["y"]), g3.subset(["z"])
+    a = g2.subset(["a"])
+    rel = Relation.full(g2)
+    for f, g in ((xy, y), (z, z), (a, y), (xy, a)):
+        with pytest.raises(GroundMismatchError):
+            Relation.from_pairs(g2, g2, [(f, g)])
+        with pytest.raises(GroundMismatchError):
+            rel.holds(f, g)
+    for f in (xy, z):
+        with pytest.raises(GroundMismatchError):
+            between(rel, f, Family(g2, 0))
+        with pytest.raises(GroundMismatchError):
+            g2.family([f])
+    sys = CoverSystem(g2, rel)
+    from coverkit.spectrum import is_round, tight_flags
+
+    for use in (is_round, tight_flags):
+        with pytest.raises(GroundMismatchError):
+            use(sys, xy)
+    # subsets over the right ground still work, as do codes and labels
+    assert Relation.from_pairs(g2, g3, [(a, z)]).holds(["a"], 4)
+    assert rel.holds(a, 0) and between(rel, ["a"], Family(g2, 0))
 
 
 def test_classification_cache_coherent():

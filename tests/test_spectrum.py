@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gen
 from oracles import naive_prime, naive_round, naive_selections, naive_tight_sets
-from coverkit.kernel import CapExceededError, Family, GroundSet, iter_bits
+from coverkit.kernel import CapExceededError, Family, GroundSet, iter_bits, joins_of
 from coverkit.relations import CoverSystem, Relation
 from coverkit.axioms import derive_vdash
 from coverkit.builders import (
@@ -36,25 +36,27 @@ from coverkit.spectrum import (
     is_prime,
     is_round,
     is_very_dense,
-    opens_hasse_dot,
     patch_closure,
     prime_to_tight,
     recovery,
     saturation,
     space_properties,
     specialization_dot,
-    specialization_pairs,
     spectrum,
     subset_label,
     tight_codes,
     tight_flags,
-    tight_sets,
     verify_representation,
 )
 
 RNG = gen.rng_for(505)
 B4 = lattice_cover(boolean4_lattice(), "boolean4")
 CHAIN3 = lattice_cover(chain_lattice(3), "chain3")
+
+
+def tight_names(sys):
+    """The names of each non-empty tight set, in code order."""
+    return [tuple(sys.ground.names[i] for i in iter_bits(c)) for c in tight_codes(sys)]
 
 
 # -- tight flags -----------------------------------------------------------------
@@ -95,16 +97,16 @@ def test_tight_flags_match_naive():
 # -- tight sets -------------------------------------------------------------------
 
 def test_boolean4_tight_sets():
-    assert [t.names() for t in tight_sets(B4)] == [("a", "1"), ("b", "1")]
+    assert tight_names(B4) == [("a", "1"), ("b", "1")]
 
 
 def test_chain3_tight_sets():
-    assert [t.names() for t in tight_sets(CHAIN3)] == [("1",), ("m", "1")]
+    assert tight_names(CHAIN3) == [("1",), ("m", "1")]
 
 
 def test_empty_relation_no_tight_sets():
     sys = CoverSystem(gen.ground(2), Relation.empty(gen.ground(2)))
-    assert tight_sets(sys) == ()
+    assert tight_names(sys) == []
 
 
 def test_tight_sets_match_naive():
@@ -211,7 +213,7 @@ def test_perp_spectrum_matches_rounded_filters():
     tr = TransitiveRelation.from_pairs(("p", "q"), [("p", "p"), ("q", "q")])
     sys = perp_cover(tr)
     spec = Spectrum(sys)
-    assert [t.names() for t in tight_sets(sys)] == [("p",), ("q",)]
+    assert tight_names(sys) == [("p",), ("q",)]
     d2 = FiniteSpace.from_named_sets(
         ("u", "v"), [[], ["u"], ["v"], ["u", "v"]], [["u"], ["v"]])
     assert homeomorphic(spec.space, d2)
@@ -225,7 +227,7 @@ def test_perp_chain_with_dense_bottom_degenerates():
         [("p", "p"), ("p", "q"), ("q", "q"), ("q", "r"), ("r", "r"), ("p", "r")],
     )
     sys = perp_cover(tr)
-    assert [t.names() for t in tight_sets(sys)] == [("p", "q", "r")]
+    assert tight_names(sys) == [("p", "q", "r")]
 
 
 def test_basic_opens_intersect_as_unions():
@@ -283,7 +285,7 @@ def test_subbasis_cover_cap_refuses_only_the_covering_tables():
     space = FiniteSpace(tuple(f"p{i}" for i in range(16)), chain, chain)
     assert len(space.subbasis) == SUBBASIS_COVER_CAP + 1
     # the specialization order needs no covering table: y >= x here
-    assert len(specialization_pairs(space)) == 16 * 17 // 2
+    assert sum(space.converges(x, y) for x in range(16) for y in range(16)) == 16 * 17 // 2
     for use in (lambda: space.cover_unions, lambda: compact_contained(space, 0, 0),
                 lambda: space.properties):
         with pytest.raises(CapExceededError):
@@ -333,10 +335,12 @@ def test_non_cover_exercises_backward_failure():
 
 
 def _per_pair_witnesses(sys):
-    """The representation witnesses by a per-pair scan: basic and upper
-    opens through the Spectrum methods, compact containment through
+    """The representation witnesses by a per-pair scan: basic opens
+    through ``Spectrum.basic_open``, upper opens (the points meeting G)
+    as unions of point opens, compact containment through
     ``compact_contained``, witnesses in (F, G) order."""
     spec = Spectrum(sys)
+    upper = joins_of(spec.point_open)
     vdash = derive_vdash(sys)
     size = sys.ground.num_subsets
     empty_tight = is_round(sys, 0) and is_prime(sys, 0)
@@ -353,12 +357,12 @@ def _per_pair_witnesses(sys):
         if empty_tight and f == 0:
             continue
         for g in range(size):
-            contained = spec.basic_open(f) & ~spec.upper_open(g) == 0
+            contained = spec.basic_open(f) & ~upper[g] == 0
             if (vdash.rows[f] >> g & 1) != contained:
                 note("derived_matches_subset", f, g)
     for f in range(size):
         for g in range(size):
-            compact = compact_contained(spec.space, spec.basic_open(f), spec.upper_open(g))
+            compact = compact_contained(spec.space, spec.basic_open(f), upper[g])
             entails = sys.rel.rows[f] >> g & 1
             if entails and not compact:
                 note("entail_implies_compact", f, g)
@@ -544,7 +548,9 @@ def test_whole_space_very_dense():
 
 
 def test_specialization_pairs_sierpinski():
-    got = set(specialization_pairs(sierpinski_space()))
+    space = sierpinski_space()
+    got = {(space.points[x], space.points[y])
+           for x in range(2) for y in range(2) if space.converges(x, y)}
     assert got == {("x0", "x0"), ("x1", "x1"), ("x1", "x0")}
 
 
@@ -589,5 +595,3 @@ def test_dot_exports_deterministic():
     a = specialization_dot(spec.space)
     b = specialization_dot(spec.space)
     assert a == b and a.startswith("digraph")
-    h = opens_hasse_dot(spec.space)
-    assert h.startswith("graph") and h.count("--") >= 2
