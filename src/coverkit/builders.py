@@ -122,11 +122,13 @@ class FiniteLattice:
 
     @memo
     def downs(self) -> tuple[int, ...]:
-        """downs[j] = mask of i with i <= j."""
-        n = self.size
-        return tuple(
-            sum(1 << i for i in range(n) if self.le(i, j)) for j in range(n)
-        )
+        """downs[j] = mask of i with i <= j: the transpose of ``leq``, one
+        OR per related pair."""
+        downs = [0] * self.size
+        for i, up in enumerate(self.leq):
+            for j in iter_bits(up):
+                downs[j] |= 1 << i
+        return tuple(downs)
 
     @memo
     def meet_table(self):

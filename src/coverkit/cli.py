@@ -72,12 +72,17 @@ def load_json(path: str) -> dict:
     return data
 
 
-def _name_pairs(payload, key) -> list:
-    """``payload[key]`` (default empty), which must be a list of 2-lists."""
+def _name_pairs(payload, key, side=str) -> list:
+    """``payload[key]`` (default empty), which must be a list of 2-lists
+    whose sides are of type ``side``: names, or name lists (``list``) for
+    pairs of subsets, so that a string side is not read as the list of
+    its characters nor a number as a subset code.  A name list's entries
+    are looked up among the labels, which are strings (``_labels``), so
+    an entry that is not a string fails there."""
     pairs = payload.get(key, [])
     _expect(isinstance(pairs, list), f"{key} must be a list of pairs")
     for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2):
+        if not (type(p) is list and len(p) == 2 and type(p[0]) is side is type(p[1])):
             raise SystemFileError(f"bad entry in {key}: {p}")
     return pairs
 
@@ -88,6 +93,15 @@ def _labels(payload, key) -> tuple:
     _expect(isinstance(labels, list) and all(isinstance(x, str) for x in labels),
             f"{key} must be a list of strings")
     return tuple(labels)
+
+
+def _name_lists(payload, key) -> list:
+    """``payload[key]``, which must be a list of name lists, as the sides
+    of ``_name_pairs`` with ``side=list`` are."""
+    lists = payload[key]
+    _expect(type(lists) is list and all(type(x) is list for x in lists),
+            f"{key} must be a list of name lists")
+    return lists
 
 
 @contextlib.contextmanager
@@ -106,8 +120,9 @@ def _space(payload: dict):
     """The finite space of a topology payload."""
     from .spectrum import FiniteSpace
 
-    return FiniteSpace.from_named_sets(
-        _labels(payload, "points"), payload["opens"], payload["subbasis"])
+    return FiniteSpace.from_named_sets(_labels(payload, "points"),
+                                       _name_lists(payload, "opens"),
+                                       _name_lists(payload, "subbasis"))
 
 
 def system_from_payload(kind: str, payload: dict) -> CoverSystem:
@@ -117,7 +132,7 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
     with _payload_faults(kind):
         if kind == "explicit":
             ground = GroundSet(_labels(payload, "ground"))
-            rel = Relation.from_pairs(ground, ground, _name_pairs(payload, "pairs"))
+            rel = Relation.from_pairs(ground, ground, _name_pairs(payload, "pairs", list))
             return CoverSystem(ground, rel, payload.get("name", "explicit"))
         if kind == "lattice":
             lat = builders.FiniteLattice.from_pairs(
@@ -144,7 +159,7 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
             elements = _labels(payload, "elements")
             idx = {e: i for i, e in enumerate(elements)}
             sets = []
-            for names in payload["convex_sets"]:
+            for names in _name_lists(payload, "convex_sets"):
                 m = 0
                 for nm in names:
                     m |= 1 << idx[nm]
@@ -192,7 +207,7 @@ def load_morphism(path: str):
         tgt = data["target_system"]
         source = system_from_payload(src["kind"], src["payload"])
         target = system_from_payload(tgt["kind"], tgt["payload"])
-        rel = Relation.from_pairs(source.ground, target.ground, _name_pairs(data, "pairs"))
+        rel = Relation.from_pairs(source.ground, target.ground, _name_pairs(data, "pairs", list))
         return CoverMorphism(source, target, rel)
     except (KeyError, TypeError) as exc:
         raise SystemFileError(f"malformed morphism file: {exc}")

@@ -113,10 +113,15 @@ class GroundSet:
         return {name: 1 << i for i, name in enumerate(self.names)}
 
     def code(self, names) -> int:
-        """The subset code of ``names``: a FinSubset over this ground set
-        or an iterable of labels.  A FinSubset over another ground set
-        raises GroundMismatchError, a label outside the ground set
-        ValueError naming it, and an unhashable one TypeError."""
+        """The subset code of ``names``: a subset code, a FinSubset over
+        this ground set or an iterable of labels.  A code outside
+        0 .. 2**n - 1 raises ValueError naming that range, a FinSubset
+        over another ground set GroundMismatchError, a label outside the
+        ground set ValueError naming it, and an unhashable one TypeError."""
+        if isinstance(names, int):
+            if not 0 <= names < self.num_subsets:
+                raise ValueError(f"subset code {names} outside 0..{self.num_subsets - 1}")
+            return names
         if isinstance(names, FinSubset):
             if names.ground != self:
                 raise GroundMismatchError("subset over a different ground set")
@@ -132,12 +137,6 @@ class GroundSet:
 
     def subset(self, names=()) -> "FinSubset":
         return FinSubset(self, self.code(names))
-
-    def family(self, subsets=()) -> "Family":
-        mask = 0
-        for s in subsets:
-            mask |= 1 << self.code(s)
-        return Family(self, mask)
 
     def family_from_mask(self, mask: int) -> "Family":
         return Family(self, mask)
@@ -262,6 +261,8 @@ class SubsetTables:
     and for each element i:
       contains_elem[i] -- family mask of the codes containing i
       lacks_elem[i]    -- family mask of the codes without i
+      up_steps[i]      -- lacks_elem[i] with 2**i, the mask and the shift
+                          that add i to every code lacking it
     full is the family mask containing every subset code.  loop_max is
     the most members a family may have for ``selections_mask`` to fold
     its selections member by member.
@@ -283,6 +284,7 @@ class SubsetTables:
         self.meets = [self.full & ~subsets[comp ^ f] for f in range(size)]
         self.contains_elem = [_codes_with(i, size) for i in range(n)]
         self.lacks_elem = [self.full ^ c for c in self.contains_elem]
+        self.up_steps = tuple((lacks, 1 << i) for i, lacks in enumerate(self.lacks_elem))
         # one AND per member against n shifts and one bit reversal: timed
         # on random families and up-sets (Python 3.11), the whole-mask
         # form is the faster from 8-12 members at n = 4..13, and never
@@ -458,11 +460,15 @@ def selections_mask(n: int, fam_mask: int) -> int:
 
 def large_selections_mask(n: int, fam_mask: int) -> int:
     """``selections_mask`` by whole masks whatever the family's size:
-    every code whose complement is not in the upper closure.  A family
-    with the empty set as a member, such as a full row, selects nothing."""
+    every code whose complement is not in the upper closure, taken by the
+    steps of ``supersets_mask`` from the same table.  A family with the
+    empty set as a member, such as a full row, selects nothing."""
     if fam_mask & 1:
         return 0
-    return tables(n).full & ~complements_mask(n, supersets_mask(n, fam_mask))
+    t = tables(n)
+    for lacks, step in t.up_steps:
+        fam_mask |= (fam_mask & lacks) << step
+    return t.full & ~complements_mask(n, fam_mask)
 
 
 # entry b is the byte b with its eight bits in reverse order
@@ -489,8 +495,8 @@ def supersets_mask(n: int, fam_mask: int) -> int:
     n steps; step i adds element i to every code lacking it, which moves
     that code's bit up by 2**i.
     """
-    for i, lacks in enumerate(tables(n).lacks_elem):
-        fam_mask |= (fam_mask & lacks) << (1 << i)
+    for lacks, step in tables(n).up_steps:
+        fam_mask |= (fam_mask & lacks) << step
     return fam_mask
 
 

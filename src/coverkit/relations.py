@@ -136,13 +136,9 @@ class Relation:
         return self.left == self.right
 
     def holds(self, f, g) -> bool:
-        """Whether f relates to g; each is a subset code or anything
-        ``GroundSet.code`` of its side's ground set takes."""
-        if not isinstance(f, int):
-            f = self.left.code(f)
-        if not isinstance(g, int):
-            g = self.right.code(g)
-        return bool(self.rows[f] >> g & 1)
+        """Whether f relates to g; each is anything ``GroundSet.code`` of
+        its side's ground set takes, a subset code included."""
+        return bool(self.rows[self.left.code(f)] >> self.right.code(g) & 1)
 
     def pairs(self):
         for f, row in enumerate(self.rows):
@@ -438,14 +434,13 @@ def one_exists(rel: Relation) -> Relation:
 
 
 def between(rel: Relation, f, fam: Family) -> bool:
-    """True iff f, a subset code or anything ``GroundSet.code`` takes,
-    relates to every selection of ``fam``."""
+    """True iff f, anything ``GroundSet.code`` takes (a subset code
+    included), relates to every selection of ``fam``."""
     if not rel.is_endo:
         raise GroundMismatchError("selection-extension applies to endorelations only")
     if fam.ground != rel.right:
         raise GroundMismatchError("family over a different ground set")
-    if not isinstance(f, int):
-        f = rel.left.code(f)
+    f = rel.left.code(f)
     sel = selections_mask(rel.right.size, fam.mask)
     return rel.rows[f] & sel == sel
 

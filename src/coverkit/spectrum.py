@@ -11,15 +11,19 @@ them.  Compact containment is evaluated by its covering definition
 (every subbasic cover of the larger set admits a finite subcover of the
 smaller one) rather than by the subset shortcut it reduces to on finite
 spaces; the reduction is verified in the tests instead of assumed here.
-Every caller that needs it for many pairs (the topology cover, the
+The covering definition is read pointwise: a subfamily of the subbasis
+covers an open iff it meets the subbasis profile of each of its points,
+so each space builds the covering masks of all its opens in one pass of
+whole-mask operations (``FiniteSpace.covermask``).  Every caller that
+needs compact containment for many pairs (the topology cover, the
 representation check, the abstraction functor and the spectral square)
 decides it through one matrix, ``compact_rows``; ``compact_contained`` is
 the single-pair form.  Each space builds its topology cover once
 (``FiniteSpace.cover_system``, or the first ``topology_cover(space)``
 with the defaults, which fills that cache), and recovery and the duality
-checks share it.  The tables these read (subbasis profiles, subfamily
-unions and meets, the covering mask of each open) are likewise kept on
-the space that owns them, not in any process-wide memo.
+checks share it.  The tables these read (subbasis profiles, the meet
+basis, the covering masks) are likewise kept on the space that owns
+them, not in any process-wide memo.
 
 Spectrum points and subbasis members are named by their subsets' labels
 (``subset_label``), which escape names so that distinct subsets get
@@ -38,6 +42,7 @@ from .kernel import (
     FinSubset,
     GroundSet,
     TheoremViolationError,
+    _codes_with,
     iter_bits,
     joins_of,
     meets_of,
@@ -67,7 +72,8 @@ class FiniteSpace:
     space, and that the subbasis actually generates the opens.
     What the space determines is a ``kernel.memo`` attribute, outside
     its fields: equality and hashing ignore it, and an equal space
-    computes its own.
+    computes its own, the covering masks of all opens (``covermask``)
+    among them.
     """
 
     points: tuple[str, ...]
@@ -159,15 +165,6 @@ class FiniteSpace:
         return prof[y] & ~prof[x] == 0
 
     @memo
-    def cover_unions(self) -> list[int]:
-        """The union of each subfamily of the subbasis, by its subset code
-        over the subbasis.  Raises ``CapExceededError`` on first use when
-        the subbasis has more than ``SUBBASIS_COVER_CAP`` members."""
-        if len(self.subbasis) > SUBBASIS_COVER_CAP:
-            raise CapExceededError("subbasis too large for covering computations")
-        return joins_of(self.subbasis)
-
-    @memo
     def meet_basis(self) -> list[int]:
         """The distinct intersections of non-empty subfamilies of the
         subbasis, ascending: a meet-closed basis of the opens."""
@@ -175,25 +172,39 @@ class FiniteSpace:
 
     @memo
     def _covermasks(self) -> dict:
-        """The memo of ``covermask``: every open, mapped to its mask once
-        it is computed and to None before."""
-        return dict.fromkeys(self.opens)
+        """Every open, mapped to its ``covermask``, all in one pass."""
+        k = len(self.subbasis)
+        if k > SUBBASIS_COVER_CAP:
+            raise CapExceededError("subbasis too large for covering computations")
+        # the subfamilies whose union holds each point: those with a member
+        # around it, the OR of a periodic mask per member
+        holding = [0] * len(self.points)
+        for j, s in enumerate(self.subbasis):
+            with_j = _codes_with(j, 1 << k)
+            for x in iter_bits(s):
+                holding[x] |= with_j
+        full, masks = (1 << (1 << k)) - 1, {}
+        for o in self.opens:
+            m = full
+            for x in iter_bits(o):
+                m &= holding[x]
+            masks[o] = m
+        return masks
 
     def covermask(self, region: int) -> int:
-        """Bitmask of the subbasis subfamilies (by index into
-        ``cover_unions``) whose union covers the open ``region``, computed
-        once per region.  Raises ``ValueError`` if ``region`` is not open."""
-        memo = self._covermasks
-        got = memo.get(region)
-        if got is None:
-            if region not in memo:
-                raise ValueError("compact containment applies to open sets")
-            got = 0
-            for ci, u in enumerate(self.cover_unions):
-                if region & ~u == 0:
-                    got |= 1 << ci
-            memo[region] = got
-        return got
+        """Bitmask of the subfamilies of the subbasis (bit c for the
+        members j with bit j of c set) whose union covers the open
+        ``region``.  Read pointwise: a subfamily's union holds point x iff
+        the subfamily meets x's subbasis profile, so the mask is the AND,
+        over the points of ``region``, of the subfamilies meeting each
+        profile, with no table of the 2**k unions of k members.  Every
+        open's mask is built on the first call.  Raises ``ValueError`` if
+        ``region`` is not open, and ``CapExceededError`` past
+        ``SUBBASIS_COVER_CAP`` members."""
+        try:
+            return self._covermasks[region]
+        except KeyError:
+            raise ValueError("compact containment applies to open sets") from None
 
     def point_names(self, mask: int) -> list[str]:
         return [self.points[i] for i in iter_bits(mask)]
@@ -251,13 +262,11 @@ def compact_rows(space: FiniteSpace, smaller, larger) -> list[int]:
 
 
 def saturation(space: FiniteSpace, region: int) -> int:
-    """Intersection of all opens containing the region."""
-    out = 0
-    n = len(space.points)
-    for x in range(n):
-        if any(region >> y & 1 and space.converges(x, y) for y in range(n)):
-            out |= 1 << x
-    return out
+    """Intersection of all opens containing the region: the points x
+    that converge to some y in it (``FiniteSpace.converges``)."""
+    prof = space.profiles
+    return sum(1 << x for x, px in enumerate(prof)
+               if any(prof[y] & ~px == 0 for y in iter_bits(region)))
 
 
 def saturated_sets(space: FiniteSpace) -> list[int]:
@@ -271,24 +280,13 @@ def saturated_sets(space: FiniteSpace) -> list[int]:
 def patch_opens(space: FiniteSpace) -> list[int]:
     """Opens of the patch topology: generated by the opens together with
     complements of (compact) saturated sets; finitely, every saturated
-    set is compact."""
+    set is compact.  The lattice they generate is the unions of their
+    finite intersections, each family closed one generator at a time."""
     full = space.full_mask
-    gens = sorted(set(space.opens) | {full & ~s for s in saturated_sets(space)})
-    family = {0, full}
-    for g in gens:
-        family.add(g)
-    # close under unions and intersections
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(family)
-        for a in items:
-            for b in items:
-                for c in (a | b, a & b):
-                    if c not in family:
-                        family.add(c)
-                        changed = True
-    return sorted(family)
+    meets = {full}
+    for g in set(space.opens) | {full & ~s for s in saturated_sets(space)}:
+        meets |= {m & g for m in meets}
+    return sorted(_unions(meets))
 
 
 def patch_closure(space: FiniteSpace, region: int) -> int:
@@ -318,78 +316,48 @@ class SpaceProperties:
 
 
 def space_properties(space: FiniteSpace) -> SpaceProperties:
-    """Literal checks of the separation/compactness properties."""
+    """Literal checks of the separation/compactness properties.
+
+    Bit j of ``inside[i]`` is set iff open j is compactly inside open i,
+    by the covering definition.  Core compactness: each open is the union
+    of its row.  Core coherence: what is compactly inside q and inside r
+    is compactly inside q & r, row q AND row r within row(q & r).
+    """
     n = len(space.points)
     full = space.full_mask
-    t0 = len(set(space.profiles)) == n
+    prof = space.profiles
+    t0 = len(set(prof)) == n
 
     # soberness: every irreducible closed set has a unique generic point.
     # Irreducibility is tested against a meet-closed basis, which suffices.
-    closure = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if space.converges(x, y):
-                closure[x] |= 1 << y
-    sober = True
-    for o in space.opens:
-        c = full & ~o
-        if c == 0:
-            continue
-        irreducible = True
+    # The closure of x holds the y whose every subbasic open contains x.
+    closure = [sum(1 << y for y, py in enumerate(prof) if py & ~px == 0) for px in prof]
+
+    def irreducible(c):
         basis = [b for b in space.meet_basis if b & c]
-        for i, a in enumerate(basis):
-            for b in basis[i + 1:]:
-                if a & b & c == 0:
-                    irreducible = False
-                    break
-            if not irreducible:
-                break
-        if not irreducible:
-            continue
-        generic = [x for x in range(n) if closure[x] == c]
-        if len(generic) != 1:
-            sober = False
-            break
+        return all(a & b & c for i, a in enumerate(basis) for b in basis[i + 1:])
 
-    cm = space.covermask
-    core_compact = True
-    for p in space.opens:
-        approx = 0
-        for q in space.opens:
-            if cm(p) & ~cm(q) == 0:  # q compactly inside p
-                approx |= q
-        if approx != p:
-            core_compact = False
-            break
+    sober = all(closure.count(c) == 1 for c in (full & ~o for o in space.opens)
+                if c and irreducible(c))
 
-    # q is compactly inside p iff covermask(q) contains covermask(p), so
-    # the triple implication only depends on covermask classes: for every
-    # pair (q, r), the intersection must stay compactly inside every p
-    # compactly containing both.  Group by covermask to avoid the cube.
-    core_coherent = True
     opens = space.opens
-    width = (1 << len(space.cover_unions)) - 1
-    common: dict = {}
+    masks = [space.covermask(o) for o in opens]
+    inside = []
+    core_compact = True
+    for p, cp in zip(opens, masks):
+        row = approx = 0
+        for j, cq in enumerate(masks):
+            if cp & ~cq == 0:
+                row |= 1 << j
+                approx |= opens[j]
+        inside.append(row)
+        core_compact = core_compact and approx == p
 
-    def common_of(msk):
-        got = common.get(msk)
-        if got is None:
-            got = width
-            for p in opens:
-                cp = cm(p)
-                if msk & ~cp == 0:
-                    got &= cp
-            common[msk] = got
-        return got
-
-    for i, q in enumerate(opens):
-        cq = cm(q)
-        for r in opens[i:]:
-            if cm(q & r) & ~common_of(cq | cm(r)):
-                core_coherent = False
-                break
-        if not core_coherent:
-            break
+    index = {o: i for i, o in enumerate(opens)}
+    core_coherent = all(
+        inside[i] & inside[j] & ~inside[index[q & opens[j]]] == 0
+        for i, q in enumerate(opens) for j in range(i + 1, len(opens))
+    )
 
     return SpaceProperties(
         t0=t0,
@@ -450,14 +418,8 @@ class TightFlags:
         return self.round and self.prime
 
 
-def _code_of(sys: CoverSystem, t) -> int:
-    """``t``, a subset code or anything ``GroundSet.code`` takes, as a
-    subset code over the system's ground set."""
-    return t if isinstance(t, int) else sys.ground.code(t)
-
-
 def is_round(sys: CoverSystem, t) -> bool:
-    code = _code_of(sys, t)
+    code = sys.ground.code(t)
     tt = tables(sys.ground.size)
     subs = tt.subsets[code]
     cols = sys.rel.cols()
@@ -465,7 +427,7 @@ def is_round(sys: CoverSystem, t) -> bool:
 
 
 def is_prime(sys: CoverSystem, t) -> bool:
-    code = _code_of(sys, t)
+    code = sys.ground.code(t)
     tt = tables(sys.ground.size)
     meets_t = tt.meets[code]
     rows = sys.rel.rows
@@ -590,7 +552,10 @@ class Spectrum:
             sum(1 << i for i, code in enumerate(self.tights) if code >> e & 1)
             for e in range(n)
         ]
-        names = tuple(subset_label(sys.ground, c) for c in self.tights)
+        # subset_label of each point, each ground name escaped once
+        escaped = [escaped_name(name) for name in sys.ground.names]
+        names = tuple("{" + ",".join([escaped[i] for i in iter_bits(c)]) + "}"
+                      for c in self.tights)
         sub = tuple(sorted(set(self.point_open)))
         if not self.tights:
             # empty spectrum: single empty space with empty subbasis
@@ -762,7 +727,7 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
 def prime_to_tight(sys: CoverSystem, p) -> FinSubset:
     """Shrink a prime subset to the tight set of its finitely-entailed
     elements."""
-    code = _code_of(sys, p)
+    code = sys.ground.code(p)
     if not is_prime(sys, code):
         raise ValueError("input subset is not prime")
     tt = tables(sys.ground.size)
@@ -797,8 +762,8 @@ def birkhoff_stone(sys: CoverSystem, r, q):
     such an entailment exists.  The search is exhaustive and existence is
     theorem-backed for strong idempotents, so a failed search raises.
     """
-    rcode = _code_of(sys, r)
-    qcode = _code_of(sys, q)
+    rcode = sys.ground.code(r)
+    qcode = sys.ground.code(q)
     if not sys.classification.is_strong_idempotent:
         raise ValueError("tight extension requires a strong idempotent system")
     if not is_round(sys, rcode):
@@ -817,7 +782,7 @@ def birkhoff_stone_families(sys: CoverSystem, r, fams: Family):
     """Family variant: extend a round set to a tight one containing no
     member of ``fams``; the hypothesis quantifies over selections of
     finite subfamilies."""
-    rcode = _code_of(sys, r)
+    rcode = sys.ground.code(r)
     if not sys.classification.is_strong_idempotent:
         raise ValueError("tight extension requires a strong idempotent system")
     if not is_round(sys, rcode):

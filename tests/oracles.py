@@ -437,6 +437,35 @@ def naive_tight_sets(n, rows):
     ]
 
 
+def naive_patch_opens(opens, saturated, full):
+    """The closure of the opens, the complements of the saturated sets,
+    the empty set and ``full`` under pairwise unions and intersections,
+    by rescanning every pair until nothing is added."""
+    family = {0, full} | set(opens) | {full & ~s for s in saturated}
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted(family):
+            for b in sorted(family):
+                for c in (a | b, a & b):
+                    if c not in family:
+                        family.add(c)
+                        changed = True
+    return sorted(family)
+
+
+def naive_covermask(subbasis, region):
+    """Bit c is set iff the union of the subbasis members j with bit j of
+    c set covers ``region``: the covering definition by a literal loop
+    over every subfamily's union."""
+    out = 0
+    for c in range(1 << len(subbasis)):
+        union = reduce(or_, (s for j, s in enumerate(subbasis) if c >> j & 1), 0)
+        if region & ~union == 0:
+            out |= 1 << c
+    return out
+
+
 # -- builders ------------------------------------------------------------------
 
 def naive_meet(k, leq, members):

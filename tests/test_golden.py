@@ -38,7 +38,14 @@ says ``"mode": "exhaustive"`` and ``"complete": true`` as at every
 other size; and four more usage errors, exit 2 with empty stdout:
 ``--dot`` on ``classify``, ``dualize`` and ``compose`` (only ``spectrum``
 and ``frame`` write a graph) and ``--seed`` (no command draws random
-numbers, and every report says ``"seed": 0``).  Reports name their
+numbers, and every report says ``"seed": 0``); and four files, each
+exit 2 with empty stdout, where a JSON string stands for a name list
+and must not be read as the list of its characters: an explicit pair
+side (``strpairs2.json``, the pair ``["ab", "a"]`` over ground a, b),
+convexity ``convex_sets`` entries (``strconvex2.json``), topology
+``opens`` and ``subbasis`` entries (``stropens2.json``) and the sides
+of a morphism's pairs (``strmorphism3.json``, ``identity3.json`` with
+each pair side joined into one string, under ``compose``).  Reports name their
 inputs by base name, so the bytes do not depend on where the repository
 lives.
 
@@ -92,6 +99,10 @@ def _cases():
                        ("compose-identity3-dot", ["compose", morphism, morphism])):
         cases.append((name, argv + ["--dot", "x.dot"]))
     cases.append(("classify-m3-seed", ["classify", "fixtures/m3.json", "--seed", "1"]))
+    for stem in ("strpairs2", "strconvex2", "stropens2"):
+        cases.append((f"classify-{stem}", ["classify", f"tests/golden/inputs/{stem}.json"]))
+    morphism = "tests/golden/inputs/strmorphism3.json"
+    cases.append(("compose-strmorphism3", ["compose", morphism, morphism]))
     return cases
 
 

@@ -35,7 +35,10 @@ G3 = all_groundsets_named(3)
 
 
 def fam(ground, *subsets):
-    return ground.family([ground.subset(s) for s in subsets])
+    mask = 0
+    for s in subsets:
+        mask |= 1 << ground.code(s)
+    return Family(ground, mask)
 
 
 def members(family):

@@ -198,6 +198,20 @@ def test_cover_system_requires_endorelation():
         CoverSystem(G2, rel)
 
 
+def test_int_code_out_of_range_raises_naming_the_range():
+    # a code past the ground's subsets, or negative, is refused on either
+    # side by the same ValueError, never read as a missing pair
+    g2 = GroundSet.of("a", "b")
+    rel = Relation.full(g2)
+    for f, g in ((0, 99), (7, 0), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            rel.holds(f, g)
+    for f in (4, -1):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            between(rel, f, Family(g2, 0))
+    assert rel.holds(0, 3) and between(rel, 3, Family(g2, 0))
+
+
 def test_subset_over_a_foreign_ground_raises():
     # each subset argument is checked against its own side's ground set,
     # whether the ground sizes match, the code fits or it does not
@@ -214,7 +228,7 @@ def test_subset_over_a_foreign_ground_raises():
         with pytest.raises(GroundMismatchError):
             between(rel, f, Family(g2, 0))
         with pytest.raises(GroundMismatchError):
-            g2.family([f])
+            g2.subset(f)
     sys = CoverSystem(g2, rel)
     from coverkit.spectrum import is_round, tight_flags
 

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from oracles import naive_prime, naive_round, naive_selections, naive_tight_sets
+from oracles import (
+    naive_covermask, naive_patch_opens, naive_prime, naive_round, naive_selections,
+    naive_tight_sets,
+)
 from coverkit.kernel import CapExceededError, Family, GroundSet, iter_bits, joins_of
 from coverkit.relations import CoverSystem, Relation
 from coverkit.axioms import derive_vdash
@@ -37,6 +40,7 @@ from coverkit.spectrum import (
     is_round,
     is_very_dense,
     patch_closure,
+    patch_opens,
     prime_to_tight,
     recovery,
     saturation,
@@ -269,6 +273,14 @@ def test_compact_rows_match_per_pair_definition():
                                       if compact_contained(sub, s, n2))
 
 
+def test_covermask_matches_naive_on_every_subbasis_choice():
+    for k in (1, 2, 3, 4):
+        for space in gen.all_t0_spaces(k):
+            for sub in gen.subbasis_choices(space):
+                for o in sub.opens:
+                    assert sub.covermask(o) == naive_covermask(sub.subbasis, o)
+
+
 def test_compact_rows_reject_non_open_regions():
     sp = sierpinski_space()  # opens {}, {x1}, {x0, x1}; {x0} is not open
     with pytest.raises(ValueError):
@@ -286,7 +298,7 @@ def test_subbasis_cover_cap_refuses_only_the_covering_tables():
     assert len(space.subbasis) == SUBBASIS_COVER_CAP + 1
     # the specialization order needs no covering table: y >= x here
     assert sum(space.converges(x, y) for x in range(16) for y in range(16)) == 16 * 17 // 2
-    for use in (lambda: space.cover_unions, lambda: compact_contained(space, 0, 0),
+    for use in (lambda: space.covermask(0), lambda: compact_contained(space, 0, 0),
                 lambda: space.properties):
         with pytest.raises(CapExceededError):
             use()
@@ -307,14 +319,15 @@ def test_indiscrete_two_points_not_sober():
 
 
 def test_core_coherent_matches_naive_triple_loop():
-    for space in gen.all_t0_spaces(3):
-        cm = space.covermask
-        naive = all(
-            not (cm(q) & ~cm(p) == 0 and cm(r) & ~cm(p) == 0)
-            or cm(q & r) & ~cm(p) == 0
-            for p in space.opens for q in space.opens for r in space.opens
-        )
-        assert space_properties(space).core_coherent == naive
+    for k in (3, 4):
+        for space in gen.all_t0_spaces(k):
+            cm = {o: naive_covermask(space.subbasis, o) for o in space.opens}
+            naive = all(
+                not (cm[q] & ~cm[p] == 0 and cm[r] & ~cm[p] == 0)
+                or cm[q & r] & ~cm[p] == 0
+                for p in space.opens for q in space.opens for r in space.opens
+            )
+            assert space_properties(space).core_coherent == naive
 
 
 # -- representation -------------------------------------------------------------------
@@ -532,6 +545,24 @@ def test_discrete_saturation_identity_and_patch_discrete():
     for y in range(4):
         assert saturation(d2, y) == y
         assert patch_closure(d2, y) == y
+
+
+def test_patch_opens_match_the_pairwise_closure():
+    # every topology on up to 3 points, T0 or not, and every T0 one on 4
+    spaces = list(gen.all_t0_spaces(4))
+    for k in (1, 2, 3):
+        full = (1 << k) - 1
+        for bits in range(1 << (1 << k)):
+            opens = [o for o in range(1 << k) if bits >> o & 1]
+            family = set(opens)
+            if {0, full} <= family and all(
+                    a | b in family and a & b in family for a in opens for b in opens):
+                points = tuple(f"p{i}" for i in range(k))
+                spaces.append(FiniteSpace(points, tuple(opens), tuple(opens[1:])))
+    for space in spaces:
+        saturated = [saturation(space, s) for s in range(1 << len(space.points))]
+        assert patch_opens(space) == naive_patch_opens(
+            space.opens, saturated, space.full_mask)
 
 
 def test_sierpinski_saturation_of_closed_point():
