@@ -1,24 +1,26 @@
 """Constructors producing cover systems from standard order-theoretic data.
 
-Each builder evaluates its defining formula over all pairs of finite
-subsets and returns a CoverSystem; none of them enforce a
-classification.  The intersection or union of the members of every
-subset is folded once per subset (``kernel.meets_of``,
-``kernel.joins_of``), not once per pair.  Two builders are tabulated rather than literal pair scans:
-``lattice_cover`` (the meet and join of every subset once, each row
-filled from the subsets grouped by their join), whose literal pairwise
-scan is a test oracle, and ``topology_cover``, whose rows are the
-compact-containment matrix ``spectrum.compact_rows`` of the subbasis
-intersections in the subbasis unions.  Negative instances (a non-distributive
-lattice, a non-Kakutani convexity) are first-class outputs whose
-attached classification records the failure.
+Each cover builder relates F to G by comparing one value computed from
+F with one computed from G, and returns a CoverSystem; none of them
+enforce a classification.  The values are computed once per subset (the
+intersection or union of its members by ``kernel.meets_of`` and
+``kernel.joins_of``, the meet and join of its elements by
+``_subset_bounds``).  The lattice, semilattice, orthogonality,
+proximity and convexity covers are each one ``kernel.meeting_rows`` of
+keys chosen so that the relation is "the keys meet" or its complement,
+each distinct key getting its row once; their literal pairwise scans
+are test oracles.  ``topology_cover``'s rows are the compact-containment
+matrix ``spectrum.compact_rows`` of the subbasis intersections in the
+subbasis unions.  Negative instances (a non-distributive lattice, a
+non-Kakutani convexity) are first-class outputs whose attached
+classification records the failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import GroundSet, iter_bits, joins_of, meets_of, memo, tables
+from .kernel import GroundSet, iter_bits, joins_of, meeting_rows, meets_of, memo, tables
 from .relations import CoverSystem, Relation
 from .spectrum import FiniteSpace, compact_rows, escaped_name
 
@@ -43,12 +45,14 @@ def _transitive_close(rows: list[int]) -> list[int]:
     return rows
 
 
-def _closure_pairs(n: int, pairs) -> list[int]:
-    """Reflexive-transitive closure of index pairs, as row masks."""
-    rows = [1 << i for i in range(n)]
+def _closure_pairs(elements, pairs) -> tuple[int, ...]:
+    """Reflexive-transitive closure of pairs of element names, as row
+    masks."""
+    idx = {e: i for i, e in enumerate(elements)}
+    rows = [1 << i for i in range(len(elements))]
     for a, b in pairs:
-        rows[a] |= 1 << b
-    return _transitive_close(rows)
+        rows[idx[a]] |= 1 << idx[b]
+    return tuple(_transitive_close(rows))
 
 
 def _order_fault(elements, rows):
@@ -109,16 +113,28 @@ class FiniteLattice:
         ``pairs``; a cycle among the pairs raises ValueError naming two
         elements on it."""
         elements = tuple(elements)
-        idx = {e: i for i, e in enumerate(elements)}
-        rows = _closure_pairs(len(elements), [(idx[a], idx[b]) for a, b in pairs])
-        return FiniteLattice(elements, tuple(rows))
+        return FiniteLattice(elements, _closure_pairs(elements, pairs))
+
+    @staticmethod
+    def from_semilattice_pairs(elements, pairs) -> "FiniteLattice":
+        """The join-semilattice with a minimum ordered by the
+        reflexive-transitive closure of ``pairs``, which is a lattice: the
+        meet of a and b is the join of their common lower bounds, a finite
+        set that holds the minimum.  A cycle raises ValueError as in
+        ``from_pairs``, then an order without a least element "semilattice
+        must have a minimum", then one missing a join the error naming the
+        first pair without one."""
+        elements = tuple(elements)
+        rows = _closure_pairs(elements, pairs)
+        _check_order(elements, rows)
+        if (1 << len(elements)) - 1 not in rows:
+            raise ValueError("semilattice must have a minimum")
+        _bound_table(elements, rows, "join")
+        return FiniteLattice(elements, rows)
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.leq[i] >> j & 1)
 
     @memo
     def downs(self) -> tuple[int, ...]:
@@ -140,29 +156,15 @@ class FiniteLattice:
 
     @memo
     def bottom(self):
-        for i in range(self.size):
-            if all(self.le(i, j) for j in range(self.size)):
-                return i
-        return None
+        """The least element; only the empty lattice has none (None)."""
+        full = (1 << self.size) - 1
+        return next((i for i, up in enumerate(self.leq) if up == full), None)
 
     @memo
     def top(self):
-        for i in range(self.size):
-            if all(self.le(j, i) for j in range(self.size)):
-                return i
-        return None
-
-    def meet_of(self, idxs, empty=None):
-        acc = empty
-        for i in idxs:
-            acc = i if acc is None else self.meet_table[acc][i]
-        return acc
-
-    def join_of(self, idxs, empty=None):
-        acc = empty
-        for i in idxs:
-            acc = i if acc is None else self.join_table[acc][i]
-        return acc
+        """The greatest element; only the empty lattice has none (None)."""
+        full = (1 << self.size) - 1
+        return next((j for j, down in enumerate(self.downs) if down == full), None)
 
     def is_distributive(self) -> bool:
         n = self.size
@@ -171,51 +173,6 @@ class FiniteLattice:
             mt[a][jt[b][c]] == jt[mt[a][b]][mt[a][c]]
             for a in range(n) for b in range(n) for c in range(n)
         )
-
-
-@dataclass(frozen=True)
-class JoinSemilattice:
-    """Join-semilattice with a minimum, given by its order."""
-
-    elements: tuple[str, ...]
-    leq: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_order(self.elements, self.leq)
-        if self.bottom is None:
-            raise ValueError("semilattice must have a minimum")
-        self.join_table  # force totality check
-
-    @staticmethod
-    def from_pairs(elements, pairs) -> "JoinSemilattice":
-        elements = tuple(elements)
-        idx = {e: i for i, e in enumerate(elements)}
-        rows = _closure_pairs(len(elements), [(idx[a], idx[b]) for a, b in pairs])
-        return JoinSemilattice(elements, tuple(rows))
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-    def le(self, i, j):
-        return bool(self.leq[i] >> j & 1)
-
-    @memo
-    def bottom(self):
-        for i in range(self.size):
-            if all(self.le(i, j) for j in range(self.size)):
-                return i
-        return None
-
-    @memo
-    def join_table(self):
-        return _bound_table(self.elements, self.leq, "join")
-
-    def join_of(self, idxs):
-        acc = self.bottom
-        for i in idxs:
-            acc = self.join_table[acc][i]
-        return acc
 
 
 @dataclass(frozen=True)
@@ -390,18 +347,12 @@ def _ground_of(elements) -> GroundSet:
     return GroundSet(tuple(elements))
 
 
-def lattice_cover(lat: FiniteLattice, name: str = "") -> CoverSystem:
-    """Meet-below-join relation on a lattice.
-
-    The empty meet is the top when one exists; otherwise the empty-set row
-    is all false.  The empty join is the bottom.
-
-    The meet and join of each subset are built once, from the subset
-    without its lowest element; the G are grouped by their join, and row
-    F is the union of the groups whose join lies above the meet of F.
-    """
-    ground = _ground_of(lat.elements)
-    size = ground.num_subsets
+def _subset_bounds(lat: FiniteLattice) -> tuple[list, list]:
+    """The meet and the join of every subset code over the lattice's
+    elements, as element indices: the top and the bottom for the empty
+    code (None for the empty lattice), each other entry folded from the
+    code without its lowest element."""
+    size = 1 << lat.size
     mt, jt = lat.meet_table, lat.join_table
     meets = [lat.top] * size
     joins = [lat.bottom] * size
@@ -410,90 +361,66 @@ def lattice_cover(lat: FiniteLattice, name: str = "") -> CoverSystem:
         i = low.bit_length() - 1
         meets[c] = mt[i][meets[c ^ low]]
         joins[c] = jt[i][joins[c ^ low]]
-    by_join = [0] * lat.size
-    for g, j in enumerate(joins):
-        if j is not None:  # only the empty lattice has no bottom
-            by_join[j] |= 1 << g
-    above = [0] * lat.size
-    for m in range(lat.size):
-        for j in iter_bits(lat.leq[m]):
-            above[m] |= by_join[j]
-    rows = [0 if m is None else above[m] for m in meets]
+    return meets, joins
+
+
+def lattice_cover(lat: FiniteLattice, name: str = "") -> CoverSystem:
+    """Meet-below-join relation on a lattice.
+
+    The empty meet is the top and the empty join the bottom; the empty
+    lattice has neither, and its one row is all false.  The meet of F
+    lies below the join of G iff the up-set of the meet holds the join:
+    the ``meeting_rows`` of those keys.
+    """
+    ground = _ground_of(lat.elements)
+    meets, joins = _subset_bounds(lat)
+    rows = (meeting_rows(list(map(lat.leq.__getitem__, meets)), [1 << j for j in joins])
+            if lat.size else [0])
     return CoverSystem(ground, Relation(ground, ground, rows), name or "lattice")
 
 
-def semilattice_cover(sl: JoinSemilattice, name: str = "") -> CoverSystem:
-    """Join-semilattice cover: F entails G when every bound p <= f or q
-    transfers to p <= (join of G) or q, quantified over all p, q."""
-    ground = _ground_of(sl.elements)
-    n = sl.size
-    size = ground.num_subsets
-    jt = sl.join_table
-    rows = []
-    for f in range(size):
-        fl = list(iter_bits(f))
-        m = 0
-        for g in range(size):
-            jg = sl.join_of(iter_bits(g))
-            ok = True
-            for p in range(n):
-                for q in range(n):
-                    if all(sl.le(p, jt[x][q]) for x in fl):
-                        if not sl.le(p, jt[jg][q]):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                m |= 1 << g
-        rows.append(m)
+def semilattice_cover(lat: FiniteLattice, name: str = "") -> CoverSystem:
+    """Join-semilattice cover: F entails G when every bound p <= f v q
+    for all f in F transfers to p <= (join of G) v q, quantified over all
+    p, q.  The join of the empty G is the bottom.
+
+    Over the n**2 pairs (p, q), ``bound[x]`` is the mask of those with
+    p <= x v q: F entails G iff the AND of ``bound`` over F lies inside
+    ``bound`` at the join of G, that is, misses its complement, so the
+    rows are the complement of ``meeting_rows`` of those keys.
+    """
+    ground = _ground_of(lat.elements)
+    n = lat.size
+    leq, jt = lat.leq, lat.join_table
+    bound = [sum(1 << (p * n + q) for p in range(n) for q in range(n)
+                 if leq[p] >> jt[x][q] & 1) for x in range(n)]
+    pairs = (1 << n * n) - 1
+    joins = _subset_bounds(lat)[1]
+    missed = meeting_rows(meets_of(pairs, bound), [pairs ^ bound[j] for j in joins])
+    every = (1 << ground.num_subsets) - 1
+    rows = [every ^ row for row in missed]
     return CoverSystem(ground, Relation(ground, ground, rows), name or "semilattice")
 
 
-def semilattice_cover_distributive(sl: JoinSemilattice) -> Relation:
-    """The reduced form valid on distributive semilattices: every common
-    lower bound of F lies below the join of G."""
-    ground = _ground_of(sl.elements)
-    n = sl.size
-    size = ground.num_subsets
-    rows = []
-    for f in range(size):
-        lower = [p for p in range(n) if all(sl.le(p, x) for x in iter_bits(f))]
-        m = 0
-        for g in range(size):
-            jg = sl.join_of(iter_bits(g))
-            if all(sl.le(p, jg) for p in lower):
-                m |= 1 << g
-        rows.append(m)
-    return Relation(ground, ground, rows)
-
-
-def is_distributive_semilattice(sl: JoinSemilattice) -> bool:
+def is_distributive_semilattice(lat: FiniteLattice) -> bool:
     """Distributivity in the operative sense: the quantified cover
-    coincides with its reduced form."""
-    return semilattice_cover(sl).rel == semilattice_cover_distributive(sl)
+    coincides with its reduced form, every common lower bound of F below
+    the join of G.  The common lower bounds of F are the elements below
+    its meet, so the reduced form is ``lattice_cover``."""
+    return semilattice_cover(lat).rel == lattice_cover(lat).rel
 
 
 def perp_cover(tr: TransitiveRelation, name: str = "") -> CoverSystem:
     """Orthogonality cover of a transitive relation: F entails G when no
-    common predecessor of F is orthogonal to all of G."""
+    common predecessor of F is orthogonal to all of G.  s is orthogonal
+    to t when their predecessor sets do not meet, so both the order and
+    the rows are complements of ``meeting_rows``."""
     ground = _ground_of(tr.elements)
-    n = tr.size
-    full_el = (1 << n) - 1
-    # s perp t: no common strict predecessor
-    perp = [
-        sum(1 << t for t in range(n) if tr.below[s] & tr.below[t] == 0)
-        for s in range(n)
-    ]
-    fdowns = meets_of(full_el, tr.below)
-    gperps = meets_of(full_el, perp)
-    rows = []
-    for fdown in fdowns:
-        m = 0
-        for g, gperp in enumerate(gperps):
-            if fdown & gperp == 0:
-                m |= 1 << g
-        rows.append(m)
+    full_el = (1 << tr.size) - 1
+    perp = [full_el ^ row for row in meeting_rows(tr.below, tr.below)]
+    every = (1 << ground.num_subsets) - 1
+    rows = [every ^ row for row in
+            meeting_rows(meets_of(full_el, tr.below), meets_of(full_el, perp))]
     return CoverSystem(ground, Relation(ground, ground, rows), name or "perp")
 
 
@@ -574,39 +501,23 @@ def scott_cover_construct(base: CoverSystem, lt: TransitiveRelation,
 
 def proximity_cover(pl: ProximityLattice, name: str = "") -> CoverSystem:
     """F entails G when the meet of F lies below the join of some finite
-    set of proximal predecessors of members of G."""
+    set of proximal predecessors of members of G: below the join of all
+    of them, the ``meeting_rows`` of the up-set of the meet of F and the
+    join of the union of G's predecessor sets."""
     lat = pl.lattice
     ground = _ground_of(pl.elements)
-    size = ground.num_subsets
-    gbelows = joins_of(pl.below)
-    joins = [lat.join_of(iter_bits(gbelow), empty=lat.bottom) for gbelow in gbelows]
-    rows = []
-    for f in range(size):
-        meet = lat.meet_of(iter_bits(f), empty=lat.top)
-        if meet is None:
-            rows.append(0)
-            continue
-        m = 0
-        for g, join in enumerate(joins):
-            if lat.le(meet, join):
-                m |= 1 << g
-        rows.append(m)
+    meets, joins = _subset_bounds(lat)
+    rows = meeting_rows(list(map(lat.leq.__getitem__, meets)),
+                        [1 << joins[below] for below in joins_of(pl.below)])
     return CoverSystem(ground, Relation(ground, ground, rows), name or "proximity")
 
 
 def convexity_entailment(cx: Convexity, name: str = "") -> CoverSystem:
-    """F entails G when their convex hulls intersect; symmetric by
-    construction, a cut relation exactly for Kakutani convexities."""
+    """F entails G when their convex hulls intersect, the
+    ``meeting_rows`` of the hulls; symmetric by construction, a cut
+    relation exactly for Kakutani convexities."""
     ground = _ground_of(cx.elements)
-    size = ground.num_subsets
-    hull = cx.hull
-    rows = []
-    for f in range(size):
-        m = 0
-        for g in range(size):
-            if hull[f] & hull[g]:
-                m |= 1 << g
-        rows.append(m)
+    rows = meeting_rows(cx.hull, cx.hull)
     return CoverSystem(ground, Relation(ground, ground, rows), name or "convexity")
 
 

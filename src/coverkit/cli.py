@@ -139,9 +139,9 @@ def system_from_payload(kind: str, payload: dict) -> CoverSystem:
                 _labels(payload, "elements"), _name_pairs(payload, "leq"))
             return builders.lattice_cover(lat, payload.get("name", ""))
         if kind == "semilattice":
-            sl = builders.JoinSemilattice.from_pairs(
+            lat = builders.FiniteLattice.from_semilattice_pairs(
                 _labels(payload, "elements"), _name_pairs(payload, "leq"))
-            return builders.semilattice_cover(sl, payload.get("name", ""))
+            return builders.semilattice_cover(lat, payload.get("name", ""))
         if kind == "poset":
             tr = builders.TransitiveRelation.from_pairs(
                 _labels(payload, "elements"), _name_pairs(payload, "lt"),

@@ -45,6 +45,7 @@ from .kernel import (
     TheoremViolationError,
     iter_bits,
     joins_of,
+    meeting_rows,
     meets_of,
     memo,
     selections_mask,
@@ -144,15 +145,6 @@ class FrameModel:
     def top(self) -> int:
         return self.elements[-1]
 
-    def leq(self, a: int, b: int) -> bool:
-        return a & ~b == 0
-
-    def meet(self, a: int, b: int) -> int:
-        m = a & b
-        if m not in self.index:
-            raise TheoremViolationError("meet of quasi-ideals escaped the model")
-        return m
-
     def join(self, a: int, b: int) -> int:
         return self.join_union(a | b)
 
@@ -163,12 +155,6 @@ class FrameModel:
         if j not in self.index:
             raise self.escaped()
         return j
-
-    def way_below(self, q: int, r: int) -> bool:
-        """The finite witness form of the approximation order on two
-        elements: every member of q entails every selection of r."""
-        qi, ri = self.index[q], self.index[r]
-        return bool(self.way_below_matrix[qi] >> ri & 1)
 
     def __repr__(self):
         return f"FrameModel({self.system!r}, {len(self.elements)} quasi-ideals)"
@@ -319,6 +305,13 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
     (``downset_of_selections``); nothing is cached here beyond the
     model's own tables, and ``frame_model`` caches the model on the
     system.
+
+    On a divisible system, the derived relation is compared with
+    containment of the meet of F's principal quasi-ideals in the join of
+    G's, and the relation with the way-below order between the two; each
+    comparison is one ``kernel.meeting_rows`` over the 2**|S| meets and
+    joins, each distinct meet getting its row once, not a test of every
+    pair (F, G).
     """
     sys = fm.system
     n = sys.ground.size
@@ -363,20 +356,17 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
     if cls.is_divisible:
         from .axioms import derive_vdash
 
-        vdash = derive_vdash(sys)
-        vdash_ok = True
-        entails_wb = True
-        for f, meet_f in enumerate(meet_of):
-            for g in range(size):
-                join_g = principal_join[g]
-                if (vdash.rows[f] >> g & 1) != fm.leq(meet_f, join_g):
-                    vdash_ok = False
-                if meet_f in fm.index and join_g in fm.index:
-                    wb = fm.way_below(meet_f, join_g)
-                else:
-                    wb = False
-                if (sys.rel.rows[f] >> g & 1) != wb:
-                    entails_wb = False
+        # meet_of[f] inside principal_join[g]: meet_of[f] misses the
+        # complement of principal_join[g]; meet_of[f] way below
+        # principal_join[g]: the join's index is in the meet's row of the
+        # way-below matrix, and false when either is not an element
+        index, wb = fm.index, fm.way_below_matrix
+        outside = [full ^ j for j in principal_join]
+        vdash_ok = list(derive_vdash(sys).rows) == [
+            full ^ row for row in meeting_rows(meet_of, outside)]
+        entails_wb = list(sys.rel.rows) == meeting_rows(
+            [wb[index[m]] if m in index else 0 for m in meet_of],
+            [1 << index[j] if j in index else 0 for j in principal_join])
 
     return FrameLawsReport(
         distributive=distributive,

@@ -18,6 +18,9 @@ member reverses the order of the 2**n bits of a family mask
 upper closure, complemented and reversed (``selections_mask``).
 ``RowFold`` is the one fold of the rows that a mask selects: a relation
 with few distinct rows (a lower one) is folded once per distinct row.
+``meeting_rows`` is the one tabulation of a relation that compares a
+key of F with a key of G: the rows of the keys that meet, each
+distinct key taken once.
 
 A whole bit matrix is one integer too (``pack_rows``): row f sits at bit
 f * 2**s, each row padded to 2**s bits, s = max(n_left, n_right, 3), so
@@ -417,6 +420,35 @@ class RowFold:
             out &= rows[low.bit_length() - 1]
             sel ^= low
         return out
+
+
+def meeting_rows(keys_f, keys_g) -> list[int]:
+    """The bit matrix of meeting keys: bit g of row f is set iff
+    ``keys_f[f] & keys_g[g]`` is non-zero.
+
+    The g are grouped by distinct key, and each distinct key of
+    ``keys_f`` gets its row once: one OR per group that it meets.  A
+    relation decided by comparing one value computed from F with one
+    computed from G is this matrix of suitable keys, or its complement:
+    x <= y in an order is bit y of the up-set of x, and x contained in y
+    is x not meeting the complement of y.  ``keys_g`` is read once, so
+    any iterable serves; ``keys_f`` is read twice.
+    """
+    groups: dict = {}
+    get = groups.get
+    bit = 1
+    for key in keys_g:
+        groups[key] = get(key, 0) | bit
+        bit <<= 1
+    groups = groups.items()
+    row_of = {}
+    for key in set(keys_f):
+        row = 0
+        for kg, gs in groups:
+            if key & kg:
+                row |= gs
+        row_of[key] = row
+    return list(map(row_of.__getitem__, keys_f))
 
 
 def lower_closure_rows(n: int, rows) -> list[int]:

@@ -45,6 +45,7 @@ from .kernel import (
     _codes_with,
     iter_bits,
     joins_of,
+    meeting_rows,
     meets_of,
     memo,
     selections_mask,
@@ -68,8 +69,10 @@ class FiniteSpace:
     """A finite point set with explicit opens and a generating subbasis.
 
     ``opens`` and ``subbasis`` hold point bitmasks.  The constructor
-    checks the lattice closure of the opens, that the subbasis covers the
-    space, and that the subbasis actually generates the opens.
+    checks that the subbasis generates the opens, and names the first
+    fault of opens that it does not generate: the lattice closure of the
+    opens, then a subbasis member that is not open, then a subbasis that
+    does not cover the space.
     What the space determines is a ``kernel.memo`` attribute, outside
     its fields: equality and hashing ignore it, and an equal space
     computes its own, the covering masks of all opens (``covermask``)
@@ -91,19 +94,22 @@ class FiniteSpace:
             raise ValueError("subbasis must be sorted and duplicate-free")
         if 0 not in opens or full not in opens:
             raise ValueError("opens must contain the empty set and the whole space")
+        cover = 0
+        for s in self.subbasis:
+            cover |= s
+        if cover == full and generated_opens(len(self.points), self.subbasis) == opens:
+            # generated opens are closed under union and intersection and
+            # hold every subbasis member: the checks below only name a fault
+            return
         for a in opens:
             for b in opens:
                 if a | b not in opens or a & b not in opens:
                     raise ValueError("opens must be closed under union and intersection")
         if not set(self.subbasis) <= opens:
             raise ValueError("subbasis members must be open")
-        cover = 0
-        for s in self.subbasis:
-            cover |= s
         if cover != full:
             raise ValueError("subbasis must cover the space")
-        if generated_opens(len(self.points), self.subbasis) != opens:
-            raise ValueError("subbasis does not generate the stated opens")
+        raise ValueError("subbasis does not generate the stated opens")
 
     @staticmethod
     def from_subbasis(points, subbasis_masks) -> "FiniteSpace":
@@ -235,30 +241,18 @@ def compact_rows(space: FiniteSpace, smaller, larger) -> list[int]:
     """Compact containment of every open in ``smaller`` in every open in
     ``larger``: bit g of row f is set iff ``smaller[f]`` is compactly
     contained in ``larger[g]``, by the covering definition of
-    ``compact_contained``.
-
-    ``larger`` is grouped by distinct open, the covering mask of each
-    distinct open is taken once, and each distinct open of ``smaller``
-    gets its row once.  Raises ``ValueError`` if a region is not open.
+    ``compact_contained``: no subfamily covering the larger open misses
+    the smaller one.  The rows are the complement of the
+    ``kernel.meeting_rows`` of the covering masks of ``larger`` and the
+    complements of those of ``smaller``, each mask taken once per
+    distinct open.  Raises ``ValueError`` if a region is not open.
     """
     covermask = space.covermask
-    by_open: dict = {}
-    for g, u in enumerate(larger):
-        by_open[u] = by_open.get(u, 0) | 1 << g
-    groups = [(covermask(u), gs) for u, gs in by_open.items()]
-    row_of: dict = {}
-    rows = []
-    for s in smaller:
-        row = row_of.get(s)
-        if row is None:
-            cs = covermask(s)
-            row = 0
-            for cu, gs in groups:
-                if cu & ~cs == 0:
-                    row |= gs
-            row_of[s] = row
-        rows.append(row)
-    return rows
+    covers = {o: covermask(o) for o in {*smaller, *larger}}
+    full = (1 << (1 << len(space.subbasis))) - 1
+    every = (1 << len(larger)) - 1
+    missed = meeting_rows([full ^ covers[s] for s in smaller], map(covers.__getitem__, larger))
+    return [every ^ row for row in missed]
 
 
 def saturation(space: FiniteSpace, region: int) -> int:
@@ -651,10 +645,12 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
     pair (F, G) of subsets.
 
     The basic open of each F and the upper open of each G are built once
-    per subset (``meets_of``, ``joins_of``), and compact containment of each
-    basic open in each upper open is the matrix ``compact_rows``; each
-    witness is the first failing (F, G) in code order.  The spectrum is
-    the one cached on the system by ``spectrum``.
+    per subset (``meets_of``, ``joins_of``).  Containment of each basic
+    open in each upper open is the complement of the
+    ``kernel.meeting_rows`` of the basic opens and the upper opens'
+    complements, and compact containment the matrix ``compact_rows``;
+    each witness is the first failing (F, G) in code order.  The spectrum
+    is the one cached on the system by ``spectrum``.
     """
     from .axioms import derive_vdash
 
@@ -686,22 +682,14 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
             "G": subset_label(ground, (vdash.rows[0] & -vdash.rows[0]).bit_length() - 1)
         }
 
-    basic, upper = meets_of(spec.full_mask, spec.point_open), joins_of(spec.point_open)
+    points = spec.full_mask
+    basic, upper = meets_of(points, spec.point_open), joins_of(spec.point_open)
     compact_of = compact_rows(spec.space, basic, upper)
-    by_upper: dict = {}
-    for g, u in enumerate(upper):
-        by_upper[u] = by_upper.get(u, 0) | 1 << g
-    # per distinct basic open: the G whose upper open contains it
-    subset_of: dict = {}
-    for tf in set(basic):
-        subset = 0
-        for u, gs in by_upper.items():
-            if tf & ~u == 0:
-                subset |= gs
-        subset_of[tf] = subset
-
-    for f, tf in enumerate(basic):
-        bad = vdash.rows[f] ^ subset_of[tf]
+    # the G whose upper open contains the basic open of F: those whose
+    # upper open's complement the basic open misses
+    every = (1 << ground.num_subsets) - 1
+    for f, missed in enumerate(meeting_rows(basic, [points ^ u for u in upper])):
+        bad = vdash.rows[f] ^ every ^ missed
         if bad and not exempt(f):
             note("derived_matches_subset", f, bad)
 

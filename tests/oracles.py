@@ -18,14 +18,23 @@ ones by closure under binary meets and joins, the reference for
 divisible systems above the reach of the per-family scan
 ``naive_quasi_ideals``.
 
-``way_below_directed`` and ``naive_karoubi_rows`` are two oracles
-that take a package object.  The first reads the elements and the joins
+The cover builders' oracles (``naive_lattice_cover``,
+``naive_semilattice_cover``, ``naive_perp_cover``,
+``naive_proximity_cover``, ``naive_convexity_entailment``) test each
+pair (F, G) by its defining formula, where the package tabulates the
+rows with ``kernel.meeting_rows``.
+
+``way_below_directed``, ``naive_karoubi_rows`` and
+``naive_frame_vdash_fields`` are three oracles that take a package
+object.  The first reads the elements and the joins
 of a ``coverkit.frame.FrameModel`` and evaluates the approximation order
 pair by pair from its lattice-theoretic definition, independently of the
 model's witness form and of the closed-form
 ``directed_way_below_matrix``.  The second reads the elements and the
 way-below matrix of a model and builds the Karoubi envelope's rows by
-the per-(s, g) loops, with joins as literal downsets.
+the per-(s, g) loops, with joins as literal downsets.  The third is the
+per-(F, G) loop of the two derived-relation fields of
+``verify_frame_laws``, over the model's index and way-below matrix.
 
 The next three references are the package's own earlier paths for the
 checks that ``classify`` now evaluates in closed form: the
@@ -499,6 +508,100 @@ def naive_lattice_cover(k, leq):
                 row |= 1 << g
         rows.append(row)
     return rows
+
+
+def naive_semilattice_cover(k, leq):
+    """Rows of the join-semilattice cover on k elements, where leq[i] is
+    the mask of the j with i <= j: F relates to G iff every pair (p, q)
+    with p <= x v q for every x in F has p <= join(G) v q, the join of
+    the empty G being the bottom.  Joins by ``naive_join``; the pairs
+    bound by each F and the join of each G are found once, and each
+    (F, G) tests F's pairs one by one."""
+    join = [[naive_join(k, leq, (x, q)) for q in range(k)] for x in range(k)]
+    pairs = [(p, q) for p in range(k) for q in range(k)]
+    bound_by = [[(p, q) for p, q in pairs
+                 if all(leq[p] >> join[x][q] & 1 for x in bits_of(f))]
+                for f in subset_codes(k)]
+    joins = [naive_join(k, leq, bits_of(g)) for g in subset_codes(k)]
+    return [sum(1 << g for g, j in enumerate(joins)
+                if all(leq[p] >> join[j][q] & 1 for p, q in bound))
+            for bound in bound_by]
+
+
+def naive_perp_cover(k, lt):
+    """Rows of the orthogonality cover of a transitive relation on k
+    elements, where lt[i] is the mask of the j with i < j: F relates to G
+    iff no common predecessor of F is orthogonal to every member of G,
+    s and t orthogonal when no element lies below both.  The common
+    predecessors of each F and the elements orthogonal to all of each G
+    are scanned once, as masks, and each (F, G) tests that they miss."""
+    below = [{i for i in range(k) if lt[i] >> j & 1} for j in range(k)]
+    perp = [[not below[s] & below[t] for t in range(k)] for s in range(k)]
+    common = [sum(1 << p for p in range(k) if all(lt[p] >> x & 1 for x in bits_of(f)))
+              for f in subset_codes(k)]
+    orth = [sum(1 << p for p in range(k) if all(perp[p][y] for y in bits_of(g)))
+            for g in subset_codes(k)]
+    return [sum(1 << g for g, o in enumerate(orth) if not c & o) for c in common]
+
+
+def naive_proximity_cover(k, leq, prox):
+    """Rows of the proximity cover on the lattice of k elements ordered by
+    leq, with prox[i] the mask of the j with i < j in the proximity: F
+    relates to G iff the meet of F (the top for no members) lies below
+    the join of every proximal predecessor of a member of G (the bottom
+    for none), tested pair by pair."""
+    meets = [naive_meet(k, leq, bits_of(f)) for f in subset_codes(k)]
+    joins = [naive_join(k, leq, [p for p in range(k)
+                                 if any(prox[p] >> y & 1 for y in bits_of(g))])
+             for g in subset_codes(k)]
+    return [sum(1 << g for g, j in enumerate(joins) if leq[m] >> j & 1) for m in meets]
+
+
+def naive_convexity_entailment(k, convex_sets):
+    """Rows of the convexity entailment on k points: F relates to G iff
+    their hulls, the intersections of the convex sets holding them,
+    meet, tested pair by pair."""
+    full = (1 << k) - 1
+    hull = [reduce(lambda a, c: a & c, (c for c in convex_sets if f & ~c == 0), full)
+            for f in subset_codes(k)]
+    return [sum(1 << g for g in subset_codes(k) if hull[f] & hull[g])
+            for f in subset_codes(k)]
+
+
+def naive_frame_vdash_fields(fm, vdash_rows):
+    """``vdash_matches_principal_order`` and ``entails_matches_way_below``
+    of ``coverkit.frame.verify_frame_laws`` on a divisible system, by the
+    per-pair loop over all (F, G): the meet of the principal quasi-ideals
+    of F's members (an intersection of columns) against the join of G's
+    (the F entailing every code that meets all members of those columns),
+    by containment for the derived relation ``vdash_rows`` and by the
+    model's way-below matrix for the relation."""
+    sys = fm.system
+    n = sys.ground.size
+    rows = sys.rel.rows
+    every = (1 << (1 << n)) - 1
+    col = [sum(1 << f for f in subset_codes(n) if rows[f] >> (1 << i) & 1)
+           for i in range(n)]
+    sel = [sum(1 << c for c in subset_codes(n) if all(c & f for f in bits_of(col[i])))
+           for i in range(n)]
+    meets = [reduce(lambda a, c: a & c, (col[i] for i in bits_of(f)), every)
+             for f in subset_codes(n)]
+    joins = []
+    for g in subset_codes(n):
+        s = reduce(lambda a, c: a & c, (sel[i] for i in bits_of(g)), every)
+        joins.append(sum(1 << h for h in subset_codes(n) if rows[h] & s == s))
+    vdash_ok = entails_wb = True
+    for f, m in enumerate(meets):
+        for g, j in enumerate(joins):
+            if (vdash_rows[f] >> g & 1) != (m & ~j == 0):
+                vdash_ok = False
+            if m in fm.index and j in fm.index:
+                wb = fm.way_below_matrix[fm.index[m]] >> fm.index[j] & 1
+            else:
+                wb = 0
+            if (rows[f] >> g & 1) != wb:
+                entails_wb = False
+    return vdash_ok, entails_wb
 
 
 def way_below_directed(fm, q, r):

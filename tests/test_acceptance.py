@@ -288,7 +288,7 @@ def _prime_filters(lat):
     out = []
     for t in range(1, 1 << k):
         members = [i for i in range(k) if t >> i & 1]
-        if any(not t >> j & 1 for i in members for j in range(k) if lat.le(i, j)):
+        if any(not t >> j & 1 for i in members for j in range(k) if lat.leq[i] >> j & 1):
             continue  # not up-closed
         if any(not t >> lat.meet_table[a][b] & 1 for a in members for b in members):
             continue  # not meet-closed

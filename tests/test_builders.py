@@ -1,13 +1,21 @@
 import pytest
 
 import gen
-from oracles import naive_join, naive_lattice_cover, naive_meet, naive_tight_sets
+from oracles import (
+    naive_convexity_entailment,
+    naive_join,
+    naive_lattice_cover,
+    naive_meet,
+    naive_perp_cover,
+    naive_proximity_cover,
+    naive_semilattice_cover,
+    naive_tight_sets,
+)
 from coverkit.kernel import iter_bits
 from coverkit.relations import Relation, is_cut, is_one_reflexive
 from coverkit.builders import (
     Convexity,
     FiniteLattice,
-    JoinSemilattice,
     ProximityLattice,
     TransitiveRelation,
     boolean4_lattice,
@@ -24,7 +32,6 @@ from coverkit.builders import (
     scott_cover_conditions,
     scott_cover_construct,
     semilattice_cover,
-    semilattice_cover_distributive,
     sierpinski_space,
     topology_cover,
 )
@@ -87,7 +94,9 @@ def test_cyclic_pairs_rejected_naming_the_cycle():
     with pytest.raises(ValueError, match="not a partial order: x is not below itself"):
         FiniteLattice(("x",), (0,))
     with pytest.raises(ValueError, match="not a partial order: p <= q is not transitive"):
-        JoinSemilattice(("p", "q", "r"), (0b011, 0b110, 0b100))
+        FiniteLattice(("p", "q", "r"), (0b011, 0b110, 0b100))
+    with pytest.raises(ValueError, match="not a partial order: a and b lie below each other"):
+        FiniteLattice.from_semilattice_pairs(("a", "b"), [("a", "b"), ("b", "a")])
 
 
 def _first_missing(names, table, what):
@@ -101,10 +110,10 @@ def _first_missing(names, table, what):
 
 def test_bound_tables_match_literal_scan_on_every_small_poset():
     # every labelled partial order on at most five elements: the lattice
-    # (semilattice) builds iff every pair has a meet and a join (a join,
-    # and there is a minimum), its tables are the greatest lower and least
-    # upper bounds found by scanning, and a rejection names the first pair
-    # without one
+    # (semilattice, from its pairs) builds iff every pair has a meet and a
+    # join (a join, and there is a minimum), its tables are the greatest
+    # lower and least upper bounds found by scanning, and a rejection
+    # names the first pair without one
     built = 0
     for k in range(6):
         names = tuple(f"v{i}" for i in range(k))
@@ -124,47 +133,59 @@ def test_bound_tables_match_literal_scan_on_every_small_poset():
             has_min = naive_meet(k, leq, range(k)) is not None
             error = (_first_missing(names, joins, "join") if has_min
                      else "semilattice must have a minimum")
+            pairs = [(names[i], names[j]) for i in range(k) for j in iter_bits(leq[i])]
             try:
-                sl = JoinSemilattice(names, leq)
+                sl = FiniteLattice.from_semilattice_pairs(names, pairs)
             except ValueError as exc:
                 assert str(exc) == error
             else:
-                assert error is None and sl.join_table == joins
+                assert error is None and (sl.leq, sl.join_table) == (leq, joins)
+                assert sl.meet_table == meets
     assert built > 100
 
 
 # -- semilattice cover ---------------------------------------------------------
 
-def _semilattice_of(lat: FiniteLattice) -> JoinSemilattice:
-    return JoinSemilattice(lat.elements, lat.leq)
-
-
 def test_semilattice_singleton_reduction():
-    sl = _semilattice_of(boolean4_lattice())
-    sys = semilattice_cover(sl)
+    lat = boolean4_lattice()
+    sys = semilattice_cover(lat)
     g = sys.ground
-    for f in range(sl.size):
+    for f in range(lat.size):
         for gmask in range(g.num_subsets):
-            join = sl.join_of(iter_bits(gmask))
-            assert sys.holds(1 << f, gmask) == sl.le(f, join)
+            join = naive_join(lat.size, lat.leq, list(iter_bits(gmask)))
+            assert sys.holds(1 << f, gmask) == bool(lat.leq[f] >> join & 1)
 
 
 def test_semilattice_cover_always_scott():
     for k in range(1, 5):
         for lat in gen.all_lattices(k):
-            sys = semilattice_cover(_semilattice_of(lat))
+            sys = semilattice_cover(lat)
             assert sys.classification.is_scott
 
 
+def test_order_covers_match_literal_scans_on_every_small_lattice():
+    # the semilattice, lattice and order-proximity covers of every labelled
+    # lattice on at most five elements, against their pair-by-pair scans
+    count = 0
+    for k in range(1, 6):
+        for lat in gen.all_lattices(k):
+            assert list(semilattice_cover(lat).rel.rows) == naive_semilattice_cover(k, lat.leq)
+            assert list(lattice_cover(lat).rel.rows) == naive_lattice_cover(k, lat.leq)
+            prox = ProximityLattice(lat.elements, lat.leq)
+            assert list(proximity_cover(prox).rel.rows) == naive_proximity_cover(
+                k, lat.leq, lat.leq)
+            count += 1
+    assert count == 1 + 2 + 6 + 36 + 380
+
+
 def test_semilattice_distributive_reduction_agrees():
-    b4 = _semilattice_of(boolean4_lattice())
+    b4 = boolean4_lattice()
     assert is_distributive_semilattice(b4)
-    assert semilattice_cover(b4).rel == semilattice_cover_distributive(b4)
-    assert semilattice_cover(b4).rel == lattice_cover(boolean4_lattice()).rel
+    assert semilattice_cover(b4).rel == lattice_cover(b4).rel
 
 
 def test_m3_semilattice_not_distributive():
-    assert not is_distributive_semilattice(_semilattice_of(m3_lattice()))
+    assert not is_distributive_semilattice(m3_lattice())
 
 
 # -- orthogonality cover ----------------------------------------------------------
@@ -186,6 +207,19 @@ def test_perp_cover_rounded_gives_scott():
         assert sys.classification.is_entailment
         if tr.rounded:
             assert sys.classification.is_scott
+
+
+def test_perp_cover_matches_literal_scan_on_every_small_poset():
+    # the strict part of every labelled partial order on at most five
+    # elements, and up to four the order itself (reflexive, so every
+    # element is a predecessor of itself)
+    for k in range(6):
+        names = tuple(f"t{i}" for i in range(k))
+        for leq in gen.all_posets(k):
+            strict = tuple(row & ~(1 << i) for i, row in enumerate(leq))
+            for lt in (strict, leq)[:1 if k == 5 else 2]:
+                tr = TransitiveRelation(names, lt)
+                assert list(perp_cover(tr).rel.rows) == naive_perp_cover(k, lt)
 
 
 def test_perp_cover_two_point_fixture():
@@ -275,8 +309,7 @@ def test_layered_ordered_set_is_cover():
 
 def test_layered_predomain_is_cover():
     lat = boolean4_lattice()
-    sl = JoinSemilattice(lat.elements, lat.leq)
-    base = semilattice_cover(sl)
+    base = semilattice_cover(lat)
     lt = TransitiveRelation(lat.elements, lat.leq)
     conds = scott_cover_conditions(base, lt)
     assert all(conds.values())
@@ -318,7 +351,7 @@ def _rounded_proximal_filters(pl: ProximityLattice):
         members = list(iter_bits(t))
         rounded = all(pl.below[x] & t for x in members)
         upclosed = all(
-            t >> y & 1 for x in members for y in range(k) if lat.le(x, y)
+            t >> y & 1 for x in members for y in range(k) if lat.leq[x] >> y & 1
         )
         directed = all(
             t >> lat.meet_table[a][b] & 1 for a in members for b in members
@@ -326,8 +359,8 @@ def _rounded_proximal_filters(pl: ProximityLattice):
         proximal = True
         for x in members:
             for fmask in range(1 << k):
-                join = lat.join_of(iter_bits(fmask), empty=lat.bottom)
-                if not lat.le(x, join):
+                join = naive_join(k, lat.leq, list(iter_bits(fmask)))
+                if not lat.leq[x] >> join & 1:
                     continue
                 for gmask in range(1 << k):
                     below_g = 0
@@ -364,14 +397,14 @@ def test_interpolative_proximity_tight_sets_are_prime_filters():
             members = list(iter_bits(t))
             rounded = all(pl.below[x] & t for x in members)
             upclosed = all(
-                t >> y & 1 for x in members for y in range(k) if lat.le(x, y)
+                t >> y & 1 for x in members for y in range(k) if lat.leq[x] >> y & 1
             )
             directed = all(
                 t >> lat.meet_table[a][b] & 1 for a in members for b in members
             )
             prime = True
             for fmask in range(1 << k):
-                join = lat.join_of(iter_bits(fmask), empty=lat.bottom)
+                join = naive_join(k, lat.leq, list(iter_bits(fmask)))
                 if t >> join & 1 and not t & fmask:
                     prime = False
                     break
@@ -414,11 +447,26 @@ def test_kakutani_iff_cut_exhaustive():
         counts[k] = len(convexities)
         for cx in convexities:
             sys = convexity_entailment(cx)
+            assert list(sys.rel.rows) == naive_convexity_entailment(k, cx.convex_sets)
             assert is_cut(sys.rel) == cx.kakutani
             assert sys.rel == sys.rel.transpose()  # symmetric
             assert is_one_reflexive(sys.rel)
     # closure systems on 2, 3 and 4 points
     assert counts == {2: 4, 3: 45, 4: 2271}
+
+
+def test_convexity_entailment_matches_literal_scan_on_random_convexities():
+    rng = gen.rng_for(505)
+    for _ in range(400):
+        k = rng.choice([5, 6])
+        fam = {0, (1 << k) - 1} | {rng.randrange(1 << k) for _ in range(rng.randrange(6))}
+        more = {a & b for a in fam for b in fam} - fam
+        while more:
+            fam |= more
+            more = {a & b for a in fam for b in fam} - fam
+        cx = Convexity(tuple(f"p{i}" for i in range(k)), tuple(sorted(fam)))
+        assert list(convexity_entailment(cx).rel.rows) == naive_convexity_entailment(
+            k, cx.convex_sets)
 
 
 def test_non_kakutani_fixture_fails_cut():

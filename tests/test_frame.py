@@ -6,6 +6,7 @@ import pytest
 import gen
 from oracles import (
     _literal_downset,
+    naive_frame_vdash_fields,
     naive_karoubi_rows,
     naive_quasi_ideals,
     principal_closure,
@@ -289,9 +290,9 @@ def test_way_below_bottom_and_order():
         fm = frame_model(sys)
         # way-below refines the order, and on finite frames it coincides
         # with it (directed joins have maxima)
-        for q in fm.elements:
-            for r in fm.elements:
-                assert fm.way_below(q, r) == (q & ~r == 0)
+        for q, row in zip(fm.elements, fm.way_below_matrix):
+            for r, ri in fm.index.items():
+                assert bool(row >> ri & 1) == (q & ~r == 0)
 
 
 def test_way_below_matches_directed_join_oracle():
@@ -301,9 +302,9 @@ def test_way_below_matches_directed_join_oracle():
         fm = frame_model(sys)
         if len(fm) > 10:
             continue
-        for q in fm.elements:
-            for r in fm.elements:
-                assert fm.way_below(q, r) == way_below_directed(fm, q, r)
+        for q, row in zip(fm.elements, fm.way_below_matrix):
+            for r, ri in fm.index.items():
+                assert bool(row >> ri & 1) == way_below_directed(fm, q, r)
 
 
 def _outcome(fn, fm):
@@ -422,10 +423,16 @@ def _structure_literal(fm):
         == els[q]
         for q in range(len(els))
     )
-    above = [[r for r in els if fm.way_below(q, r)] for q in els]
+
+    def meet(a, b):
+        if a & b not in fm.index:
+            raise TheoremViolationError("meet of quasi-ideals escaped the model")
+        return a & b
+
+    above = [[r for r in els if wbm[fm.index[q]] >> fm.index[r] & 1] for q in els]
     stable = all(
-        fm.way_below(q, fm.meet(r1, r2))
-        for q, rs in zip(els, above) for i, r1 in enumerate(rs) for r2 in rs[i:]
+        meet(r1, r2) in rs
+        for rs in above for i, r1 in enumerate(rs) for r2 in rs[i:]
     )
     return distributive, continuous, stable
 
@@ -459,14 +466,40 @@ def test_way_below_stability():
         if not expected["is_strong_idempotent"]:
             continue
         fm = frame_model(sys)
-        for q in fm.elements:
-            below = [r for r in fm.elements if fm.way_below(q, r)]
+        for row in fm.way_below_matrix:
+            below = list(iter_bits(row))
             for r1 in below:
                 for r2 in below:
-                    assert fm.way_below(q, fm.meet(r1, r2))
+                    assert row >> fm.meet_table[r1][r2] & 1
 
 
 # -- frame laws -----------------------------------------------------------------------
+
+def test_vdash_fields_match_per_pair_loop():
+    # the derived relation against containment of principal meets in
+    # principal joins, and the relation against way-below, on random
+    # divisible monotone cut-idempotent systems at |S| <= 3 and on the
+    # chain cover at |S| = 8; and on each system's two-element model of
+    # its bottom and top, where the principal meets and joins are mostly
+    # not elements and so way below nothing
+    from coverkit.axioms import derive_vdash
+
+    rng = gen.rng_for(619)
+    systems = [gen.random_strong_idempotent(rng, gen.ground(n))
+               for n in (1, 2, 3) for _ in range(8)]
+    systems += [sys for sys in _cut_idempotent_closures(rng, 3, 30)
+                if sys.classification.is_divisible]
+    systems.append(lattice_cover(chain_lattice(8)))
+    seen = set()
+    for sys in systems:
+        fm = frame_model(sys)
+        for model in (fm, FrameModel(sys, {fm.bottom, fm.top})):
+            rep = verify_frame_laws(model)
+            got = (rep.vdash_matches_principal_order, rep.entails_matches_way_below)
+            assert got == naive_frame_vdash_fields(model, derive_vdash(sys).rows)
+            seen.add(got)
+    assert seen == {(True, True), (True, False)}
+
 
 def test_frame_laws_on_corpus():
     for name, sys, expected in corpus():
@@ -487,7 +520,7 @@ def test_frame_meets_are_intersections():
         fm = frame_model(sys)
         for a in fm.elements:
             for b in fm.elements:
-                m = fm.meet(a, b)
+                m = fm.elements[fm.meet_table[fm.index[a]][fm.index[b]]]
                 assert m == a & b
                 # meets also equal the pairwise-union operation on
                 # quasi-ideals

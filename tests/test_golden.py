@@ -45,9 +45,14 @@ side (``strpairs2.json``, the pair ``["ab", "a"]`` over ground a, b),
 convexity ``convex_sets`` entries (``strconvex2.json``), topology
 ``opens`` and ``subbasis`` entries (``stropens2.json``) and the sides
 of a morphism's pairs (``strmorphism3.json``, ``identity3.json`` with
-each pair side joined into one string, under ``compose``).  Reports name their
-inputs by base name, so the bytes do not depend on where the repository
-lives.
+each pair side joined into one string, under ``compose``); and every
+report command on one input of each system kind that no fixture has:
+``semilattice5.json`` (M3 as a join-semilattice), ``proximity3.json``
+(the order proximity of a 3-element chain) and ``convexity3.json`` (the
+segments of a 3-point line), each exit 0; and ``classify`` of a
+13-element chain join-semilattice (``semichain13.json``, |S| = 13, the
+ground-set limit), a cover.  Reports name their inputs by base name, so
+the bytes do not depend on where the repository lives.
 
 The reports were recorded before the one-pass front end (single read,
 direct subset codes, hand-written JSON emitter) and must not change with
@@ -103,6 +108,10 @@ def _cases():
         cases.append((f"classify-{stem}", ["classify", f"tests/golden/inputs/{stem}.json"]))
     morphism = "tests/golden/inputs/strmorphism3.json"
     cases.append(("compose-strmorphism3", ["compose", morphism, morphism]))
+    for stem in ("semilattice5", "proximity3", "convexity3"):
+        path = f"tests/golden/inputs/{stem}.json"
+        cases += [(f"{c}-{stem}", [c, path]) for c in COMMANDS]
+    cases.append(("classify-semichain13", ["classify", "tests/golden/inputs/semichain13.json"]))
     return cases
 
 

@@ -16,6 +16,7 @@ from coverkit.kernel import (
     joins_of,
     large_selections_mask,
     lower_closure_rows,
+    meeting_rows,
     meets_of,
     pack_rows,
     selections,
@@ -332,6 +333,21 @@ def test_row_fold_equals_bit_by_bit_fold():
                     covered |= codes
                 assert covered == (1 << size) - 1
     assert taken == {True, False}
+
+
+# -- one tabulation of meeting keys -------------------------------------------------
+
+keys = st.lists(st.integers(0, 63) | st.sampled_from([0, 1, 2, 3, 2 ** 70, 2 ** 70 + 1]),
+                max_size=20)
+
+
+@given(keys, keys)
+@settings(max_examples=300)
+def test_meeting_rows_match_literal_double_loop(keys_f, keys_g):
+    # repeated keys, zero keys, keys wider than a machine word and empty
+    # lists among the draws
+    literal = [sum(1 << g for g, kg in enumerate(keys_g) if kf & kg) for kf in keys_f]
+    assert meeting_rows(keys_f, keys_g) == literal
 
 
 # -- ground set hygiene -----------------------------------------------------------

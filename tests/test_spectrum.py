@@ -1,6 +1,8 @@
 import logging
 import re
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,51 @@ def test_compact_rows_reject_non_open_regions():
     for smaller, larger in (([0b01], [0b11]), ([0b11], [0b10, 0b01])):
         with pytest.raises(ValueError):
             compact_rows(sp, smaller, larger)
+
+
+def _literal_space_fault(npoints, opens, subbasis):
+    """The constructor's message for opens and a subbasis on ``npoints``
+    points, by the checks in order: the empty set and the whole space,
+    closure of every pair of opens, the subbasis open, covering, and
+    generating (unions of non-empty intersections of members); None if
+    every check passes."""
+    full = (1 << npoints) - 1
+    ops = set(opens)
+    if 0 not in ops or full not in ops:
+        return "opens must contain the empty set and the whole space"
+    if any(a | b not in ops or a & b not in ops for a in ops for b in ops):
+        return "opens must be closed under union and intersection"
+    if not set(subbasis) <= ops:
+        return "subbasis members must be open"
+    if reduce(or_, subbasis, 0) != full:
+        return "subbasis must cover the space"
+    inters = {reduce(and_, part) for r in range(1, len(subbasis) + 1)
+              for part in combinations(subbasis, r)}
+    unions = {reduce(or_, part, 0) for r in range(len(inters) + 1)
+              for part in combinations(sorted(inters), r)}
+    return None if unions == ops else "subbasis does not generate the stated opens"
+
+
+def test_space_constructor_names_the_first_fault():
+    # every opens family and subbasis drawn from the masks on two points
+    # and one mask past them (on no point: the checks are bitwise), the
+    # whole check sequence run whatever the generated opens are
+    masks = range(5)
+    seen = set()
+    for pick in range(1 << len(masks)):
+        opens = tuple(m for m in masks if pick >> m & 1)
+        for sub in range(1 << len(masks)):
+            subbasis = tuple(m for m in masks if sub >> m & 1)
+            want = _literal_space_fault(2, opens, subbasis)
+            try:
+                FiniteSpace(("x", "y"), opens, subbasis)
+            except ValueError as exc:
+                got = str(exc)
+            else:
+                got = None
+            assert got == want, (opens, subbasis)
+            seen.add(want)
+    assert len(seen) == 6
 
 
 def test_subbasis_cover_cap_refuses_only_the_covering_tables():
