@@ -20,7 +20,7 @@ from .kernel import (
     selections,
     supersets,
 )
-from .relations import CoverSystem, Relation, structural_flags
+from .relations import CoverSystem, Relation
 from .composition import cut_compose
 from .axioms import Classification, classify, derive_vdash
 
@@ -39,7 +39,6 @@ __all__ = [
     "derive_vdash",
     "diagonal",
     "selections",
-    "structural_flags",
     "supersets",
     "__version__",
 ]

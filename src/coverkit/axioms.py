@@ -432,7 +432,7 @@ def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
     itself is returned, so it must not be mutated; without, a copy with
     no witnesses.
     """
-    cls = sys._classification
+    cls = sys.classification
     return cls if with_witnesses else replace(cls, witnesses={})
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .kernel import (
     GroundMismatchError,
+    Report,
     TheoremViolationError,
     joins_of,
     meets_of,
@@ -28,9 +29,11 @@ from .composition import cut_compose
 from .spectrum import (
     FiniteSpace,
     compact_rows,
+    empty_is_tight,
     is_prime,
     is_round,
     spectrum,
+    square_failures,
     subset_label,
 )
 
@@ -240,37 +243,26 @@ def sp_functor(m: CoverMorphism, check: bool = True) -> SpaceMap:
             raise TheoremViolationError("tight image missing from the spectrum")
         mapping[i] = spec_t.index[image]
     phi = SpaceMap(spec_s.space, spec_t.space, mapping)
-    if check:
-        _check_spectral_characterisation(m, spec_s, spec_t, phi)
-    return phi
-
-
-def _check_spectral_characterisation(m, spec_s, spec_t, phi):
-    if not spectral_square_holds(m, phi):
+    if check and not spectral_square_holds(m, phi):
         raise TheoremViolationError(
             "morphism entailment does not match compact containment of spectra"
         )
+    return phi
 
 
 def spectral_square_holds(m: CoverMorphism, phi: SpaceMap | None = None) -> bool:
     """Morphism entailment must coincide with compact containment of the
     basic open in the preimage of the union open.  The empty-premise row
     is exempt from the converse when the empty set is tight in the source
-    system (its excluded point is the only separator there)."""
+    system (its excluded point is the only separator there): one
+    ``spectrum.square_failures``."""
     if phi is None:
         phi = sp_functor(m, check=False)
     spec_s = spectrum(m.source)
-    spec_t = spectrum(m.target)
-    exempt_empty = is_round(m.source, 0) and is_prime(m.source, 0)
     basic = meets_of(spec_s.full_mask, spec_s.point_open)
-    pre_uppers = joins_of([phi.preimage(o) for o in spec_t.point_open])
-    compact = compact_rows(spec_s.space, basic, pre_uppers)
-    for f, (row, comp) in enumerate(zip(m.rel.rows, compact)):
-        if row & ~comp:
-            return False
-        if comp & ~row and not (f == 0 and exempt_empty):
-            return False
-    return True
+    pre_uppers = joins_of([phi.preimage(o) for o in spectrum(m.target).point_open])
+    return square_failures(spec_s.space, m.rel.rows, basic, pre_uppers,
+                           empty_is_tight(m.source)) == (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +327,7 @@ def lambda_map(space: FiniteSpace) -> SpaceMap:
 
 
 @dataclass
-class DualityReport:
+class DualityReport(Report):
     side: str
     lambda_iso: bool | None
     zigzag_space: bool | None
@@ -358,12 +350,6 @@ class DualityReport:
                 out.append(f"naturality square {key} failed")
         return out
 
-    def passed(self) -> bool:
-        return not self.violations()
-
-    def to_dict(self):
-        return dict(vars(self), violations=self.violations())
-
 
 def verify_duality_system(sys: CoverSystem, test_morphisms=()) -> DualityReport:
     """The system-side duality data: the comparison morphism is a genuine
@@ -378,7 +364,7 @@ def verify_duality_system(sys: CoverSystem, test_morphisms=()) -> DualityReport:
     premise to the full family); non-covers and empty-tight covers are
     recorded as out of scope rather than checked.
     """
-    empty_tight = is_round(sys, 0) and is_prime(sys, 0)
+    empty_tight = empty_is_tight(sys)
     if empty_tight or not sys.classification.is_cover:
         return DualityReport(
             side="system",

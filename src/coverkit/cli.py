@@ -359,7 +359,7 @@ def cmd_spectrum(args) -> int:
     _emit(report, args)
     if args.dot:
         _write(args.dot, specialization_dot(spec.space))
-    return EXIT_THEOREM if rep.violations() else EXIT_OK
+    return EXIT_OK if rep.passed() else EXIT_THEOREM
 
 
 def cmd_frame(args) -> int:
@@ -390,7 +390,7 @@ def cmd_frame(args) -> int:
     _emit(report, args)
     if args.dot:
         _write(args.dot, frame_hasse_dot(fm))
-    return EXIT_THEOREM if laws.violations() else EXIT_OK
+    return EXIT_OK if laws.passed() else EXIT_THEOREM
 
 
 def cmd_dualize(args) -> int:
@@ -405,12 +405,11 @@ def cmd_dualize(args) -> int:
     else:
         space, sys = None, load_system(data, path)
     report = _base_report(args, "dualize")
-    violations = []
     report["classification"] = sys.classification.to_dict()
+    # a non-cover's system side is all None, with no violation
     sys_rep = verify_duality_system(sys)
     report["system_side"] = sys_rep.to_dict()
-    if sys.classification.is_cover:
-        violations += sys_rep.violations()
+    violations = sys_rep.violations()
     if space is not None:
         _expect(space.properties.t0,
                 f"{path}: space-side duality requires a T0 space")

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from .kernel import (
     CapExceededError,
     GroundSet,
+    Report,
     TheoremViolationError,
     iter_bits,
     joins_of,
@@ -244,7 +245,7 @@ def directed_way_below_matrix(fm: FrameModel) -> list[int]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FrameLawsReport:
+class FrameLawsReport(Report):
     distributive: bool
     continuous: bool
     stable: bool
@@ -277,9 +278,6 @@ class FrameLawsReport:
             if self.entails_matches_way_below != self.cover:
                 out.append("way-below form of the relation must hold exactly on covers")
         return out
-
-    def to_dict(self):
-        return dict(vars(self), violations=self.violations())
 
 
 def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
@@ -446,7 +444,7 @@ def _stable(fm: FrameModel) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class OpenIsoReport:
+class OpenIsoReport(Report):
     """When the empty subset is tight, its exclusion from the spectrum
     identifies the full quasi-ideal with the largest empty-free one (the
     only quasi-ideal containing the empty subset is the full one); the
@@ -461,14 +459,10 @@ class OpenIsoReport:
     empty_set_tight: bool
     collapsed_top: bool
 
-    def passed(self):
-        return self.bijective and self.order_isomorphism and self.meets_correspond
-
-    def violations(self):
-        return [] if self.passed() else ["quasi-ideal / open-set correspondence failed"]
-
-    def to_dict(self):
-        return dict(vars(self), violations=self.violations())
+    def violations(self) -> list[str]:
+        if self.bijective and self.order_isomorphism and self.meets_correspond:
+            return []
+        return ["quasi-ideal / open-set correspondence failed"]
 
 
 def verify_open_iso(sys: CoverSystem) -> OpenIsoReport:
@@ -479,11 +473,11 @@ def verify_open_iso(sys: CoverSystem) -> OpenIsoReport:
     the image of each family once."""
     if not sys.classification.is_strong_idempotent:
         raise ValueError("the open-set correspondence requires a strong idempotent")
-    from .spectrum import is_prime, is_round, spectrum
+    from .spectrum import empty_is_tight, spectrum
 
     fm = frame_model(sys)
     spec = spectrum(sys)
-    empty_tight = is_round(sys, 0) and is_prime(sys, 0)
+    empty_tight = empty_is_tight(sys)
 
     basic = [spec.basic_open(f) for f in range(sys.ground.num_subsets)]
     image = {}

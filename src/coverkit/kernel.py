@@ -37,7 +37,8 @@ predicates of ``relations`` are a few shifts and ANDs per element.
 Every enumeration stays deterministic.
 
 All values here are immutable after construction and safe to share.
-``memo`` is the one way an object keeps a value derived from it.
+``memo`` is the one way an object keeps a value derived from it, and
+``Report`` the one shape of a verdict.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ class GroundMismatchError(ValueError):
 
 class TheoremViolationError(Exception):
     """A verified mathematical invariant failed; indicates an internal bug."""
+
+
+class Report:
+    """A verdict: its fields, and the ``violations()`` each subclass
+    states.  It passed iff nothing is violated, and its dict is its
+    fields with the violations added."""
+
+    def passed(self) -> bool:
+        return not self.violations()
+
+    def to_dict(self) -> dict:
+        return dict(vars(self), violations=self.violations())
 
 
 @dataclass(frozen=True)

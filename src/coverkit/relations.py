@@ -30,7 +30,6 @@ finite parts directly where the distinction would matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .kernel import (
@@ -51,15 +50,6 @@ from .kernel import (
 
 
 _set = object.__setattr__
-
-
-@dataclass(frozen=True)
-class StructuralFlags:
-    upper: bool
-    lower: bool
-    monotone: bool
-    cut: bool
-    one_reflexive: bool
 
 
 class Relation:
@@ -402,21 +392,6 @@ def one_reflexive_witness(rel: Relation):
     return None
 
 
-def structural_flags(rel: Relation) -> StructuralFlags:
-    """Upper/lower/monotone/cut/1-reflexive by direct quantifier evaluation."""
-    if not rel.is_endo:
-        raise GroundMismatchError("structural flags apply to endorelations only")
-    up = is_upper(rel)
-    lo = is_lower(rel)
-    return StructuralFlags(
-        upper=up,
-        lower=lo,
-        monotone=up and lo,
-        cut=is_cut(rel),
-        one_reflexive=is_one_reflexive(rel),
-    )
-
-
 # -- derived relations -------------------------------------------------------
 
 def one_exists(rel: Relation) -> Relation:
@@ -470,10 +445,10 @@ class CoverSystem:
     Construction only checks the shape.  What the system determines is
     a ``kernel.memo`` attribute, computed at most once per system by its
     module's builder: the classification with its witnesses
-    (``classification``, ``_classification``: ``axioms.classify``), the
-    derived relation (``_vdash``: ``axioms.derive_vdash``), the frame
-    model (``_frame``: ``frame.frame_model``) and the spectrum
-    (``_spectrum``: ``spectrum.spectrum``).  Only two other fills exist,
+    (``classification``: ``axioms.classify``), the derived relation
+    (``_vdash``: ``axioms.derive_vdash``), the frame model (``_frame``:
+    ``frame.frame_model``) and the spectrum (``_spectrum``:
+    ``spectrum.spectrum``).  Only two other fills exist,
     both by ``vars(sys).setdefault`` with the value the body would
     compute: the classification of a Scott relation keeps the relation
     as its derived relation, and ``Spectrum(sys)`` keeps its build on a
@@ -495,12 +470,8 @@ class CoverSystem:
 
     @memo
     def classification(self):
-        """``axioms.classify(self, with_witnesses=True)``: one object per
-        system, which must not be mutated."""
-        return axioms.classify(self, with_witnesses=True)
-
-    @memo
-    def _classification(self):
+        """The classification with its witnesses, which ``axioms.classify``
+        reads: one object per system, which must not be mutated."""
         return axioms._compute_classification(self)
 
     @memo

@@ -41,6 +41,7 @@ from .kernel import (
     Family,
     FinSubset,
     GroundSet,
+    Report,
     TheoremViolationError,
     _codes_with,
     iter_bits,
@@ -428,6 +429,15 @@ def is_prime(sys: CoverSystem, t) -> bool:
     return all(rows[f] & ~meets_t == 0 for f in iter_bits(tt.subsets[code]))
 
 
+def empty_is_tight(sys: CoverSystem) -> bool:
+    """Whether the empty subset is tight: ``is_round(sys, 0) and
+    is_prime(sys, 0)``, which is ``rows[0] == 0``.  Roundness of the
+    empty set is vacuous (it has no element), and its one finite part is
+    itself, so it is prime iff row 0 lies in ``meets[0]``, the family of
+    the subsets that meet the empty set: the empty family."""
+    return sys.rel.rows[0] == 0
+
+
 def tight_flags(sys: CoverSystem, t) -> TightFlags:
     """Roundness and primality of one candidate subset.
 
@@ -585,8 +595,25 @@ def spectrum(sys: CoverSystem) -> Spectrum:
 # theorems about the spectrum
 # ---------------------------------------------------------------------------
 
+def square_failures(space: FiniteSpace, rows, basic, uppers, exempt_empty: bool):
+    """Entailment against compact containment: ``rows[f]`` must be row f
+    of ``compact_rows(space, basic, uppers)``.  The first failing
+    (F, bad) of each direction, entailment outside compact containment
+    and compact containment outside entailment, or None where that
+    direction holds; bad masks the G that fail.  With ``exempt_empty``
+    the empty premise is exempt from the converse: when the empty set is
+    tight, its excluded point is the only separator there."""
+    forward = converse = None
+    for f, (row, compact) in enumerate(zip(rows, compact_rows(space, basic, uppers))):
+        if row & ~compact and forward is None:
+            forward = f, row & ~compact
+        if compact & ~row and converse is None and (f or not exempt_empty):
+            converse = f, compact & ~row
+    return forward, converse
+
+
 @dataclass
-class RepresentationReport:
+class RepresentationReport(Report):
     """Outcome of checking the spectrum representation of a system.
 
     ``derived_matches_subset``: the derived relation coincides with plain
@@ -614,11 +641,6 @@ class RepresentationReport:
     compact_implies_entail: bool
     witnesses: dict
 
-    def passed(self) -> bool:
-        return (self.stably_locally_compact and self.derived_matches_subset
-                and self.entail_implies_compact and self.empty_corner_consistent
-                and (self.compact_implies_entail or not self.is_cover))
-
     def violations(self) -> list[str]:
         """Failures that contradict a guaranteed theorem (empty = healthy)."""
         if not self.strong_idempotent:
@@ -636,9 +658,6 @@ class RepresentationReport:
             out.append("compact containment does not imply entailment on a cover")
         return out
 
-    def to_dict(self):
-        return dict(vars(self), violations=self.violations())
-
 
 def verify_representation(sys: CoverSystem) -> RepresentationReport:
     """Check both correspondences of the representation theorem on every
@@ -648,28 +667,26 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
     per subset (``meets_of``, ``joins_of``).  Containment of each basic
     open in each upper open is the complement of the
     ``kernel.meeting_rows`` of the basic opens and the upper opens'
-    complements, and compact containment the matrix ``compact_rows``;
-    each witness is the first failing (F, G) in code order.  The spectrum
-    is the one cached on the system by ``spectrum``.
+    complements.  Entailment against compact containment is
+    ``square_failures``, the square of ``category.spectral_square_holds``
+    for the identity morphism.  Each witness is the first failing (F, G)
+    in code order.  The spectrum is the one cached on the system by
+    ``spectrum``.
     """
     from .axioms import derive_vdash
 
     spec = spectrum(sys)
     cls = sys.classification
     ground = sys.ground
-    rows = sys.rel.rows
     vdash = derive_vdash(sys)
     witnesses: dict = {}
 
     props = spec.space.properties
-    empty_tight = is_round(sys, 0) and is_prime(sys, 0)
+    empty_tight = empty_is_tight(sys)
 
     # When the empty set is tight, the excluded empty point is the only
     # separator for empty premises, so those pairs are checked via the
     # corrected form instead of the containment of basic opens.
-    def exempt(f):
-        return empty_tight and f == 0
-
     def note(key, f, bad):
         g = (bad & -bad).bit_length() - 1
         witnesses.setdefault(key, {"F": subset_label(ground, f),
@@ -684,20 +701,19 @@ def verify_representation(sys: CoverSystem) -> RepresentationReport:
 
     points = spec.full_mask
     basic, upper = meets_of(points, spec.point_open), joins_of(spec.point_open)
-    compact_of = compact_rows(spec.space, basic, upper)
     # the G whose upper open contains the basic open of F: those whose
     # upper open's complement the basic open misses
     every = (1 << ground.num_subsets) - 1
     for f, missed in enumerate(meeting_rows(basic, [points ^ u for u in upper])):
         bad = vdash.rows[f] ^ every ^ missed
-        if bad and not exempt(f):
+        if bad and (f or not empty_tight):
             note("derived_matches_subset", f, bad)
 
-    for f, compact in enumerate(compact_of):
-        if rows[f] & ~compact:
-            note("entail_implies_compact", f, rows[f] & ~compact)
-        if compact & ~rows[f] and not exempt(f):
-            note("compact_implies_entail", f, compact & ~rows[f])
+    forward, converse = square_failures(spec.space, sys.rel.rows, basic, upper, empty_tight)
+    if forward:
+        note("entail_implies_compact", *forward)
+    if converse:
+        note("compact_implies_entail", *converse)
 
     return RepresentationReport(
         strong_idempotent=cls.is_strong_idempotent,
@@ -804,6 +820,11 @@ def birkhoff_stone_families(sys: CoverSystem, r, fams: Family):
 
 @dataclass
 class RecoveryReport:
+    """A space inside the spectrum of its own cover system.  It is not a
+    ``kernel.Report``: it states no violations, and ``passed`` means an
+    injective homeomorphism onto a very dense image that is surjective
+    exactly when the space is sober and core coherent."""
+
     injective: bool
     homeomorphism_onto_image: bool
     very_dense: bool

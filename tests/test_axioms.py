@@ -690,7 +690,7 @@ def _counting(monkeypatch, module, name):
 
 
 def test_building_a_system_runs_no_classification(monkeypatch):
-    calls = _counting(monkeypatch, axioms, "classify")
+    calls = _counting(monkeypatch, axioms, "_compute_classification")
     rng = gen.rng_for(505)
     for ground in (G2, G3):
         for rel in (gen.random_relation(rng, ground), gen.random_monotone(rng, ground)):

@@ -14,7 +14,7 @@ from oracles import (
 )
 from coverkit import frame
 from coverkit.kernel import CapExceededError, TheoremViolationError, iter_bits
-from coverkit.relations import CoverSystem, Relation, structural_flags
+from coverkit.relations import CoverSystem, Relation, is_lower, is_upper
 from coverkit.builders import (
     FiniteLattice,
     boolean4_lattice,
@@ -168,7 +168,7 @@ def test_generated_equals_exhaustive_small():
     count = 0
     for code in range(1 << 16):
         rel = Relation(g2, g2, [(code >> (4 * f)) & 15 for f in range(4)])
-        if structural_flags(rel).monotone and cut_compose(rel, rel) == rel:
+        if is_upper(rel) and is_lower(rel) and cut_compose(rel, rel) == rel:
             count += 1
             fm = frame_model(CoverSystem(g2, rel))
             assert list(fm.elements) == naive_quasi_ideals(2, list(rel.rows))

@@ -8,13 +8,15 @@ from coverkit.relations import (
     Relation,
     between,
     cut_witness,
+    is_cut,
+    is_lower,
+    is_one_reflexive,
     is_upper,
     lower_witness,
     one_exists,
     polar_exists,
     polar_forall,
     star,
-    structural_flags,
     upper_witness,
 )
 from coverkit.builders import boolean4_lattice, lattice_cover, meet_system
@@ -62,8 +64,8 @@ def test_polar_forall_antitone():
 # -- structural flags -----------------------------------------------------------
 
 def test_full_relation_flags_all_true():
-    f = structural_flags(Relation.full(G2))
-    assert f.upper and f.lower and f.monotone and f.cut and f.one_reflexive
+    full = Relation.full(G2)
+    assert is_upper(full) and is_lower(full) and is_cut(full) and is_one_reflexive(full)
 
 
 def test_monotone_with_empty_pair_is_full():
@@ -76,15 +78,15 @@ def test_monotone_with_empty_pair_is_full():
 
 def test_meet_relation_flags():
     sysm = meet_system(3)
-    f = structural_flags(sysm.rel)
-    assert f.monotone and f.one_reflexive and f.cut
+    rel = sysm.rel
+    assert is_upper(rel) and is_lower(rel) and is_one_reflexive(rel) and is_cut(rel)
 
 
 def test_one_reflexive_iff_contains_meet():
     meet = meet_system(3).rel
     for _ in range(60):
         rel = gen.random_monotone(RNG, G3)
-        assert structural_flags(rel).one_reflexive == meet.issubset(rel)
+        assert is_one_reflexive(rel) == meet.issubset(rel)
 
 
 def test_upper_matches_inclusion_composition():
@@ -105,7 +107,7 @@ def test_upper_matches_inclusion_composition():
 def test_monotone_one_reflexive_almost_reflexive():
     for _ in range(40):
         rel = gen.random_monotone(RNG, G3)
-        if structural_flags(rel).one_reflexive:
+        if is_one_reflexive(rel):
             assert all(rel.holds(f, f) for f in range(1, 8))
 
 

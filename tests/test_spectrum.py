@@ -36,6 +36,7 @@ from coverkit.spectrum import (
     birkhoff_stone_families,
     compact_contained,
     compact_rows,
+    empty_is_tight,
     escaped_name,
     homeomorphic,
     is_prime,
@@ -82,6 +83,26 @@ def test_empty_set_tightness_literal():
         sys = CoverSystem(gen.ground(2), gen.random_monotone(RNG, gen.ground(2)))
         expect = sys.rel.rows[0] == 0
         assert (is_round(sys, 0) and is_prime(sys, 0)) == expect
+
+
+def test_empty_is_tight_is_the_literal_pair():
+    # every relation at |S| = 2; at |S| = 3-4 random relations, each also
+    # with its empty-premise row cleared, so both verdicts occur
+    def literal(sys):
+        return is_round(sys, 0) and is_prime(sys, 0)
+
+    g2 = gen.ground(2)
+    for code in range(1 << 16):
+        sys = CoverSystem(g2, Relation(g2, g2, [(code >> (4 * f)) & 15 for f in range(4)]))
+        assert empty_is_tight(sys) == literal(sys)
+    rng = gen.rng_for(506)
+    for n in (3, 4):
+        g = gen.ground(n)
+        for _ in range(100):
+            rows = list(gen.random_relation(rng, g).rows)
+            for sys in (CoverSystem(g, Relation(g, g, rows)),
+                        CoverSystem(g, Relation(g, g, [0] + rows[1:]))):
+                assert empty_is_tight(sys) == literal(sys)
 
 
 def test_scott_relations_round_everywhere():
