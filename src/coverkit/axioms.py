@@ -29,8 +29,8 @@ closed forms, each checked by the tests against the literal definition:
 - a fold of the rows that a mask selects ANDs each distinct row value
   once when there are fewer of them than selected codes
   (``kernel.RowFold``, in the derived relation and in composition);
-- a lower relation is its own lower closure: once its lower scan has
-  found it lower, no zeta pass is run (``Relation.lower_closure``);
+- a lower relation is its own lower closure: once its structural scan
+  has found it lower, no zeta pass is run (``Relation.lower_closure``);
 - ``classify`` reads four implications of the hierarchy off the upper,
   lower, cut and 1-reflexive scans, and skips the searches they settle.
   Below, F |- G is the relation; cut-composition is read in its closed
@@ -81,7 +81,11 @@ relation.  The standalone ``cut_transitive_witness``,
 ``divisibility_witness`` and ``semicut_witness`` always run the full
 search, and so does ``derive_vdash`` when no derived relation is cached.
 All predicates can produce a minimal counterexample witness, minimised
-by subset-code order, for debuggability of generated systems.
+by subset-code order, for debuggability of generated systems.  A
+classification keeps its witnesses as codes and names them, as label
+lists, only when ``Classification.witnesses`` is first read: the flags,
+``to_dict`` and the spectrum, frame and duality checks, which read the
+flags only, never pay for names.
 """
 
 from __future__ import annotations
@@ -89,23 +93,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .kernel import (
-    GroundMismatchError, iter_bits, large_selections_mask, meets_of, tables,
+    GroundMismatchError, iter_bits, large_selections_mask, meets_of, memo, tables,
 )
 from .relations import (
     CoverSystem,
     Relation,
-    cut_witness,
-    lower_witness,
     one_reflexive_witness,
     row_fold,
-    upper_witness,
 )
 from .composition import composition_excess_witness
 
 
 @dataclass
 class Classification:
-    """One boolean per axiom, plus optional counterexample witnesses."""
+    """One boolean per axiom, plus optional counterexample witnesses.
+
+    The witnesses are kept as codes, with the ground's labels (never the
+    system, so a classification keeps no system alive), and named on the
+    first read of ``witnesses``; flags and ``to_dict`` never name them.
+    """
 
     is_upper: bool
     is_lower: bool
@@ -120,7 +126,10 @@ class Classification:
     is_strong_idempotent: bool
     is_cover: bool
     is_antisymmetric: bool
-    witnesses: dict = field(default_factory=dict)
+    # the ground's labels and the code witness of upper, lower, cut,
+    # one_reflexive, cut_transitive, divisible, semicut, cover and
+    # antisymmetric, each None where it holds; () keeps no witnesses
+    _codes: tuple = field(default=(), repr=False)
 
     FLAG_NAMES = (
         "is_upper", "is_lower", "is_monotone", "is_cut", "is_one_reflexive",
@@ -137,6 +146,36 @@ class Classification:
         if key not in self.FLAG_NAMES:
             raise KeyError(f"unknown axiom {name!r}")
         return getattr(self, key)
+
+    @memo
+    def witnesses(self) -> dict:
+        """Each failing axiom's witness under its bare name, subsets as
+        label lists, in the order of ``_codes``: named on first read."""
+        if not self._codes:
+            return {}
+        labels, up, lo, cut, refl, ct, div, semi, cov, anti = self._codes
+        out = {}
+        for key, wit in (("upper", up), ("lower", lo), ("cut", cut)):
+            if wit is not None:
+                out[key] = {"F": _names(labels, wit[0]), "G": _names(labels, wit[1]),
+                            "s": wit[2]}
+        if refl is not None:
+            out["one_reflexive"] = {"s": refl}
+        for key, wit in (("cut_transitive", ct), ("divisible", div)):
+            if wit is not None:
+                out[key] = {"F": _names(labels, wit[0]), "G": _names(labels, wit[1])}
+        if semi is not None:
+            out["semicut"] = {"F": _names(labels, semi[0]), "G": _names(labels, semi[1]),
+                              "H": _names(labels, semi[2])}
+        if cov is not None:
+            out["cover"] = {"F": _names(labels, cov[0]), "G": _names(labels, cov[1])}
+        if anti is not None:
+            out["antisymmetric"] = {"s": anti[0], "t": anti[1]}
+        return out
+
+
+def _names(labels, code: int) -> list:
+    return [labels[i] for i in iter_bits(code)]
 
 
 def derive_vdash(sys: CoverSystem) -> Relation:
@@ -419,21 +458,22 @@ def antisymmetry_witness(sys: CoverSystem):
 def classify(sys: CoverSystem, with_witnesses: bool = False) -> Classification:
     """Fill every axiom flag; consistent with the individual predicates.
 
-    Computed once per system, witnesses included, and cached on it: the
-    first call (or access to ``sys.classification``) evaluates, later
-    ones return the cached classification.  The searches that the
-    upper, lower, cut and 1-reflexive flags settle are skipped (module
-    docstring): no cut-transitivity walk for an entailment, no
-    divisibility walk for a 1-reflexive relation, no semicut search for
-    a lower relation with the cut rule.  A Scott relation is cached as
+    Computed once per system, witnesses included as codes, and cached on
+    it: the first call (or access to ``sys.classification``) evaluates,
+    later ones return the cached classification, whose witnesses are
+    named on their first read.  The searches that the upper, lower, cut
+    and 1-reflexive flags settle are skipped (module docstring): no
+    cut-transitivity walk for an entailment, no divisibility walk for a
+    1-reflexive relation, no semicut search for a lower relation with
+    the cut rule.  A Scott relation is cached as
     its own derived relation; otherwise the derived relation is built
     (and cached) only when the system is a strong idempotent, whose
     cover check reads it.  With ``with_witnesses`` the cached object
-    itself is returned, so it must not be mutated; without, a copy with
-    no witnesses.
+    itself is returned, so it must not be mutated; without, a copy whose
+    ``witnesses`` is empty.
     """
     cls = sys.classification
-    return cls if with_witnesses else replace(cls, witnesses={})
+    return cls if with_witnesses else replace(cls, _codes=())
 
 
 def _compute_classification(sys: CoverSystem) -> Classification:
@@ -444,12 +484,13 @@ def _compute_classification(sys: CoverSystem) -> Classification:
     settle, antisymmetry reads the singleton columns that
     ``semicut_witness`` also reads, and only the cover check, which runs
     on strong idempotents that are not Scott relations, reads the
-    derived relation.
+    derived relation.  The witnesses are kept as codes, with the
+    ground's labels, for ``Classification.witnesses`` to name.
     """
     rel = sys.rel
-    up_wit = upper_witness(rel)
-    lo_wit = lower_witness(rel)
-    cut_wit = cut_witness(rel)
+    # a system's relation is an endorelation: ``upper_witness``,
+    # ``lower_witness`` and ``cut_witness``, read off one structural scan
+    up_wit, lo_wit, cut_wit = rel._structure
     refl_wit = one_reflexive_witness(rel)
     upper = up_wit is None
     lower = lo_wit is None
@@ -477,7 +518,7 @@ def _compute_classification(sys: CoverSystem) -> Classification:
         cov_wit = composition_excess_witness(derive_vdash(sys), rel, rel)
     cover = strong and cov_wit is None
     anti_wit = antisymmetry_witness(sys)
-    cls = Classification(
+    return Classification(
         is_upper=upper,
         is_lower=lower,
         is_monotone=monotone,
@@ -491,45 +532,6 @@ def _compute_classification(sys: CoverSystem) -> Classification:
         is_strong_idempotent=strong,
         is_cover=cover,
         is_antisymmetric=anti_wit is None,
+        _codes=(sys.ground.names, up_wit, lo_wit, cut_wit, refl_wit, ct_wit,
+                div_wit, semicut_wit, cov_wit, anti_wit),
     )
-    wit = cls.witnesses
-    if not upper:
-        wit["upper"] = _named_triple(sys, up_wit)
-    if not lower:
-        wit["lower"] = _named_triple(sys, lo_wit)
-    if not cut:
-        wit["cut"] = _named_triple(sys, cut_wit)
-    if not one_refl:
-        wit["one_reflexive"] = {"s": refl_wit}
-    if not cut_transitive:
-        wit["cut_transitive"] = _named_pair(sys, ct_wit)
-    if not divisible:
-        wit["divisible"] = _named_pair(sys, div_wit)
-    if semicut_wit is not None:
-        wit["semicut"] = {
-            "F": _names(sys, semicut_wit[0]),
-            "G": _names(sys, semicut_wit[1]),
-            "H": _names(sys, semicut_wit[2]),
-        }
-    if not cover and strong:
-        wit["cover"] = _named_pair(sys, cov_wit)
-    if anti_wit is not None:
-        wit["antisymmetric"] = {"s": anti_wit[0], "t": anti_wit[1]}
-    return cls
-
-
-def _names(sys: CoverSystem, code: int):
-    return [sys.ground.names[i] for i in iter_bits(code)]
-
-
-def _named_pair(sys: CoverSystem, wit):
-    if wit is None or isinstance(wit[0], str):
-        return {"note": "no witness"}
-    return {"F": _names(sys, wit[0]), "G": _names(sys, wit[1])}
-
-
-def _named_triple(sys: CoverSystem, wit):
-    if wit is None:
-        return {"note": "no witness"}
-    f, g, s = wit
-    return {"F": _names(sys, f), "G": _names(sys, g), "s": s}

@@ -19,7 +19,9 @@ schema-invalid input, or a ``--json`` or ``--dot`` path that cannot be
 written; 3 a size cap was exceeded: a ground set of more
 than ``kernel.MAX_GROUND`` (13) elements, or the cap of one computation;
 4 a theorem-backed invariant failed (always an internal bug or a
-corrupted input, never an expected classification outcome).
+corrupted input, never an expected classification outcome); 5 any other
+error, an internal one, reported on stderr as ``internal error: <type>:
+<message>`` with no traceback.  An interrupt is not caught.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXIT_REQUIRE = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_THEOREM = 4
+EXIT_INTERNAL = 5
 
 FORMAT_VERSION = "1"
 
@@ -493,6 +496,9 @@ def main(argv=None) -> int:
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=_sys.stderr)
         return EXIT_THEOREM
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ A*(r) = {F : r A F} and B*(t) = {G : G B t} is optimal, and r relates
 to t iff every selection of A*(r) contains a member of B*(t), that is,
 iff every selection of A*(r) is related to t by the lower closure of B
 (G related to t iff some subset of G is B-related to t).  For a lower B
-the closure is B itself, and once B's lower scan has run
+the closure is B itself, and once B's structural scan has run
 (``relations.lower_witness``) no closure is computed.  Each composed
 row is then one fold of those rows over a selection family
 (``kernel.RowFold``), which ANDs once per distinct row when there are

@@ -24,16 +24,18 @@ distinct key taken once.
 
 A whole bit matrix is one integer too (``pack_rows``): row f sits at bit
 f * 2**s, each row padded to 2**s bits, s = max(n_left, n_right, 3), so
-the rows are whole bytes and lie in a square of side 2**s.  Shifting it
-by 2**i moves every entry to the column with i added, and by 2**(s+i)
-to the row with i added.  ``matrix_plan`` holds one round per element
-for each shape: the shift 2**(s+j) - 2**j and the swap mask
-``_swap_masks(s)[j]`` of the entries whose row lacks j and whose column
-has it.  Those s masks, 4**s bits each, are the only matrix-sized masks
-kept per side; the rows or columns with or without j are a swap mask
-ORed with its copy shifted by one block.  ``transpose`` exchanges row
-and column codes by one masked block swap per round, and the structural
-predicates of ``relations`` are a few shifts and ANDs per element.
+the rows are whole bytes and lie in a square of side 2**s.  At s = 3,
+every shape with both sides at most 3, each row is one byte, and the
+matrix packs and unpacks as a bytes object.  Shifting it by 2**i moves
+every entry to the column with i added, and by 2**(s+i) to the row with
+i added.  ``matrix_plan`` holds one round per element for each shape:
+the shift 2**(s+j) - 2**j and the swap mask ``_swap_masks(s)[j]`` of
+the entries whose row lacks j and whose column has it.  Those s masks,
+4**s bits each, are the only matrix-sized masks kept per side; the rows
+or columns with or without j are a swap mask ORed with its copy shifted
+by one block.  ``transpose`` exchanges row and column codes by one
+masked block swap per round, and the structural predicates of
+``relations`` are a few shifts and ANDs per element.
 Every enumeration stays deterministic.
 
 All values here are immutable after construction and safe to share.
@@ -104,6 +106,15 @@ class GroundSet:
     # derived from ``names`` once; left out of equality, hashing and repr
     size: int = field(init=False, compare=False, repr=False)
     num_subsets: int = field(init=False, compare=False, repr=False)
+
+    def __eq__(self, other):
+        # the dataclass comparison, after an identity test: the two sides
+        # of a relation and its system mostly share one ground object
+        if self is other:
+            return True
+        if other.__class__ is not GroundSet:
+            return NotImplemented
+        return self.names == other.names
 
     def __post_init__(self):
         size = len(self.names)
@@ -361,8 +372,11 @@ _from_bytes = int.from_bytes
 
 def pack_rows(rows, n_left: int, n_right: int) -> int:
     """The rows of a bit matrix (2**n_left masks over 2**n_right codes) as
-    one integer, row f at bit f * 2**s (``matrix_plan``)."""
+    one integer, row f at bit f * 2**s (``matrix_plan``).  Rows of one
+    byte (s = 3) are the bytes themselves."""
     nbytes = matrix_plan(n_left, n_right)[1]
+    if nbytes == 1:
+        return _from_bytes(bytes(rows), "little")
     return _from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
 
 
@@ -376,8 +390,9 @@ def transpose(packed: int, n_left: int, n_right: int) -> tuple[int, ...]:
     bit j of the column code with bit j of the row code.  Codes below
     2**max(n_left, n_right) have no higher bit, so only those rounds
     move anything, and the first 2**n_right rows of the result are the
-    columns.  Whole-integer operations only, so the cost does not depend
-    on how many bits are set.
+    columns, read off as bytes when each is one byte.  Whole-integer
+    operations only, so the cost does not depend on how many bits are
+    set.
     """
     s, nbytes, rounds, slices = matrix_plan(n_left, n_right)
     m = packed
@@ -385,6 +400,8 @@ def transpose(packed: int, n_left: int, n_right: int) -> tuple[int, ...]:
         t = (m ^ m >> shift) & mask
         m ^= t | t << shift
     data = m.to_bytes(nbytes << s, "little")
+    if nbytes == 1:
+        return tuple(data[:1 << n_right])
     return tuple([_from_bytes(data[sl], "little") for sl in slices])
 
 

@@ -6,13 +6,15 @@ right subset codes.  Each relation also keeps, built on first use, its
 packed matrix (all rows in one integer, ``kernel.pack_rows``), its
 columns (the block-swap transpose of the packed matrix), its lower
 closure (the zeta pass over its rows) and a ``kernel.RowFold`` of each
-of the last two.  The upper, lower and cut rules are decided on the
-whole packed matrix: per element i, a few shifts of the matrix line
-each entry up with the entry the rule compares it to, and one swap mask
-of ``kernel.matrix_plan`` (or its copy shifted by one block) keeps the
-rows or columns the rule is about.  So each rule costs O(n)
-whole-integer operations, not O(n 2**n) row steps, and its witness is
-the first violation in row, element, column order.
+of the last two.  The upper, lower and cut rules are decided together,
+in one structural pass over the elements on the whole packed matrix:
+per element i, a few shifts of the matrix line each entry up with the
+entry each rule compares it to (the upper and cut rules share one),
+and one swap mask of ``kernel.matrix_plan`` (or its copy shifted by one
+block) keeps the rows or columns the rule is about.  So the three rules
+cost O(n) whole-integer operations, not O(n 2**n) row steps, each
+witness is the first violation in row, element, column order, and the
+pass runs once per relation, whichever rule is read first.
 
 Values are immutable after construction.  Every value derived from a
 relation or a cover system is a ``kernel.memo`` attribute of the object
@@ -57,11 +59,11 @@ class Relation:
 
     ``rows[f]`` is the bitmask of right-hand codes g with f related to g.
     The packed matrix, the columns, the lower closure, the hash, the
-    result of the lower scan and the folds of the lower closure and of
-    the columns are ``kernel.memo`` attributes: derived from the rows
-    on first use and kept in the relation's ``__dict__``.  Assigning any
-    attribute raises.  A pickled or copied relation carries its rows,
-    not its memos.
+    upper, lower and cut witnesses of the structural scan and the folds
+    of the lower closure and of the columns are ``kernel.memo``
+    attributes: derived from the rows on first use and kept in the
+    relation's ``__dict__``.  Assigning any attribute raises.  A pickled
+    or copied relation carries its rows, not its memos.
     """
 
     __slots__ = ("left", "right", "rows", "__dict__")
@@ -164,20 +166,21 @@ class Relation:
         A lower relation is its own lower closure: its rows only grow
         with f (rows[g] is contained in rows[f] for every g contained in
         f), so the union over the subsets of f is rows[f].  When the
-        lower scan (``lower_witness``, which ``classify`` runs) has
+        structural scan (``lower_witness``, which ``classify`` runs) has
         already found the relation lower, the rows are returned and the
         zeta pass is skipped.
         """
         return self._below
 
     @memo
-    def _lower_wit(self):
-        return _lower_scan(self)
+    def _structure(self):
+        return _structural_scan(self)
 
     @memo
     def _below(self):
-        # () marks a lower scan not yet run; None is its lower verdict
-        if vars(self).get("_lower_wit", ()) is None:
+        # the rows, once the structural scan has found the relation lower
+        scanned = vars(self).get("_structure")
+        if scanned is not None and scanned[1] is None:
             return self.rows
         return tuple(lower_closure_rows(self.left.size, self.rows))
 
@@ -266,41 +269,10 @@ def is_upper(rel: Relation) -> bool:
     return upper_witness(rel) is None
 
 
-def _earlier(best, bad: int, i: int, s: int):
-    """The first violation so far: ``best``, or (pos, i) for the lowest
-    packed position pos = (f << s) | c of ``bad``, element i's violations.
-    Elements come in ascending order, so a later one is first only in a
-    lower row: the witness order is row, then element, then column."""
-    pos = (bad & -bad).bit_length() - 1
-    return (pos, i) if best is None or pos >> s < best[0] >> s else best
-
-
 def upper_witness(rel: Relation):
-    """First (f, g, s) with f ~ g but not f ~ g+{s}, else None.
-
-    Per element i, on the whole packed matrix M: M << 2**i moves entry
-    (f, g) to (f, g | {i}) for every g lacking i, so the violations,
-    marked at g | {i}, are (M << 2**i) & ~M on the columns with i.  A
-    violation in row 0 ends the scan: no later element comes first.
-    """
-    s, _, rounds, _ = matrix_plan(rel.left.size, rel.right.size)
-    w = 1 << s
-    m = rel.packed
-    best = None
-    for i, (_, swap) in enumerate(rounds[:rel.right.size]):
-        # a swap mask and its copy 2**i rows up: the columns with i
-        y = (m << (1 << i)) & (swap | swap << (w << i))
-        # y & ~m without a negative operand, so without a complemented
-        # copy of the whole matrix (likewise below)
-        bad = y ^ (y & m)
-        if bad:
-            best = _earlier(best, bad, i, s)
-            if best[0] < w:
-                break
-    if best is None:
-        return None
-    pos, i = best
-    return pos >> s, (pos & (w - 1)) ^ 1 << i, rel.right.names[i]
+    """First (f, g, s) with f ~ g but not f ~ g+{s}, else None
+    (``_structural_scan``)."""
+    return rel._structure[0]
 
 
 def is_lower(rel: Relation) -> bool:
@@ -308,34 +280,10 @@ def is_lower(rel: Relation) -> bool:
 
 
 def lower_witness(rel: Relation):
-    """First (f, g, s) with f ~ g but not f+{s} ~ g, else None.
-
-    Per element i, on the whole packed matrix M: M >> 2**(s+i) moves row
-    f | {i} to row f, so the violations are M & ~(M >> 2**(s+i)) on the
-    rows lacking i.  The result is kept on the relation, so later
-    calls, ``Relation.lower_closure`` and ``row_fold`` read it without a
-    scan.
-    """
-    return rel._lower_wit
-
-
-def _lower_scan(rel: Relation):
-    s, _, rounds, _ = matrix_plan(rel.left.size, rel.right.size)
-    w = 1 << s
-    m = rel.packed
-    best = None
-    for i, (_, swap) in enumerate(rounds[:rel.left.size]):
-        # a swap mask and its copy 2**i columns down: the rows lacking i
-        y = m & (swap | swap >> (1 << i))
-        bad = y ^ (y & (m >> (w << i)))
-        if bad:
-            best = _earlier(best, bad, i, s)
-            if best[0] < w:
-                break
-    if best is None:
-        return None
-    pos, i = best
-    return pos >> s, pos & (w - 1), rel.left.names[i]
+    """First (f, g, s) with f ~ g but not f+{s} ~ g, else None
+    (``_structural_scan``).  ``Relation.lower_closure`` and ``row_fold``
+    read the kept verdict without a scan."""
+    return rel._structure[1]
 
 
 def row_fold(rel: Relation) -> RowFold:
@@ -350,32 +298,92 @@ def is_cut(rel: Relation) -> bool:
 
 
 def cut_witness(rel: Relation):
-    """First (F, G, s) violating the cut rule, else None.
-
-    Violation: {s}+F ~ G and F ~ G+{s} both hold but F ~ G fails.  Per
-    element i, on the whole packed matrix M, marked at (F, G | {i}) for
-    the F and G lacking i (the swap mask of round i): M shifted down by
-    the round's shift reads entry (F | {i}, G), M itself (F, G | {i}),
-    and M << 2**i reads (F, G), which must fail.
-    """
+    """First (F, G, s) violating the cut rule, else None: {s}+F ~ G and
+    F ~ G+{s} both hold but F ~ G fails (``_structural_scan``)."""
     if not rel.is_endo:
         raise GroundMismatchError("cut rule applies to endorelations only")
-    n = rel.left.size
-    s, _, rounds, _ = matrix_plan(n, n)
+    return rel._structure[2]
+
+
+def _structural_scan(rel: Relation):
+    """The upper, lower and cut witnesses of ``rel``, from one loop over
+    the rounds of ``kernel.matrix_plan``; the cut witness is None unless
+    the relation is an endorelation.
+
+    Per element i, on the whole packed matrix M, each rule lines every
+    entry up with the entry it is compared to:
+      upper  M << 2**i moves (f, g) to (f, g | {i}) for every g lacking
+             i, so the violations, marked at g | {i}, are
+             (M << 2**i) & ~M on the columns with i;
+      lower  M >> 2**(s+i) moves row f | {i} to row f, so the violations
+             are M & ~(M >> 2**(s+i)) on the rows lacking i;
+      cut    marked at (F, G | {i}) for the F and G lacking i (the swap
+             mask of round i): M shifted down by the round's shift reads
+             (F | {i}, G), M itself (F, G | {i}), and M << 2**i, shared
+             with the upper rule, reads (F, G), which must fail.
+    Each rule keeps its first violation in row, element, column order:
+    elements come in ascending order, so a later one is first only in a
+    lower row, and a violation in row 0 ends that rule's rounds.
+    """
+    n_left, n_right = rel.left.size, rel.right.size
+    s, _, rounds, _ = matrix_plan(n_left, n_right)
     w = 1 << s
     m = rel.packed
-    best = None
+    # each rule's first violation (packed position, element) so far, and
+    # the rounds it still reads
+    up = lo = cut = None
+    up_end, lo_end = n_right, n_left
+    cut_end = n_left if rel.is_endo else 0
     for i, (shift, swap) in enumerate(rounds):
-        y = m & swap & (m >> shift)
-        bad = y ^ (y & (m << (1 << i)))
-        if bad:
-            best = _earlier(best, bad, i, s)
-            if best[0] < w:
-                break
+        if i < up_end or i < cut_end:
+            mi = m << (1 << i)
+        if i < up_end:
+            # a swap mask and its copy 2**i rows up: the columns with i
+            y = mi & (swap | swap << (w << i))
+            # y & ~m without a negative operand, so without a complemented
+            # copy of the whole matrix, and built only when it is not 0: a
+            # comparison allocates nothing (likewise below)
+            z = y & m
+            if z != y:
+                bad = y ^ z
+                pos = (bad & -bad).bit_length() - 1
+                if up is None or pos >> s < up[0] >> s:
+                    up = pos, i
+                    if pos < w:
+                        up_end = 0
+        if i < lo_end:
+            # a swap mask and its copy 2**i columns down: the rows lacking i
+            y = m & (swap | swap >> (1 << i))
+            z = y & (m >> (w << i))
+            if z != y:
+                bad = y ^ z
+                pos = (bad & -bad).bit_length() - 1
+                if lo is None or pos >> s < lo[0] >> s:
+                    lo = pos, i
+                    if pos < w:
+                        lo_end = 0
+        if i < cut_end:
+            y = m & swap & (m >> shift)
+            z = y & mi
+            if z != y:
+                bad = y ^ z
+                pos = (bad & -bad).bit_length() - 1
+                if cut is None or pos >> s < cut[0] >> s:
+                    cut = pos, i
+                    if pos < w:
+                        cut_end = 0
+    return (_cell(up, s, rel.right.names, 1), _cell(lo, s, rel.left.names, 0),
+            _cell(cut, s, rel.left.names, 1))
+
+
+def _cell(best, s: int, names, back: int):
+    """(row, column, element label) of a violation (pos, i) at packed
+    position pos, with bit i taken ``back`` off the column it was marked
+    at; None for no violation."""
     if best is None:
         return None
     pos, i = best
-    return pos >> s, (pos & (w - 1)) ^ 1 << i, rel.left.names[i]
+    return pos >> s, (pos & ((1 << s) - 1)) ^ back << i, names[i]
 
 
 def is_one_reflexive(rel: Relation) -> bool:

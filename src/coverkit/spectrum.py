@@ -57,6 +57,8 @@ from .relations import CoverSystem
 
 log = logging.getLogger(__name__)
 
+_set = object.__setattr__
+
 PATCH_POINT_CAP = 14
 SUBBASIS_COVER_CAP = 16
 
@@ -85,6 +87,11 @@ class FiniteSpace:
     subbasis: tuple[int, ...]
 
     def __post_init__(self):
+        self._check(None)
+
+    def _check(self, generated):
+        """The constructor's checks, ValueError naming the first fault;
+        ``generated`` holds the generated opens if the caller has them."""
         if len(set(self.points)) != len(self.points):
             raise ValueError("point labels must be distinct")
         full = (1 << len(self.points)) - 1
@@ -98,10 +105,13 @@ class FiniteSpace:
         cover = 0
         for s in self.subbasis:
             cover |= s
-        if cover == full and generated_opens(len(self.points), self.subbasis) == opens:
-            # generated opens are closed under union and intersection and
-            # hold every subbasis member: the checks below only name a fault
-            return
+        if cover == full:
+            if generated is None:
+                generated = generated_opens(len(self.points), self.subbasis)
+            if opens == generated:
+                # generated opens are closed under union and intersection and
+                # hold every subbasis member: the checks below only name a fault
+                return
         for a in opens:
             for b in opens:
                 if a | b not in opens or a & b not in opens:
@@ -114,10 +124,17 @@ class FiniteSpace:
 
     @staticmethod
     def from_subbasis(points, subbasis_masks) -> "FiniteSpace":
+        """The space of the opens that the subbasis generates, generated
+        once: the constructor's checks (``_check``) run with them at hand."""
         points = tuple(points)
         sub = tuple(sorted(set(subbasis_masks)))
-        opens = tuple(sorted(generated_opens(len(points), sub)))
-        return FiniteSpace(points, opens, sub)
+        generated = generated_opens(len(points), sub)
+        space = object.__new__(FiniteSpace)
+        _set(space, "points", points)
+        _set(space, "opens", tuple(sorted(generated)))
+        _set(space, "subbasis", sub)
+        space._check(generated)
+        return space
 
     @staticmethod
     def from_named_sets(points, opens_names, subbasis_names) -> "FiniteSpace":

@@ -40,9 +40,12 @@ The next three references are the package's own earlier paths for the
 checks that ``classify`` now evaluates in closed form: the
 cut-transitivity and divisibility witnesses scanned off the composed
 relations (each composition is checked against the naive ones above),
-and the antisymmetry witness read off the derived relation.  The last,
-``angle_inverse_rows``, is the earlier per-bit loop of
-``category.angle_inverse_morphism``, which now gathers columns.
+and the antisymmetry witness read off the derived relation.  Then
+``angle_inverse_rows`` is the earlier per-bit loop of
+``category.angle_inverse_morphism``, which now gathers columns, and
+``scan_upper_witness``, ``scan_lower_witness`` and ``scan_cut_witness``
+are the three separate scans of a relation's packed matrix that
+``relations`` now runs as one structural pass.
 
 ``wedge`` (pairwise unions of the members of two families) has no use in
 the package; it is here for the family-algebra laws that relate it to
@@ -54,7 +57,7 @@ from itertools import combinations
 from operator import or_
 
 from coverkit.composition import composition_excess_witness, cut_compose
-from coverkit.kernel import CapExceededError, Family, GroundMismatchError
+from coverkit.kernel import CapExceededError, Family, GroundMismatchError, matrix_plan
 from coverkit.relations import one_exists
 
 
@@ -752,3 +755,72 @@ def angle_inverse_rows(rows, pres):
                 row |= 1 << u
         out.append(row)
     return out
+
+
+def _scan_earlier(best, bad, i, s):
+    """The first violation so far: ``best``, or (pos, i) for the lowest
+    packed position of ``bad``; a later element is first only in a lower
+    row."""
+    pos = (bad & -bad).bit_length() - 1
+    return (pos, i) if best is None or pos >> s < best[0] >> s else best
+
+
+def scan_upper_witness(rel):
+    """First (f, g, s) with f ~ g but not f ~ g+{s}: per element i, the
+    violations (M << 2**i) & ~M on the columns with i."""
+    s, _, rounds, _ = matrix_plan(rel.left.size, rel.right.size)
+    w = 1 << s
+    m = rel.packed
+    best = None
+    for i, (_, swap) in enumerate(rounds[:rel.right.size]):
+        y = (m << (1 << i)) & (swap | swap << (w << i))
+        bad = y ^ (y & m)
+        if bad:
+            best = _scan_earlier(best, bad, i, s)
+            if best[0] < w:
+                break
+    if best is None:
+        return None
+    pos, i = best
+    return pos >> s, (pos & (w - 1)) ^ 1 << i, rel.right.names[i]
+
+
+def scan_lower_witness(rel):
+    """First (f, g, s) with f ~ g but not f+{s} ~ g: per element i, the
+    violations M & ~(M >> 2**(s+i)) on the rows lacking i."""
+    s, _, rounds, _ = matrix_plan(rel.left.size, rel.right.size)
+    w = 1 << s
+    m = rel.packed
+    best = None
+    for i, (_, swap) in enumerate(rounds[:rel.left.size]):
+        y = m & (swap | swap >> (1 << i))
+        bad = y ^ (y & (m >> (w << i)))
+        if bad:
+            best = _scan_earlier(best, bad, i, s)
+            if best[0] < w:
+                break
+    if best is None:
+        return None
+    pos, i = best
+    return pos >> s, pos & (w - 1), rel.left.names[i]
+
+
+def scan_cut_witness(rel):
+    """First (F, G, s) with {s}+F ~ G and F ~ G+{s} but not F ~ G, on an
+    endorelation: per element i, marked at (F, G | {i})."""
+    n = rel.left.size
+    s, _, rounds, _ = matrix_plan(n, n)
+    w = 1 << s
+    m = rel.packed
+    best = None
+    for i, (shift, swap) in enumerate(rounds):
+        y = m & swap & (m >> shift)
+        bad = y ^ (y & (m << (1 << i)))
+        if bad:
+            best = _scan_earlier(best, bad, i, s)
+            if best[0] < w:
+                break
+    if best is None:
+        return None
+    pos, i = best
+    return pos >> s, (pos & (w - 1)) ^ 1 << i, rel.left.names[i]

@@ -2,6 +2,7 @@ import gen
 import oracles
 from oracles import naive_classify, naive_vdash
 from coverkit import relations
+from coverkit.kernel import iter_bits
 from coverkit.relations import (
     CoverSystem,
     Relation,
@@ -635,13 +636,38 @@ def _check_classify_against_full_searches(sys):
     assert (cls.is_cut_transitive, cls.is_divisible, cls.is_semicut,
             cls.is_strong_idempotent, cls.is_cover) == (
         ct is None, div is None, semi is None, strong, strong and cov is None), rel.rows
-    wit = cls.witnesses
-    assert wit.get("cut_transitive") == (ct and axioms._named_pair(sys, ct))
-    assert wit.get("divisible") == (div and axioms._named_pair(sys, div))
-    assert wit.get("semicut") == (semi and dict(
-        zip("FGH", (axioms._names(sys, code) for code in semi))))
-    assert wit.get("cover") == (cov and axioms._named_pair(sys, cov))
+    assert list(cls.witnesses.items()) == list(
+        _eager_witnesses(fresh, vdash, ct, div, semi, cov).items()), rel.rows
     return cls
+
+
+def _eager_witnesses(sys, vdash, ct, div, semi, cov):
+    """The witness dict that classify named eagerly before it kept codes:
+    the literal structural and 1-reflexivity witnesses, antisymmetry off
+    the derived relation ``vdash``, and the given searches' witnesses, in
+    classify's key order."""
+    n, rows, names = sys.ground.size, sys.rel.rows, sys.ground.names
+
+    def named(*codes):
+        return dict(zip("FGH", ([names[i] for i in iter_bits(c)] for c in codes)))
+
+    out = {}
+    for key, wit in (("upper", oracles.naive_upper_witness(n, rows)),
+                     ("lower", oracles.naive_lower_witness(n, rows)),
+                     ("cut", oracles.naive_cut_witness(n, rows))):
+        if wit is not None:
+            out[key] = {**named(wit[0], wit[1]), "s": names[wit[2]]}
+    if not oracles.naive_one_reflexive(n, rows):
+        out["one_reflexive"] = {"s": next(
+            names[i] for i in range(n) if not rows[1 << i] >> (1 << i) & 1)}
+    for key, wit in (("cut_transitive", ct), ("divisible", div), ("semicut", semi),
+                     ("cover", cov)):
+        if wit is not None:
+            out[key] = named(*wit)
+    anti = oracles.vdash_antisymmetry_witness(sys, vdash)
+    if anti is not None:
+        out["antisymmetric"] = {"s": anti[0], "t": anti[1]}
+    return out
 
 
 def test_classify_equals_full_searches_exhaustive():
@@ -790,6 +816,58 @@ def test_cached_classification_serves_both_witness_modes():
             assert full.witnesses == fresh.witnesses
             assert classify(sys).witnesses == {}
             assert sys.classification is full
+
+
+def test_witnesses_are_named_on_first_read():
+    # the flags, to_dict, axiom, the bare copy and the spectrum and frame
+    # checks, which read sys.classification, name no witness; the first
+    # read of ``witnesses`` names them once
+    from coverkit.frame import frame_model
+
+    rng = gen.rng_for(909)
+    systems = [CoverSystem(g, gen.random_relation(rng, g)) for g in (G2, G3) for _ in range(10)]
+    systems += [lattice_cover(boolean4_lattice()), meet_system(2)]
+    for sys in systems:
+        cls = sys.classification
+        cls.is_cut, cls.to_dict(), cls.axiom("cover")
+        assert classify(sys).witnesses == {}
+        assert classify(sys, with_witnesses=True) is cls
+        Spectrum(sys)
+        if cls.is_cover:
+            frame_model(sys)
+        assert sys.classification is cls and "witnesses" not in vars(cls)
+        named = cls.witnesses
+        assert vars(cls)["witnesses"] is named and cls.witnesses is named
+        assert named == CoverSystem(sys.ground, sys.rel).classification.witnesses
+
+
+def test_a_classification_keeps_no_system_alive():
+    # the code witnesses hold the ground's labels, not the system: with
+    # the cyclic collector off, the system is freed by reference counts
+    # alone while its classification lives on, named or not
+    import gc
+    import weakref
+
+    class Probe(CoverSystem):
+        pass    # a subclass takes weak references
+
+    rng = gen.rng_for(910)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for read in (False, True):
+            for ground in (G2, G3):
+                sys = Probe(ground, gen.random_relation(rng, ground))
+                cls = classify(sys, with_witnesses=True)
+                if read:
+                    cls.witnesses
+                ref = weakref.ref(sys)
+                del sys
+                assert ref() is None
+                assert cls.witnesses
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sandwich_instances_satisfy_cut_rule():

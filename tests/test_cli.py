@@ -3,9 +3,11 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coverkit import cli
 from coverkit.cli import main, morphism_to_payload
 from coverkit.builders import boolean4_lattice, lattice_cover, topology_cover, sierpinski_space
 from coverkit.category import CoverMorphism, SpaceMap, ab_functor
@@ -96,6 +98,28 @@ def test_usage_errors_return_two_without_raising(capsys):
     assert captured.out == "" and "usage: coverkit" in captured.err
     assert main(["--help"]) == 0
     assert "usage: coverkit" in capsys.readouterr().out
+
+
+def test_unexpected_error_exits_five_without_traceback(tmp_path, capsys, monkeypatch):
+    # any other exception is an internal error: exit 5, one stderr line,
+    # no traceback; an interrupt still propagates
+    path = write(tmp_path, "b4.json", BOOLEAN4)
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", boom)
+    assert main(["classify", path]) == cli.EXIT_INTERNAL == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["classify", path])
 
 
 def test_cap_exceeded_exit_three(tmp_path, capsys):

@@ -238,6 +238,25 @@ def test_transpose_matches_per_bit_transpose(matrix):
     assert transpose(pack_rows(rows, n_left, n_right), n_left, n_right) == literal
 
 
+@pytest.mark.parametrize("n_left", range(5))
+@pytest.mark.parametrize("n_right", range(5))
+def test_pack_and_transpose_match_per_row_reference(n_left, n_right):
+    # one-byte rows (both sides at most 3) move as bytes, wider ones row
+    # by row: both against the per-row packing, and transposing twice
+    # gives the rows back
+    rng = rng_for(911 + 5 * n_left + n_right)
+    s = max(n_left, n_right, 3)
+    width = 1 << (1 << n_right)
+    for _ in range(25):
+        rows = [rng.randrange(width) for _ in range(1 << n_left)]
+        packed = pack_rows(rows, n_left, n_right)
+        assert packed == sum(row << (f << s) for f, row in enumerate(rows))
+        cols = transpose(packed, n_left, n_right)
+        assert cols == tuple(sum(1 << f for f, row in enumerate(rows) if row >> g & 1)
+                             for g in range(1 << n_right))
+        assert transpose(pack_rows(cols, n_right, n_left), n_right, n_left) == tuple(rows)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_transpose_of_full_and_diagonal(n):
     size = 1 << n

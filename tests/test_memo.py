@@ -17,7 +17,7 @@ import gen
 from coverkit import kernel
 from coverkit.builders import boolean4_lattice, lattice_cover, meet_system, sierpinski_space
 from coverkit.frame import FrameModel, frame_model
-from coverkit.relations import CoverSystem, Relation
+from coverkit.relations import CoverSystem, Relation, cut_witness, lower_witness, upper_witness
 from coverkit.spectrum import FiniteSpace
 
 PACKAGE = Path(kernel.__file__).parent
@@ -153,7 +153,10 @@ def test_relation_memos_are_built_once_per_relation(monkeypatch):
                 Relation(ground, ground, rel.rows),
                 {"packed": lambda r: r.packed, "_cols": lambda r: r.cols(),
                  "_below": lambda r: r.lower_closure(),
-                 "col_fold": lambda r: r.col_fold.rows})
+                 "col_fold": lambda r: r.col_fold.rows,
+                 # one structural pass, whichever of the three rules is read
+                 "_structure": lambda r: (upper_witness(r), lower_witness(r),
+                                          cut_witness(r))})
             monkeypatch.undo()
 
 

@@ -257,14 +257,22 @@ def _named(names, wit):
 
 
 def _check_witnesses(rel):
+    # the one structural pass gives the literal scans' witnesses, the
+    # naive verdicts and exactly the witnesses of the three separate
+    # scans it replaced
     left, right = rel.left, rel.right
-    assert upper_witness(rel) == _named(
-        right.names, oracles.naive_upper_witness(right.size, rel.rows))
-    assert lower_witness(rel) == _named(
-        left.names, oracles.naive_lower_witness(left.size, rel.rows))
+    up, lo = upper_witness(rel), lower_witness(rel)
+    assert up == _named(right.names, oracles.naive_upper_witness(right.size, rel.rows))
+    assert lo == _named(left.names, oracles.naive_lower_witness(left.size, rel.rows))
+    assert (up, lo) == (oracles.scan_upper_witness(rel), oracles.scan_lower_witness(rel))
     if rel.is_endo:
-        assert cut_witness(rel) == _named(
-            left.names, oracles.naive_cut_witness(left.size, rel.rows))
+        n = left.size
+        cut = cut_witness(rel)
+        assert cut == _named(left.names, oracles.naive_cut_witness(n, rel.rows))
+        assert cut == oracles.scan_cut_witness(rel)
+        assert (up is None, lo is None, cut is None) == (
+            oracles.naive_upper(n, rel.rows), oracles.naive_lower(n, rel.rows),
+            oracles.naive_cut(n, rel.rows))
 
 
 def test_structural_witnesses_match_naive_exhaustive():
@@ -296,7 +304,8 @@ def test_structural_witnesses_match_naive_random(n):
 
 
 @pytest.mark.parametrize("n_left,n_right",
-                         [(1, 3), (3, 1), (2, 5), (5, 2), (0, 2), (2, 0)])
+                         [(1, 3), (3, 1), (2, 5), (5, 2), (0, 2), (2, 0),
+                          (3, 4), (4, 3), (4, 5), (5, 4)])
 def test_upper_and_lower_witnesses_on_other_shapes(n_left, n_right):
     rng = gen.rng_for(808 + 7 * n_left + n_right)
     left = GroundSet(tuple(f"l{i}" for i in range(n_left)))
@@ -363,3 +372,24 @@ def test_lower_closure_of_a_lower_relation_is_its_rows():
         lower = lower_witness(rel) is None
         assert rel.lower_closure() == literal
         assert (rel.lower_closure() is rel.rows) == lower
+
+
+def test_import_coverkit_loads_only_the_core():
+    # ``import coverkit`` loads kernel, relations, composition and axioms;
+    # frame, spectrum, builders, category, the CLI, logging and array load
+    # on first use, so the start-up of every caller stays small
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import coverkit
+
+    src = str(Path(coverkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    lazy = ["coverkit.frame", "coverkit.spectrum", "coverkit.builders",
+            "coverkit.category", "coverkit.cli", "logging", "array"]
+    code = f"import sys, coverkit; print([m for m in {lazy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"

@@ -358,6 +358,46 @@ def test_space_constructor_names_the_first_fault():
     assert len(seen) == 6
 
 
+def test_from_subbasis_generates_once_and_names_the_same_fault(monkeypatch):
+    # every subbasis on at most three points: the opens are generated
+    # once, and the space or the message is the one a direct construction
+    # on the literally generated opens gives
+    import coverkit.spectrum as spectrum_module
+
+    calls = []
+    inner = spectrum_module.generated_opens
+
+    def counted(npoints, subbasis):
+        calls.append(subbasis)
+        return inner(npoints, subbasis)
+
+    monkeypatch.setattr(spectrum_module, "generated_opens", counted)
+    faults = set()
+    for npoints in range(4):
+        points = tuple(f"p{i}" for i in range(npoints))
+        for pick in range(1 << (1 << npoints)):
+            sub = [m for m in range(1 << npoints) if pick >> m & 1]
+            inters = {reduce(and_, part) for r in range(1, len(sub) + 1)
+                      for part in combinations(sub, r)}
+            opens = sorted({reduce(or_, part, 0) for r in range(len(inters) + 1)
+                            for part in combinations(sorted(inters), r)})
+            want = _literal_space_fault(npoints, opens, sub)
+            del calls[:]
+            try:
+                space = FiniteSpace.from_subbasis(points, sub[::-1] + sub)
+            except ValueError as exc:
+                got, space = str(exc), None
+            else:
+                got = None
+            assert (got, len(calls)) == (want, 1), (npoints, sub)
+            if space is not None:
+                assert space == FiniteSpace(points, tuple(opens), tuple(sub))
+            faults.add(want)
+    assert faults == {None, "opens must contain the empty set and the whole space"}
+    with pytest.raises(ValueError, match="point labels must be distinct"):
+        FiniteSpace.from_subbasis(("x", "x"), [1, 3])
+
+
 def test_subbasis_cover_cap_refuses_only_the_covering_tables():
     # 17 nested opens on 16 points, all in the subbasis: one past
     # SUBBASIS_COVER_CAP, which the covering tables refuse on first use
