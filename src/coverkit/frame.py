@@ -11,13 +11,16 @@ the AND of the columns of the relation over its selection family
 The downset of a family depends on it only through its selection
 family, and the selections of a union are the AND of the selections.
 The selection families are exactly the up-sets of the subset lattice
-(``kernel.upsets``: 6, 20 and 168 of them at |S| = 2, 3 and 4, against
-16, 256 and 65,536 families).  So every quasi-ideal is the downset of
-an up-set, which is the intersection of the principal quasi-ideals of
-its members, and the frame is the intersection closure of the principal
-ones (``frame_model``).  A join, a union-join law or a fold of joins is
-the downset of an AND of selection families, one column fold; the frame
-model, cached on the system, keeps the selection family of each element.
+(6, 20 and 168 of them at |S| = 2, 3 and 4, against 16, 256 and 65,536
+families).  So every quasi-ideal is the downset of an up-set, which is
+the intersection of the principal quasi-ideals of its members, and the
+frame is the intersection closure of the principal ones
+(``frame_model``).  A join or a fold of joins is the downset of an AND
+of selection families, one column fold; the frame model, cached on the
+system, keeps the selection family of each element.  The union-join law
+over every pair of families is decided by a theorem from the
+principal-join law and distributivity (``verify_frame_laws``); its
+literal pair search is the test oracle ``naive_union_joins``.
 
 For monotone cut-idempotent systems the quasi-ideals form a complete
 lattice: meets are intersections, joins are downsets of unions, and the
@@ -50,14 +53,11 @@ from .kernel import (
     meets_of,
     memo,
     selections_mask,
-    tables,
-    upsets,
 )
 from .relations import CoverSystem, Relation
 from .composition import cut_compose
 
 FRAME_CAP = 4096
-KAROUBI_CAP = 12
 
 
 def _require_cut_idempotent(sys: CoverSystem):
@@ -182,9 +182,9 @@ def _build_frame_model(sys: CoverSystem) -> FrameModel:
     the columns over any set X of codes equals the intersection over the
     up-closure of X, since every row is an up-set (the relation is
     upper); that up-closure is an up-set, hence the selection family of
-    some family (``kernel.upsets``), so the intersection is a downset,
-    and a downset is a quasi-ideal (the downset is idempotent on a
-    cut-idempotent system).
+    some family (the complements of the codes outside it), so the
+    intersection is a downset, and a downset is a quasi-ideal (the
+    downset is idempotent on a cut-idempotent system).
 
     The closure grows by a frontier: each new element is ANDed with
     each distinct column, and the cap is checked as each element is
@@ -253,7 +253,7 @@ class FrameLawsReport(Report):
     divisible: bool
     principal_joins_hold: bool
     principal_joins_witness: str | None
-    finite_union_joins_hold: bool
+    finite_union_joins_hold: bool | None
     cover: bool
     vdash_matches_principal_order: bool | None
     entails_matches_way_below: bool | None
@@ -270,7 +270,7 @@ class FrameLawsReport(Report):
             out.append("way-below witness form disagrees with directed joins")
         if self.principal_joins_hold != self.divisible:
             out.append("principal-join law must hold exactly for divisible systems")
-        if self.divisible and not self.finite_union_joins_hold:
+        if self.divisible and self.finite_union_joins_hold is False:
             out.append("downset of a union must be the join for divisible systems")
         if self.divisible and self.vdash_matches_principal_order is False:
             out.append("derived relation must match principal containment")
@@ -290,19 +290,35 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
     is cross-checked against directed joins on every frame
     (``directed_way_below_matrix``, k x k in the frame size k).
 
-    The union-join law (the downset of a union of two families equals
-    the downset of the union of their downsets) depends on the two
-    families only through their selection families, and both sides are
-    symmetric in them, so it is decided by one loop over the unordered
-    pairs of a list of selection families, the diagonal included.  At
-    |S| <= 3 the list is every up-set of the subset lattice, the
-    selection family of every family: the 210 pairs of up-sets at
-    |S| = 3 give the verdict of the 65,536 pairs of families.  Above, it
-    is the selection families of the singleton families, so every pair
-    of singleton families is checked.  Each downset is one column fold
-    (``downset_of_selections``); nothing is cached here beyond the
-    model's own tables, and ``frame_model`` caches the model on the
-    system.
+    The union-join law says that the downset D of the union of two
+    families is the downset of the union of their downsets.  It is
+    decided by a theorem from two checks made here: the principal-join
+    law (``principal_joins_hold``: each column c(X) is the join of the
+    columns c({x}) of its members) and distributivity.  Write v for the
+    join of the frame.  D is monotone and idempotent, so the join of
+    quasi-ideals P and Q is D(P | Q), and the law reads
+    D(U | V) = D(U) v D(V).  D(U) is the meet of c(X) over the
+    selections X of U; the relation is upper, so D({A}) is the meet of
+    c({a}) over the members a of A.
+
+    - If the principal-join law holds, D(U) is the meet, over the
+      selections X of U, of the join of c({x}) over X.  In a
+      distributive lattice this meet of joins is the join, over the
+      members A of U, of the meet of c({a}) over A.  So D(U) is the join
+      of D({A}) over A in U, and D(U | V) = D(U) v D(V) for every pair
+      of families.
+    - If the law holds for every pair, induction on |U| gives the same
+      D(U) = v_{A in U} D({A}).  The family of the singletons of G has
+      the supersets of G as its selections, so its downset is c(G), and
+      this is the principal-join law.  This direction does not use
+      distributivity.
+
+    So ``finite_union_joins_hold`` is false where the principal-join law
+    fails, true where it holds on a distributive frame, and None where
+    it holds on a frame that is not distributive, which is already a
+    violation.  The verdict covers every pair of families at every size;
+    the literal search over pairs of selection families is the test
+    oracle ``naive_union_joins``.
 
     On a divisible system, the derived relation is compared with
     containment of the meet of F's principal quasi-ideals in the join of
@@ -337,17 +353,8 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
             principal_witness = subset_label(sys.ground, g)
             break
 
-    # both sides by selection family: the downsets of U & V and of the
-    # selections of D(U) & D(V), for every unordered pair U, V of the
-    # up-sets, or above |S| = 3 of the singleton families' selections;
-    # each downset is the column fold, bound once for the loop
-    fold, full = sys.rel.col_fold.fold, (1 << size) - 1
-    sels = tables(n).meets if n > 3 else upsets(n)
-    pairs = [(u, selections_mask(n, fold(u, full))) for u in sels]
-    union_joins = all(
-        fold(u & v, full) == fold(su & sv, full)
-        for i, (u, su) in enumerate(pairs) for v, sv in pairs[i:]
-    )
+    # the union-join law by the theorem in the docstring
+    union_joins = (distributive or None) if principal_ok else False
 
     vdash_ok = None
     entails_wb = None
@@ -358,7 +365,7 @@ def verify_frame_laws(fm: FrameModel) -> FrameLawsReport:
         # complement of principal_join[g]; meet_of[f] way below
         # principal_join[g]: the join's index is in the meet's row of the
         # way-below matrix, and false when either is not an element
-        index, wb = fm.index, fm.way_below_matrix
+        index, wb, full = fm.index, fm.way_below_matrix, fm.top
         outside = [full ^ j for j in principal_join]
         vdash_ok = list(derive_vdash(sys).rows) == [
             full ^ row for row in meeting_rows(meet_of, outside)]
@@ -557,10 +564,11 @@ def karoubi_envelope(sys: CoverSystem) -> KaroubiEnvelope:
     """Build the way-below cover relation on the quasi-ideal frame and
     verify the six equations making it Karoubi isomorphic to the input.
 
-    Applies to any monotone cut-idempotent system whose frame has at
-    most ``KAROUBI_CAP`` elements (the envelope's ground).  Each row of the
-    envelope and of ``sq`` depends on its subset s of the frame only
-    through the meet of s, and each column of ``sq_bar`` on whether the
+    Applies to any monotone cut-idempotent system.  The frame is the
+    envelope's ground set, so a frame of more than ``kernel.MAX_GROUND``
+    elements raises ``CapExceededError``.  Each row of the envelope and
+    of ``sq`` depends on its subset s of the frame only through the
+    meet of s, and each column of ``sq_bar`` on whether the
     join of the column's subset holds the row's subset.  So the meet and
     the join of every subset are folded from the model's tables, the
     subsets are grouped by join (``by_join``) and the subset codes by
@@ -572,8 +580,6 @@ def karoubi_envelope(sys: CoverSystem) -> KaroubiEnvelope:
     fm = frame_model(sys)
     els = fm.elements
     k = len(els)
-    if k > KAROUBI_CAP:
-        raise CapExceededError(f"frame has {k} quasi-ideals, cap is {KAROUBI_CAP}")
     ground_q = GroundSet(tuple(f"Q{i}" for i in range(k)))
     size_q = 1 << k
     size_s = sys.ground.num_subsets

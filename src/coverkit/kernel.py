@@ -562,26 +562,6 @@ def supersets_mask(n: int, fam_mask: int) -> int:
     return fam_mask
 
 
-@lru_cache(maxsize=None)
-def upsets(n: int) -> tuple[int, ...]:
-    """Every up-set of the subset lattice of an n-element ground set, as
-    family masks in ascending order.
-
-    These are exactly the selection families: ``selections_mask(n, fam)``
-    is an up-set for every family, and an up-set U is the selection
-    family of the complements of the codes outside it.  An up-set is a
-    union of principal up-sets ``supersets_mask(n, 1 << x)``, so the list
-    grows by one union with each code x.  There are 2, 3, 6, 20, 168 and
-    7581 of them for n = 0 .. 5 (the Dedekind numbers), against 2**(2**n)
-    families.
-    """
-    out = {0}
-    for x in range(1 << n):
-        up = supersets_mask(n, 1 << x)
-        out |= {u | up for u in out}
-    return tuple(sorted(out))
-
-
 def diagonal_masks(n: int, a_mask: int, b_mask: int) -> bool:
     return selections_mask(n, a_mask) & ~supersets_mask(n, b_mask) == 0
 

@@ -9,11 +9,13 @@ from oracles import (
     naive_frame_vdash_fields,
     naive_karoubi_rows,
     naive_quasi_ideals,
+    naive_union_joins,
     principal_closure,
+    upsets,
     way_below_directed,
 )
 from coverkit import frame
-from coverkit.kernel import CapExceededError, TheoremViolationError, iter_bits
+from coverkit.kernel import CapExceededError, GroundSet, TheoremViolationError, iter_bits
 from coverkit.relations import CoverSystem, Relation, is_lower, is_upper
 from coverkit.builders import (
     FiniteLattice,
@@ -161,18 +163,24 @@ def test_empty_relation_has_two_quasi_ideals():
 # exhaustive reference, and principal_closure the earlier closure under
 # binary meets and joins, which is complete on divisible systems
 
-def test_generated_equals_exhaustive_small():
+def _monotone_cut_idempotent_s2():
+    """Every monotone cut-idempotent relation at |S| = 2, as systems."""
     from coverkit.composition import cut_compose
 
     g2 = gen.ground(2)
-    count = 0
+    out = []
     for code in range(1 << 16):
         rel = Relation(g2, g2, [(code >> (4 * f)) & 15 for f in range(4)])
         if is_upper(rel) and is_lower(rel) and cut_compose(rel, rel) == rel:
-            count += 1
-            fm = frame_model(CoverSystem(g2, rel))
-            assert list(fm.elements) == naive_quasi_ideals(2, list(rel.rows))
-    assert count == 67
+            out.append(CoverSystem(g2, rel))
+    return out
+
+
+def test_generated_equals_exhaustive_small():
+    systems = _monotone_cut_idempotent_s2()
+    assert len(systems) == 67
+    for sys in systems:
+        assert list(frame_model(sys).elements) == naive_quasi_ideals(2, list(sys.rel.rows))
     rng = gen.rng_for(617)
     systems = [gen.random_strong_idempotent(rng, gen.ground(3)) for _ in range(20)]
     systems += _cut_idempotent_closures(rng, 3, 20)
@@ -377,10 +385,11 @@ def test_directed_matrix_closed_form_on_twenty_element_frame():
 
 def _union_joins_literal(sys):
     """The union-join law by the literal row scan of each downset
-    (``oracles._literal_downset``, once per family): every ordered pair
-    of families for |S| <= 3, every ordered pair of singleton families
-    above."""
-    n, rows, size = sys.ground.size, sys.rel.rows, sys.ground.num_subsets
+    (``oracles._literal_downset``, once per family), over every ordered
+    pair of families up to upper closure: a family and its upper closure
+    have the same selections, hence the same downset, so the pairs of
+    up-closed families stand for every pair of families."""
+    n, rows = sys.ground.size, sys.rel.rows
     scanned = {}
 
     def down(fam):
@@ -388,11 +397,17 @@ def _union_joins_literal(sys):
             scanned[fam] = _literal_downset(n, rows, fam)
         return scanned[fam]
 
-    if n <= 3:
-        pairs = [(fa, fb) for fa in range(1 << size) for fb in range(1 << size)]
-    else:
-        pairs = [(1 << f, 1 << g) for f in range(size) for g in range(size)]
-    return all(down(fa | fb) == down(down(fa) | down(fb)) for fa, fb in pairs)
+    ups = upsets(n)
+    return all(down(fa | fb) == down(down(fa) | down(fb)) for fa in ups for fb in ups)
+
+
+def _gap4():
+    """The 4-element interpolation gap: x entails {p, q, r}, with no
+    single-target refinement."""
+    ground = GroundSet.of("x", "p", "q", "r")
+    rel = Relation.from_predicate(
+        ground, ground, lambda f, g: bool(f & 1) and (bool(g & 1) or (g & 14) == 14))
+    return CoverSystem(ground, rel, "interpolation_gap4")
 
 
 def test_union_join_table_matches_per_pair_scan():
@@ -400,7 +415,7 @@ def test_union_join_table_matches_per_pair_scan():
     systems = [gen.random_strong_idempotent(rng, gen.ground(2)) for _ in range(34)]
     systems += [gen.random_strong_idempotent(rng, gen.ground(3)) for _ in range(6)]
     systems += _cut_idempotent_closures(rng, 2, 12) + _cut_idempotent_closures(rng, 3, 2)
-    systems += [interpolation_gap_system(), B4, lattice_cover(chain_lattice(5))]
+    systems += [interpolation_gap_system(), _gap4(), B4, lattice_cover(chain_lattice(4))]
     seen = set()
     for sys in systems:
         want = _union_joins_literal(sys)
@@ -408,6 +423,50 @@ def test_union_join_table_matches_per_pair_scan():
         rep = verify_frame_laws(frame_model(sys))
         assert rep.finite_union_joins_hold == want
     assert seen == {True, False}
+
+
+def test_union_join_theorem_matches_literal_oracle():
+    # the verdict read from the principal-join law and distributivity
+    # against the search over every pair of selection families, on every
+    # monotone cut-idempotent relation at |S| = 2 and on random ones at
+    # |S| = 3 and 4, divisible or not; every frame is distributive, so
+    # the verdict is never None
+    rng = gen.rng_for(620)
+    systems = _monotone_cut_idempotent_s2()
+    assert len(systems) == 67
+    for n, count in ((3, 30), (4, 6)):
+        systems += [gen.random_strong_idempotent(rng, gen.ground(n)) for _ in range(count)]
+        systems += _cut_idempotent_closures(rng, n, count)
+    seen = set()
+    for sys in systems:
+        rep = verify_frame_laws(frame_model(sys))
+        assert rep.distributive
+        assert rep.finite_union_joins_hold == naive_union_joins(sys) == rep.principal_joins_hold
+        seen.add((sys.ground.size, sys.classification.is_divisible, rep.finite_union_joins_hold))
+    # the principal-join law holds exactly on the divisible systems
+    assert seen == {(n, d, d) for n in (2, 3, 4) for d in (True, False)}
+
+
+def test_union_joins_fail_on_the_four_element_gap():
+    # the principal-join law fails at {p, q, r}, so the union-join law
+    # fails on some pair of families; checking only pairs of singleton
+    # families missed it
+    sys = _gap4()
+    rep = verify_frame_laws(frame_model(sys))
+    assert rep.principal_joins_witness == "{p,q,r}"
+    assert rep.finite_union_joins_hold is False and naive_union_joins(sys) is False
+    singletons = [1 << f for f in range(sys.ground.num_subsets)]
+    down = lambda fam: _literal_downset(4, sys.rel.rows, fam)
+    assert all(down(a | b) == down(down(a) | down(b)) for a in singletons for b in singletons)
+    assert rep.violations() == []
+
+
+@pytest.mark.parametrize("lattice", [chain_lattice(13), _product_lattice(3, 4)],
+                         ids=["chain13", "product3x4"])
+def test_frame_laws_hold_at_the_ground_cap(lattice):
+    rep = verify_frame_laws(frame_model(lattice_cover(lattice)))
+    assert rep.finite_union_joins_hold is True
+    assert rep.violations() == []
 
 
 def _structure_literal(fm):
@@ -605,10 +664,14 @@ def test_karoubi_principal_column_for_empty_target():
     assert is_quasi_ideal(sys, col)  # the empty-target polar is a quasi-ideal
 
 
-def test_karoubi_cap(monkeypatch):
-    monkeypatch.setattr(frame, "KAROUBI_CAP", 3)
-    with pytest.raises(CapExceededError):
-        karoubi_envelope(meet_system(2))
+def test_karoubi_cap():
+    # the frame is the envelope's ground set, so the ground-set cap of 13
+    # is the envelope's only limit
+    assert len(frame_model(meet_system(3))) == 20
+    with pytest.raises(CapExceededError, match="size 20 exceeds cap 13"):
+        karoubi_envelope(meet_system(3))
+    env = karoubi_envelope(lattice_cover(chain_lattice(13)))
+    assert len(env.frame) == 13 and env.violations() == []
 
 
 # -- exports -------------------------------------------------------------------------------

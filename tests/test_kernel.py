@@ -25,11 +25,10 @@ from coverkit.kernel import (
     supersets_mask,
     tables,
     transpose,
-    upsets,
 )
 from coverkit.relations import Relation
 from gen import rng_for
-from oracles import naive_selections, naive_supersets, wedge
+from oracles import naive_selections, naive_supersets, upsets, wedge
 
 G2 = all_groundsets_named(2)
 G3 = all_groundsets_named(3)
